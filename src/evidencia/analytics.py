@@ -9,9 +9,7 @@ from typing import Iterable, Sequence
 from .dedup import DedupCluster
 from .domains import aggregate_domain
 from .records import EnrichedRecord, NewsItem
-from .textprep import split_sentences, word_tokens
-
-_URL_PRESENT_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
+from .textprep import find_urls, split_sentences, word_tokens
 
 
 def text_stats(items: Sequence[NewsItem]) -> dict[str, dict[str, float]]:
@@ -33,7 +31,7 @@ def text_stats(items: Sequence[NewsItem]) -> dict[str, dict[str, float]]:
             word_counts.append(len(tokens))
             char_counts.extend(len(t) for t in tokens)
             sentence_counts.append(len(split_sentences(item.text)))
-            if _URL_PRESENT_RE.search(item.text):
+            if find_urls(item.text):
                 url_hits += 1
         n = len(members)
         total_sentences = sum(sentence_counts)

@@ -36,9 +36,10 @@ from .evalkit import (
     select_shots,
     split,
 )
-from .claims import ClaimConfig, load_template
+from .claims import PROMPT_PATTERNS, ClaimConfig, load_template
 from .langid import TrigramDetector
 from .providers import (
+    CACHE_MODES,
     Backend,
     CachingBackend,
     Clock,
@@ -53,12 +54,12 @@ from .records import (
     EnrichedRecord,
     NewsItem,
     SchemaError,
-    dumps_record,
     read_enriched,
     read_news,
     write_enriched,
     write_news,
 )
+from .records import write_jsonl as _write_jsonl  # bench/tracer.py wraps it under this name
 from .validation import (
     ReviewItem,
     read_review_items,
@@ -71,8 +72,6 @@ try:
     VERSION = metadata.version("evidencia")
 except metadata.PackageNotFoundError:
     VERSION = "0.0.0+uninstalled"
-
-CACHE_MODES = ("read_write", "read_only", "bypass")
 
 
 class ConfigError(Exception):
@@ -161,7 +160,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("stats-out", help="funnel statistics JSON (default: <out>.stats.json)"),
         Opt("parallelism", type=int, default=1, help="concurrent records"),
         Opt("claim-template", default="main",
-            choices=("main", "detection", "role_framed", "query_extraction", "few_shot"),
+            choices=PROMPT_PATTERNS,
             help="claim extraction prompt pattern"),
         Opt("model", default="gemini-1.5-flash", help="generation model name"),
         Opt("max-claim-words", type=int, default=20, help="claim length cap"),
@@ -333,14 +332,6 @@ def _read_id_file(path: str) -> list[str]:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return [line.strip() for line in lines if line.strip()]
-
-
-def _write_jsonl(path: Path, payloads: Sequence[dict[str, Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for payload in payloads:
-            fh.write(dumps_record(payload))
-            fh.write("\n")
 
 
 def _read_instances(path: str) -> list[EvalInstance]:

@@ -2,24 +2,26 @@
 confirmation and clustering.
 
 Texts are shingled into character 5-grams. Each signature component is the
-minimum of a 128-bit universal hash over the shingle set, realized as two
-independent 64-bit draws compared lexicographically, so component agreement
-between two signatures estimates the exact Jaccard similarity of the shingle
-sets. Candidate pairs come from banding the signatures; every candidate is
-confirmed against exact Jaccard before clustering, so reported clusters never
-contain a pair below the threshold.
+minimum of a 64-bit multiply-add hash over the shingle set, so component
+agreement between two signatures estimates the exact Jaccard similarity of
+the shingle sets. One draw per component suffices: an odd multiplier makes
+the map a bijection on the 64-bit ring, so equal minima always come from the
+same shingle. Candidate pairs come from banding the signatures; every
+candidate is confirmed against exact Jaccard before clustering, so reported
+clusters never contain a pair below the threshold.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-_WS_COLLAPSE = None  # set lazily to avoid importing re at call time
+_WS_COLLAPSE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,6 @@ class DedupCluster:
 
 
 def _canonical(text: str) -> str:
-    global _WS_COLLAPSE
-    if _WS_COLLAPSE is None:
-        import re
-
-        _WS_COLLAPSE = re.compile(r"\s+")
     return _WS_COLLAPSE.sub(" ", text.lower()).strip()
 
 
@@ -101,15 +98,12 @@ class MinHasher:
         rng = np.random.default_rng(config.seed)
         n = config.num_permutations
         draw = lambda: rng.integers(1, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
-        # Two independent multiply-add draws per permutation; odd multipliers
-        # keep the maps bijective on the 64-bit ring.
-        self._a1 = draw() | np.uint64(1)
-        self._b1 = draw()
-        self._a2 = draw() | np.uint64(1)
-        self._b2 = draw()
+        # An odd multiplier keeps each map bijective on the 64-bit ring.
+        self._a = draw() | np.uint64(1)
+        self._b = draw()
 
     def signature(self, text: str) -> np.ndarray:
-        """(num_permutations, 2) uint64 array; raises on empty texts."""
+        """(num_permutations,) uint64 array; raises on empty texts."""
         shingle_set = shingles(text, self.config.shingle_size)
         if not shingle_set:
             raise ValueError("cannot sign an empty text")
@@ -118,21 +112,14 @@ class MinHasher:
     def signature_of_shingles(self, shingle_set: set[str]) -> np.ndarray:
         x = _shingle_hashes(shingle_set)
         with np.errstate(over="ignore"):
-            h1 = self._a1[:, None] * x[None, :] + self._b1[:, None]
-            h2 = self._a2[:, None] * x[None, :] + self._b2[:, None]
-        m1 = h1.min(axis=1)
-        # Lexicographic 128-bit minimum: restrict the second draw to the
-        # positions where the first draw is minimal.
-        masked = np.where(h1 == m1[:, None], h2, np.iinfo(np.uint64).max)
-        m2 = masked.min(axis=1)
-        return np.stack([m1, m2], axis=1)
+            return (self._a[:, None] * x[None, :] + self._b[:, None]).min(axis=1)
 
     @staticmethod
     def estimate(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
         """Fraction of agreeing components; estimates exact Jaccard."""
         if sig_a.shape != sig_b.shape:
             raise ValueError("signatures have different shapes")
-        return float(np.all(sig_a == sig_b, axis=1).mean())
+        return float((sig_a == sig_b).mean())
 
 
 def candidate_pairs(
@@ -189,15 +176,14 @@ def cluster(confirmed: Mapping[tuple[str, str], float]) -> list[DedupCluster]:
     for node in parent:
         groups.setdefault(find(node), []).append(node)
 
-    clusters = []
-    for root in sorted(groups):
-        members = tuple(sorted(groups[root]))
-        member_set = set(members)
-        pairs = tuple(
-            (a, b, j) for (a, b), j in sorted(confirmed.items()) if a in member_set
-        )
-        clusters.append(DedupCluster(members=members, pairs=pairs))
-    return clusters
+    pairs: dict[str, list[tuple[str, str, float]]] = {}
+    for (a, b), j in sorted(confirmed.items()):
+        pairs.setdefault(find(a), []).append((a, b, j))
+
+    return [
+        DedupCluster(members=tuple(sorted(groups[root])), pairs=tuple(pairs[root]))
+        for root in sorted(groups)
+    ]
 
 
 def near_duplicates(
@@ -212,16 +198,3 @@ def near_duplicates(
     candidates = candidate_pairs(signatures, config)
     confirmed = confirm_pairs(candidates, shingle_sets, config)
     return cluster(confirmed)
-
-
-def brute_force_pairs(
-    texts: Mapping[str, str], config: DedupConfig = DedupConfig()
-) -> dict[tuple[str, str], float]:
-    """All pairs at or above the threshold by exact Jaccard, no LSH involved."""
-    shingle_sets = {key: shingles(text, config.shingle_size) for key, text in texts.items()}
-    out = {}
-    for a, b in combinations(sorted(texts), 2):
-        j = exact_jaccard(shingle_sets[a], shingle_sets[b])
-        if j >= config.jaccard_threshold:
-            out[(a, b)] = j
-    return out

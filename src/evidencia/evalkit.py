@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from . import resources
 from .domains import registrable_domain
+from .matching import _MARKER_RE
 from .providers import ProviderFailure
 from .records import EnrichedRecord, ErrorEvent, NewsItem
 
@@ -34,7 +35,6 @@ CONTEXT_CLAUSE = (
 )
 ANSWER_INSTRUCTION = 'Responda apenas com uma das seguintes tags: "FAKE NEWS" ou "VERDADEIRO".'
 
-_MARKER_RE = re.compile(r"</?b>")
 _WS_RE = re.compile(r"\s+")
 
 

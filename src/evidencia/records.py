@@ -7,7 +7,6 @@ produce byte-identical files. Unknown fields found on disk are preserved in
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -284,7 +283,7 @@ def read_news(path: str | Path) -> list[NewsItem]:
 
 
 def write_news(path: str | Path, items: Iterable[NewsItem]) -> None:
-    _write_lines(Path(path), (item.to_dict() for item in items))
+    write_jsonl(path, (item.to_dict() for item in items))
 
 
 def read_enriched(path: str | Path) -> list[EnrichedRecord]:
@@ -298,17 +297,14 @@ def read_enriched(path: str | Path) -> list[EnrichedRecord]:
 
 
 def write_enriched(path: str | Path, records: Iterable[EnrichedRecord]) -> None:
-    _write_lines(Path(path), (rec.to_dict() for rec in records))
+    write_jsonl(path, (rec.to_dict() for rec in records))
 
 
-def _write_lines(path: Path, payloads: Iterable[dict[str, Any]]) -> None:
+def write_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> None:
+    """One canonical JSON object per line (see ``dumps_record``)."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for payload in payloads:
             fh.write(dumps_record(payload))
             fh.write("\n")
-
-
-def replace(record, **changes):
-    """dataclasses.replace, re-exported so callers need not import dataclasses."""
-    return dataclasses.replace(record, **changes)

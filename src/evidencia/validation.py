@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from . import resources
-from .dedup import DedupConfig, near_duplicates
+from .dedup import DedupCluster, DedupConfig, cluster, near_duplicates
 from .langid import LanguageDetector, TrigramDetector
 from .providers import Backend, FactCheckRequest, ProviderFailure, factcheck_search
-from .records import LABELS, NewsItem, SchemaError, replace
+from .records import LABELS, NewsItem, SchemaError, write_jsonl
 from .textprep import build_query, content_token_count, find_urls, strip_emoji, strip_quotes, strip_urls
 
 STAGES = (
@@ -127,12 +127,7 @@ def read_review_items(path: str | Path) -> list[ReviewItem]:
 
 
 def write_review_items(path: str | Path, items: Iterable[ReviewItem]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for item in items:
-            fh.write(json.dumps(item.to_dict(), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (item.to_dict() for item in items))
 
 
 @dataclass
@@ -226,27 +221,26 @@ def filter_language(
 def flag_contradictions(
     records: Sequence[NewsItem],
     report: ValidationReport,
-    dedup_cfg: DedupConfig = DedupConfig(),
+    clusters: Sequence[DedupCluster],
 ) -> None:
-    """Emit review items for near-duplicate clusters with mixed labels and
-    for records that cite the same URL under different labels."""
+    """Emit review items for near-duplicate clusters of ``records`` with mixed
+    labels and for records that cite the same URL under different labels."""
     by_id = {item.id: item for item in records}
     counter = len(report.review_items)
 
-    clusters = near_duplicates({item.id: item.text for item in records}, dedup_cfg)
-    for cluster in clusters:
-        labels = {by_id[m].label for m in cluster.members}
+    for dup in clusters:
+        labels = {by_id[m].label for m in dup.members}
         if len(labels) > 1:
             counter += 1
             report.review_items.append(
                 ReviewItem(
                     id=f"rev-{counter:04d}",
                     kind="near_dup_conflict",
-                    record_ids=list(cluster.members),
+                    record_ids=list(dup.members),
                     suggestion="remove",
                     context={
-                        "labels": {m: by_id[m].label for m in cluster.members},
-                        "pairs": [{"a": a, "b": b, "jaccard": j} for a, b, j in cluster.pairs],
+                        "labels": {m: by_id[m].label for m in dup.members},
+                        "pairs": [{"a": a, "b": b, "jaccard": j} for a, b, j in dup.pairs],
                     },
                 )
             )
@@ -365,12 +359,17 @@ def apply_decisions(
 def fakebr_rules(
     records: Sequence[NewsItem],
     report: ValidationReport,
+    clusters: Sequence[DedupCluster],
     incomplete_ids: Iterable[str] = (),
-    dedup_cfg: DedupConfig = DedupConfig(),
 ) -> list[NewsItem]:
     """Rules for the paired corpus: drop near-duplicates that share a source
     URL (lowest id kept), drop known-truncated records, then drop any record
-    whose pair member is gone so the corpus stays strictly paired."""
+    whose pair member is gone so the corpus stays strictly paired.
+
+    ``clusters`` are near-duplicate clusters over ``records`` or a superset
+    of them. Confirmation is pairwise, so the pairs between Fake.br records
+    are kept and clustered again: a record outside the subset may have
+    bridged two of their components."""
     fakebr = [item for item in records if item.corpus == "fakebr"]
     if not fakebr:
         return list(records)
@@ -380,11 +379,11 @@ def fakebr_rules(
 
     removed_here: set[str] = set()
 
-    clusters = near_duplicates({item.id: item.text for item in fakebr}, dedup_cfg)
     by_id = {item.id: item for item in fakebr}
-    for cluster in clusters:
+    confirmed = {(a, b): j for dup in clusters for a, b, j in dup.pairs if a in by_id and b in by_id}
+    for dup in cluster(confirmed):
         by_source: dict[str, list[str]] = {}
-        for member in cluster.members:
+        for member in dup.members:
             source = by_id[member].source_url or ""
             by_source.setdefault(source, []).append(member)
         for source, members in sorted(by_source.items()):
@@ -449,13 +448,14 @@ def run_validation(
     report = ValidationReport(input_count=len(records))
     current = filter_initial(records, report, min_content_tokens)
     current = filter_language(current, report, detector, auto_remove_confidence)
-    flag_contradictions(current, report, dedup_cfg)
+    clusters = near_duplicates({item.id: item.text for item in current}, dedup_cfg)
+    flag_contradictions(current, report, clusters)
     if factcheck_backend is not None:
         check_external_labels(current, factcheck_backend, report)
     random_inspection(current, report, sample_size, seed)
     if decisions:
         current = apply_decisions(current, decisions, report)
-    current = fakebr_rules(current, report, incomplete_ids, dedup_cfg)
+    current = fakebr_rules(current, report, clusters, incomplete_ids)
     current = strip_record_urls(current, report)
     report.output_count = len(current)
     assert report.conservation_holds(), "validation accounting out of balance"

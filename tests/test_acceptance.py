@@ -225,7 +225,8 @@ def test_c06_pairs_never_orphaned_or_split():
         incomplete = [records[rng.randrange(len(records))].id] if rng.random() < 0.4 else []
 
         report = ValidationReport(input_count=len(records))
-        kept = fakebr_rules(records, report, incomplete_ids=incomplete, dedup_cfg=fast)
+        clusters = near_duplicates({i.id: i.text for i in records}, fast)
+        kept = fakebr_rules(records, report, clusters, incomplete_ids=incomplete)
         members = Counter(i.pair_id for i in kept if i.corpus == "fakebr")
         assert all(count == 2 for count in members.values()), f"trial {trial}"
 

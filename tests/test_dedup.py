@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidencia.dedup import (
     DedupConfig,
     MinHasher,
-    brute_force_pairs,
     candidate_pairs,
     cluster,
     exact_jaccard,
@@ -37,6 +38,23 @@ def planted_corpus(rng, n_base=30):
             words[k] = rng.choice(LEXICON)
         texts[f"mut_{i:03d}"] = " ".join(words)
     return texts
+
+
+def chained_corpus(rng, n_chains):
+    """Chains of successive edits: neighbours are near-duplicates while the
+    ends of a long chain often are not, so inner links bridge the ends."""
+    texts = {}
+    for c in range(n_chains):
+        words = [rng.choice(LEXICON) for _ in range(60)]
+        for step in range(rng.randint(1, 4)):
+            texts[f"c{c}_{step}"] = " ".join(words)
+            for k in rng.sample(range(len(words)), rng.choice([1, 3, 6])):
+                words[k] = rng.choice(LEXICON)
+    return texts
+
+
+def restrict(clusters, subset):
+    return {(a, b): j for c in clusters for a, b, j in c.pairs if a in subset and b in subset}
 
 
 class TestShingles:
@@ -86,7 +104,7 @@ class TestMinHasher:
         cfg = DedupConfig()
         sig1 = MinHasher(cfg).signature("um texto qualquer para assinar")
         sig2 = MinHasher(cfg).signature("um texto qualquer para assinar")
-        assert sig1.shape == (cfg.num_permutations, 2)
+        assert sig1.shape == (cfg.num_permutations,)
         assert sig1.dtype == np.uint64
         assert np.array_equal(sig1, sig2)
 
@@ -149,9 +167,6 @@ class TestPipeline:
         for pair, j in found.items():
             assert j == pytest.approx(expected[pair])
 
-        library_brute = brute_force_pairs(texts)
-        assert set(library_brute) == set(expected)
-
     def test_no_pair_below_threshold_is_reported(self):
         rng = random.Random(5)
         texts = planted_corpus(rng)
@@ -165,5 +180,46 @@ class TestPipeline:
         assert [c.members for c in clusters] == [("a", "b", "c"), ("d", "e")]
         assert clusters[0].pairs == (("a", "b", 0.9), ("b", "c", 0.8))
 
+        interleaved = {("c", "f"): 0.8, ("a", "h"): 0.9, ("b", "e"): 0.7,
+                       ("a", "d"): 0.75, ("e", "g"): 0.85, ("c", "i"): 0.95}
+        clusters = cluster(interleaved)
+        assert [c.members for c in clusters] == [("a", "d", "h"), ("b", "e", "g"), ("c", "f", "i")]
+        assert [c.pairs for c in clusters] == [
+            (("a", "d", 0.75), ("a", "h", 0.9)),
+            (("b", "e", 0.7), ("e", "g", 0.85)),
+            (("c", "f", 0.8), ("c", "i", 0.95)),
+        ]
+
     def test_empty_corpus(self):
         assert near_duplicates({}) == []
+
+
+class TestSubsetReuse:
+    """Clusters of a corpus serve any subset of it: re-clustering the pairs
+    inside the subset equals a fresh run over the subset."""
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_restricted_pairs_equal_subset_run(self, seed, data):
+        texts = chained_corpus(random.Random(seed), n_chains=6)
+        subset = data.draw(st.sets(st.sampled_from(sorted(texts))))
+        full = near_duplicates(texts)
+        assert cluster(restrict(full, subset)) == near_duplicates({k: texts[k] for k in subset})
+
+    def test_bridge_outside_the_subset_splits_the_cluster(self):
+        rng = random.Random(7)
+        words = [rng.choice(LEXICON) for _ in range(60)]
+        texts = {"a": " ".join(words)}
+        for k in range(0, 60, 12):
+            words[k] = rng.choice(LEXICON)
+        texts["b"] = " ".join(words)
+        for k in range(6, 60, 12):
+            words[k] = rng.choice(LEXICON)
+        texts["c"] = " ".join(words)
+        sets = {k: shingles(t) for k, t in texts.items()}
+        assert exact_jaccard(sets["a"], sets["c"]) < 0.7
+        full = near_duplicates(texts)
+        assert [c.members for c in full] == [("a", "b", "c")]
+
+        subset = {"a", "c"}
+        assert cluster(restrict(full, subset)) == near_duplicates({k: texts[k] for k in subset}) == []

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidencia import validation
+from evidencia.dedup import near_duplicates
 from evidencia.langid import FixedDetector
 from evidencia.providers import FixtureBackend, KIND_FACTCHECK, write_cassette
-from evidencia.records import NewsItem, SchemaError
+from evidencia.records import NewsItem, SchemaError, dumps_record
 from evidencia.textprep import build_query
 from evidencia.validation import (
     ReviewItem,
@@ -31,6 +33,10 @@ LONG = ("O governo municipal confirmou nesta semana a abertura de novas vagas de
 
 def item(id, text=LONG, corpus="covid19br", label="true", **kwargs):
     return NewsItem(id=id, corpus=corpus, text=text, label=label, **kwargs)
+
+
+def dups(records):
+    return near_duplicates({i.id: i.text for i in records})
 
 
 class TestInitialFilter:
@@ -93,7 +99,7 @@ class TestContradictions:
             item("b", text=base + " Fim B.", label="true"),
         ]
         report = ValidationReport(input_count=2)
-        flag_contradictions(records, report)
+        flag_contradictions(records, report, dups(records))
         assert len(report.review_items) == 1
         review = report.review_items[0]
         assert review.kind == "near_dup_conflict"
@@ -105,7 +111,7 @@ class TestContradictions:
         base = LONG + " Detalhe final um pouco mais longo para dar corpo ao texto."
         records = [item("a", text=base + " Fim A."), item("b", text=base + " Fim B.")]
         report = ValidationReport(input_count=2)
-        flag_contradictions(records, report)
+        flag_contradictions(records, report, dups(records))
         assert report.review_items == []
 
     def test_shared_url_with_mixed_labels_flagged(self):
@@ -115,7 +121,7 @@ class TestContradictions:
                            "com muitas outras palavras de conteúdo para passar em filtros.", label="true"),
         ]
         report = ValidationReport(input_count=2)
-        flag_contradictions(records, report)
+        flag_contradictions(records, report, dups(records))
         kinds = [r.kind for r in report.review_items]
         assert kinds == ["shared_url_conflict"]
         assert report.review_items[0].context["url"] == "https://example.com/post"
@@ -127,7 +133,7 @@ class TestContradictions:
             item("b", text=base + " Fim B. Link https://example.com/x", label="true"),
         ]
         report = ValidationReport(input_count=2)
-        flag_contradictions(records, report)
+        flag_contradictions(records, report, dups(records))
         assert [r.id for r in report.review_items] == ["rev-0001", "rev-0002"]
 
 
@@ -256,6 +262,20 @@ class TestDecisions:
             validate_decision(self.make_review({"action": "relabel"}))
 
 
+class TestReviewFile:
+    def test_round_trip_in_canonical_form(self, tmp_path):
+        items = [
+            ReviewItem(id="rev-0001", kind="near_dup_conflict", record_ids=["a", "b"], suggestion="remove",
+                       context={"labels": {"a": "fake", "b": "true"}}),
+            ReviewItem(id="rev-0002", kind="random_inspection", record_ids=["ç"],
+                       decision={"action": "keep"}, decided_by="qa"),
+        ]
+        path = tmp_path / "queue.jsonl"
+        write_review_items(path, items)
+        assert read_review_items(path) == items
+        assert path.read_text(encoding="utf-8") == "".join(dumps_record(i.to_dict()) + "\n" for i in items)
+
+
 class TestFakebrRules:
     def pair(self, pid):
         return [
@@ -268,7 +288,7 @@ class TestFakebrRules:
     def test_missing_pair_id_raises(self):
         report = ValidationReport(input_count=1)
         with pytest.raises(SchemaError, match="missing pair_id"):
-            fakebr_rules([item("x", corpus="fakebr", pair_id=None)], report)
+            fakebr_rules([item("x", corpus="fakebr", pair_id=None)], report, [])
 
     def test_same_source_near_duplicates_keep_lowest_id(self):
         records = self.pair("p1") + self.pair("p2")
@@ -278,7 +298,7 @@ class TestFakebrRules:
         records[1] = item("true_p1", corpus="fakebr", label="true", pair_id="p1",
                           text=records[1].text, source_url="https://example.com/s")
         report = ValidationReport(input_count=4)
-        kept = fakebr_rules(records, report)
+        kept = fakebr_rules(records, report, dups(records))
         # true_p2 loses the near-dup rule, fake_p2 falls in the orphan sweep
         assert {i.id for i in kept} == {"fake_p1", "true_p1"}
         assert report.removal_reasons["true_p2"] == "same_source_near_dup"
@@ -287,7 +307,7 @@ class TestFakebrRules:
     def test_incomplete_ids_removed_with_their_pairs(self):
         records = self.pair("p1") + self.pair("p2")
         report = ValidationReport(input_count=4)
-        kept = fakebr_rules(records, report, incomplete_ids=["fake_p2"])
+        kept = fakebr_rules(records, report, dups(records), incomplete_ids=["fake_p2"])
         assert {i.id for i in kept} == {"fake_p1", "true_p1"}
         assert report.removal_reasons["fake_p2"] == "truncated_source"
         assert report.removal_reasons["true_p2"] == "pair_member_removed"
@@ -298,12 +318,12 @@ class TestFakebrRules:
                             text="Terceiro membro " + LONG))
         report = ValidationReport(input_count=3)
         with pytest.raises(SchemaError, match="has 3 members"):
-            fakebr_rules(records, report)
+            fakebr_rules(records, report, dups(records))
 
     def test_other_corpora_untouched(self):
         records = [item("cv_1"), item("cv_2", text=LONG + " x")]
         report = ValidationReport(input_count=2)
-        assert fakebr_rules(records, report) == records
+        assert fakebr_rules(records, report, dups(records)) == records
 
 
 class TestUrlStripping:
@@ -342,6 +362,18 @@ class TestFullRun:
             "near_dup_conflict",
             "shared_url_conflict",
         ]
+
+    def test_one_near_duplicate_pass(self, corpus, detector, monkeypatch):
+        assert any(i.corpus == "fakebr" for i in corpus)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return near_duplicates(*args, **kwargs)
+
+        monkeypatch.setattr(validation, "near_duplicates", counting)
+        run_validation(corpus, detector=detector)
+        assert len(calls) == 1
 
     def test_report_dict_shape(self, corpus, detector):
         _, report = run_validation(corpus, detector=detector)

@@ -2,24 +2,42 @@
 confirmation and clustering.
 
 Texts are shingled into character 5-grams. Each signature component is the
-minimum of a 64-bit multiply-add hash over the shingle set, so component
-agreement between two signatures estimates the exact Jaccard similarity of
-the shingle sets. One draw per component suffices: an odd multiplier makes
-the map a bijection on the 64-bit ring, so equal minima always come from the
-same shingle. Candidate pairs come from banding the signatures; every
-candidate is confirmed against exact Jaccard before clustering, so reported
-clusters never contain a pair below the threshold.
+minimum of a 64-bit multiply-add hash over the blake2b values of the shingle
+set, so component agreement between two signatures estimates the exact
+Jaccard similarity of the shingle sets. One draw per component suffices: an
+odd multiplier makes the map a bijection on the 64-bit ring, so equal minima
+always come from the same shingle. The draws depend only on the config, so
+they are made once per config and shared. `near_duplicates` builds one
+hasher per call, and the hasher keeps the blake2b value of each distinct
+shingle it has seen: a shingle that many texts share is hashed once per
+call, and the memo goes away with the call.
+
+Candidate pairs come from banding the signatures; every candidate is
+confirmed against exact Jaccard before clustering, so reported clusters never
+contain a pair below the threshold. Confirmation first skips a candidate
+whose size ratio min(|A|,|B|) / max(|A|,|B|) is below the threshold. The
+intersection is at most the smaller set and the union at least the larger,
+so the ratio is an upper bound on Jaccard, and skipping on it loses no pair.
+The bound stays a division, like Jaccard itself: correctly rounded division
+is monotone, so a pair whose Jaccard lands exactly on the threshold also has
+a rounded ratio at or above it.
+
+Every CLI subcommand imports this module, but only `validate` and `dedup`
+sign texts. numpy is therefore imported inside the two functions that use
+it, and the other subcommands never load it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from hashlib import blake2b
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _WS_COLLAPSE = re.compile(r"\s+")
 
@@ -33,6 +51,9 @@ class DedupConfig:
     jaccard_threshold: float = 0.7
 
     def __post_init__(self) -> None:
+        for name in ("shingle_size", "num_permutations", "bands"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.num_permutations % self.bands != 0:
             raise ValueError("bands must divide num_permutations")
         if not 0.0 < self.jaccard_threshold <= 1.0:
@@ -78,29 +99,36 @@ def shingles(text: str, size: int = 5) -> set[str]:
 def exact_jaccard(a: set[str], b: set[str]) -> float:
     if not a and not b:
         return 1.0
-    union = len(a | b)
-    return len(a & b) / union if union else 0.0
+    common = len(a & b)
+    return common / (len(a) + len(b) - common)
 
 
-def _shingle_hashes(shingle_set: set[str]) -> np.ndarray:
-    values = np.empty(len(shingle_set), dtype=np.uint64)
-    for i, s in enumerate(sorted(shingle_set)):
-        digest = hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest()
-        values[i] = int.from_bytes(digest, "little")
-    return values
+@lru_cache(maxsize=8)
+def _permutations(config: DedupConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (num_permutations, 1) multipliers and offsets for a config."""
+    import numpy as np
+
+    rng = np.random.default_rng(config.seed)
+    n = config.num_permutations
+    draw = lambda: rng.integers(1, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
+    # An odd multiplier keeps each map bijective on the 64-bit ring.
+    a = (draw() | np.uint64(1))[:, None]
+    b = draw()[:, None]
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 class MinHasher:
-    """Signature generator with parameters drawn from a fixed seed."""
+    """Signature generator with parameters drawn from a fixed seed.
+
+    The hasher remembers the blake2b value of every shingle it has signed,
+    so it should live no longer than one batch of texts.
+    """
 
     def __init__(self, config: DedupConfig = DedupConfig()):
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        n = config.num_permutations
-        draw = lambda: rng.integers(1, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
-        # An odd multiplier keeps each map bijective on the 64-bit ring.
-        self._a = draw() | np.uint64(1)
-        self._b = draw()
+        self._a, self._b = _permutations(config)
+        self._digests: dict[str, bytes] = {}
 
     def signature(self, text: str) -> np.ndarray:
         """(num_permutations,) uint64 array; raises on empty texts."""
@@ -110,9 +138,16 @@ class MinHasher:
         return self.signature_of_shingles(shingle_set)
 
     def signature_of_shingles(self, shingle_set: set[str]) -> np.ndarray:
-        x = _shingle_hashes(shingle_set)
+        import numpy as np
+
+        digests = self._digests
+        for s in shingle_set.difference(digests):
+            digests[s] = blake2b(s.encode("utf-8"), digest_size=8).digest()
+        x = np.frombuffer(b"".join(map(digests.__getitem__, shingle_set)), dtype="<u8")
         with np.errstate(over="ignore"):
-            return (self._a[:, None] * x[None, :] + self._b[:, None]).min(axis=1)
+            h = self._a * x
+            h += self._b
+        return h.min(axis=1)
 
     @staticmethod
     def estimate(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
@@ -146,11 +181,20 @@ def confirm_pairs(
     shingle_sets: Mapping[str, set[str]],
     config: DedupConfig = DedupConfig(),
 ) -> dict[tuple[str, str], float]:
-    """Exact-Jaccard check of candidate pairs; keeps those at the threshold."""
+    """Exact-Jaccard check of candidate pairs; keeps those at the threshold.
+
+    A pair whose size ratio is below the threshold cannot reach it and is
+    skipped without counting its intersection.
+    """
+    threshold = config.jaccard_threshold
     confirmed = {}
     for a, b in pairs:
-        j = exact_jaccard(shingle_sets[a], shingle_sets[b])
-        if j >= config.jaccard_threshold:
+        set_a, set_b = shingle_sets[a], shingle_sets[b]
+        small, large = sorted((len(set_a), len(set_b)))
+        if large and small / large < threshold:
+            continue
+        j = exact_jaccard(set_a, set_b)
+        if j >= threshold:
             confirmed[(a, b)] = j
     return confirmed
 

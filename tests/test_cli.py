@@ -1,8 +1,10 @@
 """Command-line behavior: the full pipeline, option resolution, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from evidencia.cli import main
 from evidencia.enrichment import FunnelStats
 from evidencia.records import read_enriched, read_news
 
-from conftest import CASSETTES, FIXTURES
+from conftest import CASSETTES, FIXTURES, ROOT
 
 CORPUS = str(FIXTURES / "corpus.jsonl")
 
@@ -226,6 +228,17 @@ class TestExitCodes:
                      "--train", "0.5", "--val", "0.1", "--test", "0.1"]) == 2
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,field", [
+        ("--bands", "bands"),
+        ("--shingle-size", "shingle_size"),
+        ("--permutations", "num_permutations"),
+    ])
+    def test_dedup_sizes_below_one(self, tmp_path, capsys, flag, field):
+        out = tmp_path / "clusters.jsonl"
+        assert main(["dedup", "--in", CORPUS, "--out", str(out), flag, "0"]) == 2
+        assert f"{field} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_value_applies_and_flag_wins(self, tmp_path):
@@ -291,3 +304,18 @@ class TestEntryPoint:
         proc = subprocess.run(["evidencia", "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "evidencia" in proc.stdout
+
+    @staticmethod
+    def run_fresh(*args):
+        env = {**os.environ, "PYTHONPATH": "src"}
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT, env=env)
+
+    def test_module_version_flag(self):
+        proc = self.run_fresh("-m", "evidencia.cli", "--version")
+        assert proc.returncode == 0
+        assert "evidencia" in proc.stdout
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        proc = self.run_fresh("-c", "import evidencia.cli, sys; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,17 +1,21 @@
 """Near-duplicate detection against exhaustive comparison."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidencia import dedup
 from evidencia.dedup import (
     DedupConfig,
     MinHasher,
     candidate_pairs,
     cluster,
+    confirm_pairs,
     exact_jaccard,
     near_duplicates,
     shingles,
@@ -134,6 +138,32 @@ class TestMinHasher:
             est = MinHasher.estimate(hasher.signature(texts[a]), hasher.signature(texts[b]))
             assert abs(est - exact_jaccard(sa, sb)) <= 0.17
 
+    # SHA-256 of default-config signature bytes. Any change to the shingle
+    # hash, the permutation draws or the minimum changes these digests, and
+    # with them every candidate set downstream.
+    PINNED = {
+        "O governo anunciou hoje uma nova campanha de vacinação em todo o país.":
+            "46c06e2290ced9f096b0c29600201d3b9573da80e46b942f29e25a92b622eda9",
+        "Mensagem encaminhada: beba água de coco quente para curar a gripe!!!":
+            "ed5555c7b1cf50d3625f4de9d536663e2ac5a34fd1bf89a552eaf002d7a399de",
+        "curto":
+            "de29732b8c5163811099132f3e7849087ca1356eca3e476e2d81507b855eef31",
+        "Ação, coração e pão: acentuação ÇÃÕ em MAIÚSCULAS   e espaços\tlargos.":
+            "a537ff5d5ae51a12733252d50a2c3c9a1ed2b6f696d19ded87f25c9afda0af16",
+    }
+
+    def test_signature_bits_are_pinned(self):
+        for text, digest in self.PINNED.items():
+            assert hashlib.sha256(MinHasher().signature(text).tobytes()).hexdigest() == digest, text
+
+    def test_reused_hasher_matches_fresh_hashers(self):
+        texts = list(self.PINNED) + list(planted_corpus(random.Random(3), n_base=5).values())
+        fresh = [MinHasher().signature(t) for t in texts]
+        for order in (range(len(texts)), reversed(range(len(texts)))):
+            hasher = MinHasher()
+            for i in order:
+                assert np.array_equal(hasher.signature(texts[i]), fresh[i])
+
 
 class TestConfig:
     def test_bands_must_divide_permutations(self):
@@ -144,9 +174,65 @@ class TestConfig:
         with pytest.raises(ValueError):
             DedupConfig(jaccard_threshold=0.0)
 
+    @pytest.mark.parametrize("field", ["shingle_size", "num_permutations", "bands"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DedupConfig(**{field: value})
+
     def test_default_banding(self):
         cfg = DedupConfig()
         assert (cfg.num_permutations, cfg.bands, cfg.rows_per_band) == (100, 50, 2)
+
+
+def counting_jaccard(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return exact_jaccard(a, b)
+
+    monkeypatch.setattr(dedup, "exact_jaccard", spy)
+    return calls
+
+
+class TestSizeBound:
+    """confirm_pairs skips a pair whose size ratio is below the threshold."""
+
+    def test_subset_exactly_at_threshold_is_confirmed(self, monkeypatch):
+        calls = counting_jaccard(monkeypatch)
+        big = {f"s{i}" for i in range(10)}
+        small = set(sorted(big)[:7])
+        confirmed = confirm_pairs([("a", "b")], {"a": small, "b": big}, DedupConfig(jaccard_threshold=0.7))
+        assert confirmed == {("a", "b"): 0.7}
+        assert len(calls) == 1
+
+    def test_ratio_just_below_threshold_is_skipped(self, monkeypatch):
+        calls = counting_jaccard(monkeypatch)
+        big = {f"s{i}" for i in range(1000)}
+        small = set(sorted(big)[:699])
+        confirmed = confirm_pairs([("a", "b")], {"a": small, "b": big}, DedupConfig(jaccard_threshold=0.7))
+        assert confirmed == {}
+        assert calls == []
+
+    @given(
+        sets=st.lists(st.frozensets(st.integers(0, 11), max_size=12), min_size=2, max_size=8),
+        # Ratios of small integers put some pairs exactly on the threshold.
+        threshold=st.one_of(
+            st.floats(0.01, 1.0),
+            st.builds(lambda i, u: i / max(i, u), st.integers(1, 12), st.integers(1, 12)),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_filter(self, sets, threshold):
+        named = {f"r{k}": frozenset(str(x) for x in s) for k, s in enumerate(sets)}
+        pairs = list(combinations(named, 2))
+        expected = {}
+        for a, b in pairs:
+            j = ref_jaccard(named[a], named[b])
+            if j >= threshold:
+                expected[(a, b)] = j
+        assert confirm_pairs(pairs, named, DedupConfig(jaccard_threshold=threshold)) == expected
 
 
 class TestPipeline:

@@ -7,149 +7,3 @@ LLM-extracted claim when the text itself finds no match, and fact-check
 reviews, then analyze the outcome and run a few-shot classification
 evaluation over the enriched data.
 """
-
-from .records import (
-    ClaimReviewResult,
-    EnrichedRecord,
-    ErrorEvent,
-    NewsItem,
-    SchemaError,
-    WebResult,
-    read_enriched,
-    read_news,
-    write_enriched,
-    write_news,
-)
-from .textprep import (
-    LlmInputConfig,
-    QueryConfig,
-    build_query,
-    llm_input,
-    split_sentences,
-    strip_emoji,
-    strip_quotes,
-    strip_urls,
-    word_tokens,
-)
-from .dedup import (
-    DedupCluster,
-    DedupConfig,
-    MinHasher,
-    exact_jaccard,
-    near_duplicates,
-    shingles,
-)
-from .matching import MatchConfig, first_match, match_score, query_terms
-from .langid import FixedDetector, LanguageDetector, TrigramDetector
-from .domains import aggregate_domain, registrable_domain
-from .providers import (
-    Backend,
-    CachingBackend,
-    FactCheckRequest,
-    FixtureBackend,
-    FrozenClock,
-    LiveBackend,
-    LlmRequest,
-    ProviderFailure,
-    SystemClock,
-    WebSearchRequest,
-    factcheck_search,
-    llm_generate,
-    request_hash,
-    web_search,
-    write_cassette,
-)
-from .claims import ClaimConfig, ClaimOutcome, ClaimPromptTemplate, extract_claim, load_template
-from .enrichment import EnrichConfig, FunnelStats, enrich_corpus, enrich_one
-from .validation import ReviewItem, ValidationReport, run_validation
-from .evalkit import (
-    DataConfiguration,
-    EvalInstance,
-    EvalResult,
-    SplitSpec,
-    build_config,
-    few_shot_classify,
-    score,
-    select_shots,
-    split,
-)
-
-try:
-    from importlib.metadata import version as _version
-
-    __version__ = _version("evidencia")
-except Exception:
-    __version__ = "0.0.0+uninstalled"
-
-__all__ = [
-    "Backend",
-    "CachingBackend",
-    "ClaimConfig",
-    "ClaimOutcome",
-    "ClaimPromptTemplate",
-    "ClaimReviewResult",
-    "DataConfiguration",
-    "DedupCluster",
-    "DedupConfig",
-    "EnrichConfig",
-    "EnrichedRecord",
-    "ErrorEvent",
-    "EvalInstance",
-    "EvalResult",
-    "FactCheckRequest",
-    "FixedDetector",
-    "FixtureBackend",
-    "FrozenClock",
-    "FunnelStats",
-    "LanguageDetector",
-    "LiveBackend",
-    "LlmInputConfig",
-    "LlmRequest",
-    "MatchConfig",
-    "MinHasher",
-    "NewsItem",
-    "ProviderFailure",
-    "QueryConfig",
-    "ReviewItem",
-    "SchemaError",
-    "SplitSpec",
-    "SystemClock",
-    "TrigramDetector",
-    "ValidationReport",
-    "WebResult",
-    "WebSearchRequest",
-    "aggregate_domain",
-    "build_config",
-    "build_query",
-    "enrich_corpus",
-    "enrich_one",
-    "exact_jaccard",
-    "extract_claim",
-    "factcheck_search",
-    "few_shot_classify",
-    "first_match",
-    "llm_generate",
-    "llm_input",
-    "load_template",
-    "match_score",
-    "near_duplicates",
-    "query_terms",
-    "read_enriched",
-    "read_news",
-    "registrable_domain",
-    "request_hash",
-    "run_validation",
-    "score",
-    "select_shots",
-    "shingles",
-    "split",
-    "split_sentences",
-    "strip_emoji",
-    "strip_quotes",
-    "strip_urls",
-    "web_search",
-    "word_tokens",
-    "write_cassette",
-    "write_enriched",
-    "write_news",
-]

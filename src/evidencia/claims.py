@@ -1,9 +1,10 @@
 """Claim extraction: prompt assembly, output cleanup and the length cap.
 
 The model sees only the head of the text (first paragraphs, word-capped) and
-must answer with a claim of at most 20 words. A too-long answer earns one
-retry; if the retry is still too long the answer is hard-truncated and the
-record says so (``enforced``). An empty answer after the retry is a
+must answer with a claim of at most ``max_claim_words`` words
+(``MAX_CLAIM_WORDS``, 20, unless the caller sets it). A too-long answer earns
+one retry (``MAX_ATTEMPTS`` is 2 calls); if the retry is still too long the
+answer is hard-truncated and the record says so (``enforced``). An empty answer after the retry is a
 constraint violation reported as an error event, never an exception.
 """
 
@@ -15,10 +16,12 @@ from typing import Callable
 
 from . import resources
 from .records import ErrorEvent
-from .textprep import LlmInputConfig, llm_input, word_tokens
+from .textprep import llm_input, word_tokens
 
 PLACEHOLDER = "{TEXTO DE ENTRADA}"
 PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_shot")
+MAX_CLAIM_WORDS = 20
+MAX_ATTEMPTS = 2  # one initial call plus one retry
 
 _LABEL_RE = re.compile(r"^(alega[çc][aã]o|resposta|sa[íi]da|busca|claim)\s*[:\-–]\s*", re.IGNORECASE)
 _WS_RE = re.compile(r"\s+")
@@ -44,12 +47,6 @@ def load_template(pattern: str = "main") -> ClaimPromptTemplate:
 
 
 @dataclass(frozen=True)
-class ClaimConfig:
-    max_claim_words: int = 20
-    max_attempts: int = 2  # one initial call plus one retry
-
-
-@dataclass(frozen=True)
 class ClaimOutcome:
     claim: str | None
     enforced: bool = False
@@ -72,8 +69,7 @@ def extract_claim(
     text: str,
     generate: Callable[[str], str],
     template: ClaimPromptTemplate | None = None,
-    cfg: ClaimConfig = ClaimConfig(),
-    input_cfg: LlmInputConfig = LlmInputConfig(),
+    max_claim_words: int = MAX_CLAIM_WORDS,
 ) -> ClaimOutcome:
     """Run the extraction loop for one text.
 
@@ -81,10 +77,10 @@ def extract_claim(
     must surface as exceptions and become ``provider_failure`` events here.
     """
     template = template or load_template()
-    prompt = template.render(llm_input(text, input_cfg))
+    prompt = template.render(llm_input(text))
     claim = ""
     attempts = 0
-    for attempts in range(1, cfg.max_attempts + 1):
+    for attempts in range(1, MAX_ATTEMPTS + 1):
         try:
             raw = generate(prompt)
         except Exception as exc:
@@ -94,7 +90,7 @@ def extract_claim(
                 error=ErrorEvent("claim_extraction", "provider_failure", str(exc)),
             )
         claim = cleanup(raw)
-        if claim and len(word_tokens(claim)) <= cfg.max_claim_words:
+        if claim and len(word_tokens(claim)) <= max_claim_words:
             return ClaimOutcome(claim=claim, attempts=attempts)
     if not claim:
         return ClaimOutcome(
@@ -102,5 +98,5 @@ def extract_claim(
             attempts=attempts,
             error=ErrorEvent("claim_extraction", "constraint_violation", "empty completion"),
         )
-    truncated = " ".join(word_tokens(claim)[: cfg.max_claim_words])
+    truncated = " ".join(word_tokens(claim)[:max_claim_words])
     return ClaimOutcome(claim=truncated, enforced=True, attempts=attempts)

@@ -36,10 +36,11 @@ from .evalkit import (
     select_shots,
     split,
 )
-from .claims import PROMPT_PATTERNS, ClaimConfig, load_template
+from .claims import MAX_CLAIM_WORDS, PROMPT_PATTERNS, load_template
 from .langid import TrigramDetector
 from .providers import (
     CACHE_MODES,
+    DEFAULT_MODEL,
     Backend,
     CachingBackend,
     Clock,
@@ -162,8 +163,8 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("claim-template", default="main",
             choices=PROMPT_PATTERNS,
             help="claim extraction prompt pattern"),
-        Opt("model", default="gemini-1.5-flash", help="generation model name"),
-        Opt("max-claim-words", type=int, default=20, help="claim length cap"),
+        Opt("model", default=DEFAULT_MODEL, help="generation model name"),
+        Opt("max-claim-words", type=int, default=MAX_CLAIM_WORDS, help="claim length cap"),
         Opt("max-error-rate", type=float, default=1.0,
             help="exit 1 when the share of records with errors exceeds this"),
         *PROVIDER_OPTS,
@@ -194,7 +195,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("out", required=True, help="results JSON output"),
         Opt("predictions-out", help="per-instance predictions (default: <out>.predictions.jsonl)"),
         Opt("seed", type=int, default=0, help="shot sampling seed"),
-        Opt("model", default="gemini-1.5-flash", help="generation model name"),
+        Opt("model", default=DEFAULT_MODEL, help="generation model name"),
         Opt("max-error-rate", type=float, default=1.0,
             help="exit 1 when the share of provider failures exceeds this"),
         *PROVIDER_OPTS,
@@ -478,7 +479,7 @@ def _cmd_enrich(conf: dict[str, Any]) -> int:
     backend = _backend_for(conf, clock, required=True)
     items = read_news(conf["in"])
     cfg = EnrichConfig(
-        claim=ClaimConfig(max_claim_words=conf["max_claim_words"]),
+        max_claim_words=conf["max_claim_words"],
         llm_model=conf["model"],
         prompt_pattern=conf["claim_template"],
     )

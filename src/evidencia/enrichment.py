@@ -9,13 +9,13 @@ when the original query returns no reviews and a claim exists.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .claims import ClaimConfig, ClaimPromptTemplate, extract_claim, load_template
-from .matching import MatchConfig, first_match
+from .claims import MAX_CLAIM_WORDS, ClaimPromptTemplate, extract_claim, load_template
+from .matching import first_match
 from .providers import (
+    DEFAULT_MODEL,
     Backend,
     Clock,
     FactCheckRequest,
@@ -28,23 +28,13 @@ from .providers import (
     web_search,
 )
 from .records import EnrichedRecord, ErrorEvent, NewsItem
-from .textprep import LlmInputConfig, QueryConfig, build_query, strip_emoji, strip_quotes
-
-log = logging.getLogger(__name__)
+from .textprep import build_query, strip_emoji, strip_quotes
 
 
 @dataclass(frozen=True)
 class EnrichConfig:
-    query: QueryConfig = QueryConfig()
-    match: MatchConfig = MatchConfig()
-    llm_input: LlmInputConfig = LlmInputConfig()
-    claim: ClaimConfig = ClaimConfig()
-    web_num: int = 5
-    web_geo: str = "pt-BR"
-    web_lang: str = "lang_pt"
-    factcheck_language: str = "pt-BR"
-    factcheck_page_size: int = 5
-    llm_model: str = "gemini-1.5-flash"
+    max_claim_words: int = MAX_CLAIM_WORDS
+    llm_model: str = DEFAULT_MODEL
     prompt_pattern: str = "main"
 
 
@@ -109,19 +99,16 @@ def enrich_one(
     timestamps: dict[str, str] = {}
 
     prepared = strip_emoji(strip_quotes(item.text))
-    query, query_kind = build_query(prepared, cfg.query)
+    query, query_kind = build_query(prepared)
 
     try:
-        results = web_search(
-            WebSearchRequest(query=query, num=cfg.web_num, geo=cfg.web_geo, lang_restrict=cfg.web_lang),
-            backend,
-        )
+        results = web_search(WebSearchRequest(query=query), backend)
     except ProviderFailure as exc:
         results = []
         errors.append(ErrorEvent("initial_search", "provider_failure", str(exc)))
     timestamps["initial_search"] = clock.utc_instant()
 
-    scores, match_index = first_match(query, results, cfg.match)
+    scores, match_index = first_match(query, results)
 
     claim = None
     claim_enforced = False
@@ -131,8 +118,7 @@ def enrich_one(
             item.text,
             lambda prompt: llm_generate(LlmRequest(prompt=prompt, model=cfg.llm_model), backend),
             template=template,
-            cfg=cfg.claim,
-            input_cfg=cfg.llm_input,
+            max_claim_words=cfg.max_claim_words,
         )
         timestamps["claim_extraction"] = clock.utc_instant()
         if outcome.error is not None:
@@ -141,10 +127,7 @@ def enrich_one(
         claim_enforced = outcome.enforced
         if claim is not None:
             try:
-                claim_results = web_search(
-                    WebSearchRequest(query=claim, num=cfg.web_num, geo=cfg.web_geo, lang_restrict=cfg.web_lang),
-                    backend,
-                )
+                claim_results = web_search(WebSearchRequest(query=claim), backend)
             except ProviderFailure as exc:
                 claim_results = []
                 errors.append(ErrorEvent("claim_search", "provider_failure", str(exc)))
@@ -156,20 +139,14 @@ def enrich_one(
     factcheck_results = []
     factcheck_query_used = "none"
     try:
-        factcheck_results = factcheck_search(
-            FactCheckRequest(query=query, language_code=cfg.factcheck_language, page_size=cfg.factcheck_page_size),
-            backend,
-        )
+        factcheck_results = factcheck_search(FactCheckRequest(query=query), backend)
     except ProviderFailure as exc:
         errors.append(ErrorEvent("factcheck_search", "provider_failure", str(exc)))
     if factcheck_results:
         factcheck_query_used = "original"
     elif claim is not None:
         try:
-            fallback = factcheck_search(
-                FactCheckRequest(query=claim, language_code=cfg.factcheck_language, page_size=cfg.factcheck_page_size),
-                backend,
-            )
+            fallback = factcheck_search(FactCheckRequest(query=claim), backend)
         except ProviderFailure as exc:
             fallback = []
             errors.append(ErrorEvent("factcheck_search", "provider_failure", str(exc)))
@@ -193,23 +170,3 @@ def enrich_one(
         errors=errors,
         timestamps=timestamps,
     )
-
-
-def enrich_corpus(
-    items: Iterable[NewsItem],
-    backend: Backend,
-    cfg: EnrichConfig = EnrichConfig(),
-    clock: Clock | None = None,
-    on_record: Callable[[EnrichedRecord], None] | None = None,
-) -> tuple[list[EnrichedRecord], FunnelStats]:
-    clock = clock or SystemClock()
-    template = load_template(cfg.prompt_pattern)
-    records = []
-    for item in items:
-        record = enrich_one(item, backend, cfg, clock, template)
-        records.append(record)
-        if on_record:
-            on_record(record)
-        if record.errors:
-            log.info("record %s finished with %d error event(s)", item.id, len(record.errors))
-    return records, FunnelStats.from_records(records)

@@ -183,13 +183,13 @@ def build_config(
     return instances
 
 
-def select_shots(train: Sequence[EvalInstance], seed: int = 0, count: int = SHOT_COUNT) -> list[EvalInstance]:
-    """Seeded draw of the fixed shot set from the training slice."""
-    if len(train) < count:
-        raise ValueError(f"need at least {count} training instances, got {len(train)}")
+def select_shots(train: Sequence[EvalInstance], seed: int = 0) -> list[EvalInstance]:
+    """Seeded draw of the fixed ``SHOT_COUNT`` shots from the training slice."""
+    if len(train) < SHOT_COUNT:
+        raise ValueError(f"need at least {SHOT_COUNT} training instances, got {len(train)}")
     rng = random.Random(seed)
     pool = sorted(train, key=lambda inst: inst.id)
-    return rng.sample(pool, count)
+    return rng.sample(pool, SHOT_COUNT)
 
 
 def classification_prompt(target: EvalInstance, shots: Sequence[EvalInstance]) -> str:

@@ -4,7 +4,9 @@ The pipeline only needs a detector contract: ``detect(text)`` returning a
 ``(language, confidence)`` pair with confidence in [0, 1]. Any detector can be
 plugged in; the shipped baseline is a character-trigram naive Bayes scorer
 over frozen Portuguese, Spanish and English seed profiles, with confidence
-defined as the posterior of the winning language under a uniform prior.
+defined as the posterior of the winning language under a uniform prior. It
+reads the first ``MAX_CHARS`` (4000) characters of a text and smooths
+trigram counts additively with ``ALPHA`` (0.5).
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from . import resources
 
 LANGUAGES = ("pt", "es", "en")
 UNKNOWN = "und"
+ALPHA = 0.5
+MAX_CHARS = 4000
 
 _LETTERS_RE = re.compile(r"[^a-zà-öø-ÿ]+")
 
@@ -41,9 +45,7 @@ def _trigrams(text: str) -> Counter[str]:
 class TrigramDetector:
     """Character-trigram scorer over the shipped seed texts."""
 
-    def __init__(self, alpha: float = 0.5, max_chars: int = 4000):
-        self.alpha = alpha
-        self.max_chars = max_chars
+    def __init__(self) -> None:
         self._profiles: dict[str, Counter[str]] = {}
         self._totals: dict[str, int] = {}
         vocab: set[str] = set()
@@ -55,16 +57,16 @@ class TrigramDetector:
         self._vocab_size = len(vocab) + 1
 
     def detect(self, text: str) -> tuple[str, float]:
-        grams = _trigrams(_normalize(text[: self.max_chars]))
+        grams = _trigrams(_normalize(text[:MAX_CHARS]))
         if not grams:
             return UNKNOWN, 0.0
         logs = {}
         for lang in LANGUAGES:
             profile = self._profiles[lang]
-            denom = self._totals[lang] + self.alpha * self._vocab_size
+            denom = self._totals[lang] + ALPHA * self._vocab_size
             total = 0.0
             for gram, n in grams.items():
-                total += n * math.log((profile.get(gram, 0) + self.alpha) / denom)
+                total += n * math.log((profile.get(gram, 0) + ALPHA) / denom)
             logs[lang] = total
         best = max(logs, key=lambda lang: logs[lang])
         peak = logs[best]

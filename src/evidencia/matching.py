@@ -2,18 +2,18 @@
 
 Search responses highlight the parts of a title or snippet that matched the
 query using ``<b>...</b>`` markers. A result "matches" a query when at least
-80% of the query's unique non-stopword terms appear among the highlighted
-tokens of that result (title and snippet pooled). Terms are compared
-case-insensitively with punctuation trimmed from token edges; accents are
-significant. A term split by markers (``corona<b>vírus</b>``) still counts:
-token boundaries are taken on the marker-free text and a token counts as
-highlighted when any part of it was inside a marked span.
+``MATCH_THRESHOLD`` (80%) of the query's unique non-stopword terms appear
+among the highlighted tokens of that result (title and snippet pooled).
+Terms are compared case-insensitively with punctuation trimmed from token
+edges; accents are significant. A term split by markers
+(``corona<b>vírus</b>``) still counts: token boundaries are taken on the
+marker-free text and a token counts as highlighted when any part of it was
+inside a marked span.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import resources
@@ -23,10 +23,7 @@ from .textprep import trim_punct, word_tokens
 _MARKER_RE = re.compile(r"</?b>")
 _TOKEN_RE = re.compile(r"\S+")
 
-
-@dataclass(frozen=True)
-class MatchConfig:
-    threshold: float = 0.8
+MATCH_THRESHOLD = 0.8
 
 
 def _scan(field: str) -> tuple[str, list[tuple[int, int]]]:
@@ -105,12 +102,10 @@ def match_score(query: str, result: WebResult) -> float:
     return len(terms & present) / len(terms)
 
 
-def first_match(
-    query: str, results: Sequence[WebResult], cfg: MatchConfig = MatchConfig()
-) -> tuple[list[float], int | None]:
+def first_match(query: str, results: Sequence[WebResult]) -> tuple[list[float], int | None]:
     """Per-result scores and the 1-based rank of the first strong match."""
     scores = [match_score(query, r) for r in results]
     for i, score in enumerate(scores):
-        if score >= cfg.threshold:
+        if score >= MATCH_THRESHOLD:
             return scores, i + 1
     return scores, None

@@ -4,7 +4,8 @@ Three interchangeable backends expose the same ``fetch(kind, payload)``
 surface returning the verbatim JSON response body:
 
 * ``LiveBackend`` performs HTTP calls (credentials from ``EVD_*`` environment
-  variables), with retry, exponential backoff and an optional rate limit;
+  variables), retrying transport errors, 429 and 5xx responses up to
+  ``MAX_RETRIES`` times with exponential backoff;
 * ``FixtureBackend`` replays recorded response bodies from a directory keyed
   by request hash, for deterministic offline runs;
 * ``CachingBackend`` wraps another backend with a persistent response cache
@@ -21,6 +22,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,6 +47,12 @@ FACTCHECK_URL = "https://factchecktools.googleapis.com/v1alpha1/claims:search"
 LLM_URL_TEMPLATE = "https://generativelanguage.googleapis.com/v1beta/models/{model}:generateContent"
 
 CACHE_MODES = ("read_write", "read_only", "bypass")
+
+DEFAULT_MODEL = "gemini-1.5-flash"
+
+MAX_RETRIES = 3
+BACKOFF_INITIAL = 0.5
+BACKOFF_MULTIPLIER = 2.0
 
 
 class ProviderFailure(RuntimeError):
@@ -75,7 +83,7 @@ class FactCheckRequest:
 @dataclass(frozen=True)
 class LlmRequest:
     prompt: str
-    model: str = "gemini-1.5-flash"
+    model: str = DEFAULT_MODEL
     safety_off: bool = True
 
     def payload(self) -> dict[str, Any]:
@@ -105,64 +113,20 @@ class SystemClock:
 
 
 class FrozenClock:
-    """Constant clock; keeps fixture-mode outputs byte-identical."""
-
-    def __init__(self, instant: str = "2020-01-01T00:00:00Z"):
-        self.instant = instant
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        self._now += seconds
-
-    def utc_instant(self) -> str:
-        return self.instant
-
-
-class VirtualClock:
-    """Manually advanced clock for tests; records every sleep."""
+    """Constant wall-clock instant, so fixture-mode outputs are byte-identical;
+    ``now()`` advances only by ``sleep()``, so backoff costs no real time."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self.sleeps: list[float] = []
 
     def now(self) -> float:
         return self._now
 
     def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
         self._now += seconds
 
     def utc_instant(self) -> str:
-        return "1970-01-01T00:00:00Z"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_retries: int = 3
-    backoff_initial: float = 0.5
-    backoff_multiplier: float = 2.0
-
-
-class RateLimiter:
-    """Spaces calls so at most ``per_second`` happen in any one-second window."""
-
-    def __init__(self, per_second: float, clock: Clock):
-        if per_second <= 0:
-            raise ValueError("rate must be positive")
-        self._interval = 1.0 / per_second
-        self._clock = clock
-        self._next_allowed = clock.now()
-
-    def acquire(self) -> None:
-        now = self._clock.now()
-        if now < self._next_allowed:
-            self._clock.sleep(self._next_allowed - now)
-            self._next_allowed += self._interval
-        else:
-            self._next_allowed = now + self._interval
+        return "2020-01-01T00:00:00Z"
 
 
 class Backend(Protocol):
@@ -183,34 +147,28 @@ def _requests_transport(method: str, url: str, params: dict[str, Any], body: dic
 
 
 class LiveBackend:
-    """HTTP access with retry, backoff and optional rate limiting."""
+    """HTTP access with retry and exponential backoff."""
 
     def __init__(
         self,
         credentials: dict[str, str] | None = None,
-        policy: RetryPolicy = RetryPolicy(),
         clock: Clock | None = None,
         transport: Transport | None = None,
-        rate_per_second: float | None = None,
     ):
         self.credentials = credentials if credentials is not None else credentials_from_env()
-        self.policy = policy
         self.clock = clock or SystemClock()
         self.transport = transport or _requests_transport
-        self.limiter = RateLimiter(rate_per_second, self.clock) if rate_per_second else None
         self.attempts = 0
 
     def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]:
         method, url, params, body = self._build(kind, payload)
-        delay = self.policy.backoff_initial
+        delay = BACKOFF_INITIAL
         last_error = "no attempt made"
-        for attempt in range(self.policy.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 log.warning("retrying %s call (attempt %d): %s", kind, attempt + 1, last_error)
                 self.clock.sleep(delay)
-                delay *= self.policy.backoff_multiplier
-            if self.limiter:
-                self.limiter.acquire()
+                delay *= BACKOFF_MULTIPLIER
             self.attempts += 1
             try:
                 status, text = self.transport(method, url, params, body)
@@ -226,7 +184,7 @@ class LiveBackend:
                 last_error = f"HTTP {status}"
                 continue
             raise ProviderFailure(f"{kind}: HTTP {status}: {text[:200]}")
-        raise ProviderFailure(f"{kind}: giving up after {self.policy.max_retries + 1} attempts ({last_error})")
+        raise ProviderFailure(f"{kind}: giving up after {MAX_RETRIES + 1} attempts ({last_error})")
 
     def _build(self, kind: str, payload: dict[str, Any]):
         if kind == KIND_WEB:
@@ -301,9 +259,6 @@ class FixtureBackend:
         stored = json.loads(path.read_text(encoding="utf-8"))
         return stored["body"]
 
-    def save(self, kind: str, payload: dict[str, Any], body: dict[str, Any], captured_at: str = "") -> Path:
-        return write_cassette(self.directory, kind, payload, body, captured_at)
-
 
 def write_cassette(
     directory: str | Path,
@@ -312,7 +267,13 @@ def write_cassette(
     body: dict[str, Any],
     captured_at: str = "",
 ) -> Path:
-    """Record one response body in the fixture/cache file format."""
+    """Record one response body in the fixture/cache file format.
+
+    The file is written under a name unique to this writer and then renamed
+    onto its final path, so a reader never sees a half-written cassette:
+    an interrupted write leaves no entry, and concurrent writers of the same
+    entry each install a complete file.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     digest = request_hash(kind, payload)
@@ -324,7 +285,12 @@ def write_cassette(
         "request": payload,
         "body": body,
     }
-    path.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    tmp = directory / f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        tmp.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 

@@ -10,6 +10,11 @@ quotation marks already removed:
   (``first_paragraph``);
 * otherwise the first 20 words joined by single spaces (``first_20_words``).
 
+The thresholds are the constants ``PASSTHROUGH_MAX_WORDS`` (20),
+``MIN_SENTENCE_WORDS`` (7) and ``MIN_PARAGRAPH_WORDS`` (20). The head of a
+text handed to the claim-extraction model is capped at
+``LLM_MAX_PARAGRAPHS`` (3) paragraphs and ``LLM_MAX_WORDS`` (75) words.
+
 Words are maximal runs of non-whitespace characters throughout.
 """
 
@@ -17,11 +22,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 
 from . import resources
 
-_WS_RE = re.compile(r"\s+")
 _PARAGRAPH_RE = re.compile(r"\n+")
 # Scheme-prefixed URLs plus bare www. hosts; adjacent horizontal whitespace is
 # consumed so removal does not leave double spaces behind.
@@ -31,22 +34,11 @@ _URL_FIND_RE = re.compile(_URL_CORE, re.IGNORECASE)
 
 _EMOJI_RE = None  # built lazily from the shipped ranges
 
-
-@dataclass(frozen=True)
-class QueryConfig:
-    """Thresholds of the query decision procedure."""
-
-    passthrough_max_words: int = 20
-    min_sentence_words: int = 7
-    min_paragraph_words: int = 20
-
-
-@dataclass(frozen=True)
-class LlmInputConfig:
-    """How much of a text is handed to the claim-extraction model."""
-
-    max_paragraphs: int = 3
-    max_words: int = 75
+PASSTHROUGH_MAX_WORDS = 20
+MIN_SENTENCE_WORDS = 7
+MIN_PARAGRAPH_WORDS = 20
+LLM_MAX_PARAGRAPHS = 3
+LLM_MAX_WORDS = 75
 
 
 def word_tokens(text: str) -> list[str]:
@@ -136,7 +128,7 @@ def split_sentences(text: str) -> list[str]:
     return sentences
 
 
-def build_query(text: str, cfg: QueryConfig = QueryConfig()) -> tuple[str, str]:
+def build_query(text: str) -> tuple[str, str]:
     """Derive the search query for a text. Returns (query, kind).
 
     The input must already be quote- and emoji-stripped; it must contain at
@@ -146,31 +138,31 @@ def build_query(text: str, cfg: QueryConfig = QueryConfig()) -> tuple[str, str]:
     if not text:
         raise ValueError("build_query requires a non-empty text")
     words = word_tokens(text)
-    if len(words) <= cfg.passthrough_max_words:
+    if len(words) <= PASSTHROUGH_MAX_WORDS:
         return text, "full_text"
     first_sentence = split_sentences(text)[0]
-    if len(word_tokens(first_sentence)) >= cfg.min_sentence_words:
+    if len(word_tokens(first_sentence)) >= MIN_SENTENCE_WORDS:
         return first_sentence, "first_sentence"
     first_paragraph = _PARAGRAPH_RE.split(text)[0].strip()
-    if len(word_tokens(first_paragraph)) >= cfg.min_paragraph_words:
+    if len(word_tokens(first_paragraph)) >= MIN_PARAGRAPH_WORDS:
         return first_paragraph, "first_paragraph"
-    return " ".join(words[: cfg.passthrough_max_words]), "first_20_words"
+    return " ".join(words[:PASSTHROUGH_MAX_WORDS]), "first_20_words"
 
 
-def llm_input(text: str, cfg: LlmInputConfig = LlmInputConfig()) -> str:
+def llm_input(text: str) -> str:
     """Head of a text for claim extraction: first paragraphs, word-capped.
 
-    Keeps at most ``max_paragraphs`` paragraphs, then cuts after
-    ``max_words`` words. The result's word sequence is a prefix of the
+    Keeps at most ``LLM_MAX_PARAGRAPHS`` paragraphs, then cuts after
+    ``LLM_MAX_WORDS`` words. The result's word sequence is a prefix of the
     text's word sequence.
     """
     text = text.strip()
     paragraphs = [p for p in _PARAGRAPH_RE.split(text) if p.strip()]
-    head = "\n".join(paragraphs[: cfg.max_paragraphs])
+    head = "\n".join(paragraphs[:LLM_MAX_PARAGRAPHS])
     tokens = list(re.finditer(r"\S+", head))
-    if len(tokens) <= cfg.max_words:
+    if len(tokens) <= LLM_MAX_WORDS:
         return head
-    return head[: tokens[cfg.max_words - 1].end()]
+    return head[: tokens[LLM_MAX_WORDS - 1].end()]
 
 
 def content_token_count(text: str) -> int:

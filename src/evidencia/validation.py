@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from . import resources
-from .dedup import DedupCluster, DedupConfig, cluster, near_duplicates
+from .dedup import DedupCluster, cluster, near_duplicates
 from .langid import LanguageDetector, TrigramDetector
 from .providers import Backend, FactCheckRequest, ProviderFailure, factcheck_search
 from .records import LABELS, NewsItem, SchemaError, write_jsonl
@@ -269,8 +269,6 @@ def check_external_labels(
     records: Sequence[NewsItem],
     backend: Backend,
     report: ValidationReport,
-    language_code: str = "pt-BR",
-    page_size: int = 5,
 ) -> None:
     """Ask the fact-check service about each record; emit a review item when
     a normalized agency rating contradicts the stored label."""
@@ -279,9 +277,7 @@ def check_external_labels(
     for item in records:
         query, _ = build_query(strip_emoji(strip_quotes(item.text)))
         try:
-            reviews = factcheck_search(
-                FactCheckRequest(query=query, language_code=language_code, page_size=page_size), backend
-            )
+            reviews = factcheck_search(FactCheckRequest(query=query), backend)
         except ProviderFailure:
             continue
         for review in reviews:
@@ -438,7 +434,6 @@ def run_validation(
     factcheck_backend: Backend | None = None,
     decisions: Sequence[ReviewItem] = (),
     incomplete_ids: Iterable[str] = (),
-    dedup_cfg: DedupConfig = DedupConfig(),
     min_content_tokens: int = 15,
     auto_remove_confidence: float = 0.95,
     sample_size: int = 0,
@@ -448,7 +443,7 @@ def run_validation(
     report = ValidationReport(input_count=len(records))
     current = filter_initial(records, report, min_content_tokens)
     current = filter_language(current, report, detector, auto_remove_confidence)
-    clusters = near_duplicates({item.id: item.text for item in current}, dedup_cfg)
+    clusters = near_duplicates({item.id: item.text for item in current})
     flag_contradictions(current, report, clusters)
     if factcheck_backend is not None:
         check_external_labels(current, factcheck_backend, report)

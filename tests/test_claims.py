@@ -6,7 +6,6 @@ import pytest
 
 from evidencia.claims import (
     PROMPT_PATTERNS,
-    ClaimConfig,
     cleanup,
     extract_claim,
     load_template,
@@ -115,7 +114,7 @@ class TestExtractClaim:
         assert "quota exceeded" in outcome.error.detail
 
     def test_custom_cap(self):
-        outcome = extract_claim("texto", lambda p: "um dois tres quatro", cfg=ClaimConfig(max_claim_words=3))
+        outcome = extract_claim("texto", lambda p: "um dois tres quatro", max_claim_words=3)
         assert outcome.enforced
         assert outcome.claim == "um dois tres"
 

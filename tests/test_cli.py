@@ -1,5 +1,6 @@
 """Command-line behavior: the full pipeline, option resolution, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -21,6 +22,27 @@ MANIFEST_KEYS = {
     "subcommand", "version", "config", "resource_hashes", "provider_mode",
     "fixtures_hash", "cache_hash", "input_hashes", "outputs",
     "started_at", "finished_at",
+}
+
+
+# SHA-256 of every record output of the fixture chain (manifests excluded:
+# they hold wall-clock times). A change to any of them is a behaviour change.
+PIPELINE_DIGESTS = {
+    "analysis.json": "cb237bb44f37a130e268cee193fa594a96aa33068270b283df111fb7ca19c175",
+    "analysis.json.txt": "bb38bcadc398453aa7397619cd0aa600b7fff734db75714a5072cf5d15cdd7c1",
+    "clusters.jsonl": "be7d61ca82ef64db24208352e694ce0dcecdc4952458b176c31b0d4ce43f788a",
+    "decisions.jsonl": "f9749018cbc4668ff735ec5c7bca72c69ba2783db5b04ad3df491a1381321670",
+    "enriched.jsonl": "fead18451cd83dee6bc7f95d2cbfab5354e4ec4f1b12dc0cbf620ef1db2dc719",
+    "enriched.jsonl.stats.json": "d6008796ff20820421ef2049ca2cc0a0b228d70b9fde0e7875601321129722f3",
+    "evaluation.json": "665fd8285439cba5225964602aa7e3f31a8f1f57fd90c81cf205c8d8b82cbbb6",
+    "evaluation.json.predictions.jsonl": "c9b3f547088b7b9cfcc9693f5c75b780270992ac0538cad3d32dd6255a49612e",
+    "instances.jsonl": "e04e0fbc30d8a573569e19c32e6181e4c6a4ff041a066ed523a6ca7ddbaddf38",
+    "splits/test.jsonl": "62d41064fbabec67614d7101f01f7d877b6a97a086d83a358e3cfd4e0f8c14b2",
+    "splits/train.jsonl": "905c9fc04ed5d4052851ea1dae6cf1314ee71cb2e86903495640f0c1d7fa60a4",
+    "splits/val.jsonl": "582292e14035e5ff0cfd3fe32f387b92dfdbc03a9645423e29cbb321ad37ae01",
+    "validated.jsonl": "5419dfa17f80bece76d546840d77a07a467573d2fb54d7cc884a89efb658ae1d",
+    "validated.jsonl.report.json": "9bb74cca84469bc8cb934276917efca50d45a34bc78e912bb7ea952286607a63",
+    "validated.jsonl.review.jsonl": "5e2316163f9ac07f432e97e233237486f8b32ea8b8993fd4b82284396ecf76df",
 }
 
 
@@ -166,6 +188,11 @@ class TestPipeline:
         assert sum(1 for p in predictions if p["predicted"] is None) == 1
         manifest = load_manifest(f"{pipeline['evaluation']}.manifest.json")
         assert manifest["notes"]["shot_policy"]
+
+    def test_record_outputs_are_pinned(self, pipeline):
+        root = pipeline["validated"].parent
+        actual = {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in PIPELINE_DIGESTS}
+        assert actual == PIPELINE_DIGESTS
 
 
 class TestBuildConfigEnriched:

@@ -1,6 +1,9 @@
 """Provider plumbing: hashing, replay, caching, retry, response parsing."""
 
 import json
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +18,7 @@ from evidencia.providers import (
     LiveBackend,
     LlmRequest,
     ProviderFailure,
-    RateLimiter,
-    RetryPolicy,
     SystemClock,
-    VirtualClock,
     WebSearchRequest,
     credentials_from_env,
     factcheck_search,
@@ -53,7 +53,7 @@ class TestFixtureBackend:
     def test_replays_recorded_body(self, tmp_path):
         backend = FixtureBackend(tmp_path)
         payload = WebSearchRequest(query="vacina").payload()
-        backend.save(KIND_WEB, payload, {"items": [{"title": "T", "link": "L"}]})
+        write_cassette(tmp_path, KIND_WEB, payload, {"items": [{"title": "T", "link": "L"}]})
         assert backend.fetch(KIND_WEB, payload)["items"][0]["title"] == "T"
 
     def test_unknown_search_is_empty(self, tmp_path):
@@ -129,6 +129,58 @@ class TestCachingBackend:
             CachingBackend(CountingBackend(), tmp_path, mode="write_only")
 
 
+class TestAtomicCassetteWrite:
+    def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        payload = {"query": "x"}
+        real_write_text = Path.write_text
+
+        def cut_short(self, data, *args, **kwargs):
+            real_write_text(self, data[:100], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            write_cassette(tmp_path, KIND_WEB, payload, {"items": [{"title": "t" * 500}]})
+        monkeypatch.undo()
+
+        assert not (tmp_path / f"{request_hash(KIND_WEB, payload)}.json").exists()
+        assert list(tmp_path.iterdir()) == []
+        inner = CountingBackend()
+        cache = CachingBackend(inner, tmp_path, clock=FrozenClock())
+        assert cache.fetch(KIND_WEB, payload) == inner.body
+        assert inner.calls == 1
+
+    def test_concurrent_writers_and_readers_see_whole_files(self, tmp_path):
+        payload = {"query": "x"}
+        body = {"items": [{"title": "t" * 20000}]}
+        path = tmp_path / f"{request_hash(KIND_WEB, payload)}.json"
+        errors = []
+
+        def worker(n):
+            try:
+                for _ in range(40):
+                    if n % 2:
+                        write_cassette(tmp_path, KIND_WEB, payload, body)
+                    elif path.exists():
+                        assert json.loads(path.read_text(encoding="utf-8"))["body"] == body
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert list(tmp_path.iterdir()) == [path]
+
+
 def make_transport(script):
     """Yields scripted (status, text) responses on successive calls."""
     calls = []
@@ -153,20 +205,20 @@ CREDS = {
 class TestLiveBackend:
     def test_retries_on_429_then_succeeds(self):
         transport = make_transport([(429, ""), (200, '{"items": []}')])
-        backend = LiveBackend(CREDS, clock=VirtualClock(), transport=transport)
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
         assert backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload()) == {"items": []}
         assert len(transport.calls) == 2
 
     def test_retries_on_500(self):
         transport = make_transport([(503, ""), (500, ""), (200, '{"claims": []}')])
-        backend = LiveBackend(CREDS, clock=VirtualClock(), transport=transport)
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
         assert backend.fetch(KIND_FACTCHECK, FactCheckRequest(query="x").payload()) == {"claims": []}
         assert len(transport.calls) == 3
 
     def test_gives_up_after_budget(self):
         transport = make_transport([(429, "")])
-        clock = VirtualClock()
-        backend = LiveBackend(CREDS, policy=RetryPolicy(max_retries=3), clock=clock, transport=transport)
+        clock = FrozenClock()
+        backend = LiveBackend(CREDS, clock=clock, transport=transport)
         with pytest.raises(ProviderFailure, match="giving up after 4 attempts"):
             backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
         assert len(transport.calls) == 4
@@ -175,19 +227,19 @@ class TestLiveBackend:
 
     def test_client_error_fails_immediately(self):
         transport = make_transport([(403, "denied")])
-        backend = LiveBackend(CREDS, clock=VirtualClock(), transport=transport)
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
         with pytest.raises(ProviderFailure, match="HTTP 403"):
             backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
         assert len(transport.calls) == 1
 
     def test_missing_credential(self):
-        backend = LiveBackend({}, clock=VirtualClock(), transport=make_transport([(200, "{}")]))
+        backend = LiveBackend({}, clock=FrozenClock(), transport=make_transport([(200, "{}")]))
         with pytest.raises(ProviderFailure, match="missing credential"):
             backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
 
     def test_llm_request_posts_prompt(self):
         transport = make_transport([(200, '{"candidates": []}')])
-        backend = LiveBackend(CREDS, clock=VirtualClock(), transport=transport)
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
         backend.fetch(KIND_LLM, LlmRequest(prompt="olá").payload())
         method, url = transport.calls[0]
         assert method == "POST"
@@ -201,16 +253,6 @@ class TestLiveBackend:
         assert creds["EVD_LLM_KEY"] == ""
 
 
-class TestRateLimiter:
-    def test_spaces_calls(self):
-        clock = VirtualClock()
-        limiter = RateLimiter(2.0, clock)
-        for _ in range(4):
-            limiter.acquire()
-        # 4 calls at 2/s need at least 1.5 simulated seconds
-        assert clock.now() >= 1.5
-
-
 class TestClocks:
     def test_frozen_instant(self):
         clock = FrozenClock()
@@ -222,10 +264,12 @@ class TestClocks:
         instant = SystemClock().utc_instant()
         assert instant.endswith("Z") and "T" in instant
 
-    def test_virtual_clock_advances_on_sleep(self):
-        clock = VirtualClock()
+    def test_frozen_clock_advances_on_sleep(self):
+        clock = FrozenClock()
+        assert clock.now() == 0.0
         clock.sleep(1.5)
-        assert clock.now() == pytest.approx(1.5)
+        clock.sleep(0.25)
+        assert clock.now() == pytest.approx(1.75)
 
 
 class TestParsers:
@@ -238,7 +282,7 @@ class TestParsers:
             {"title": "só plain", "link": "l2", "snippet": "s2"},
             {"title": "descartado", "link": "l3", "snippet": "s3"},
         ]
-        backend.save(KIND_WEB, payload, {"items": items})
+        write_cassette(tmp_path, KIND_WEB, payload, {"items": items})
         results = web_search(WebSearchRequest(query="vacina", num=2), backend)
         assert [r.rank for r in results] == [1, 2]
         assert results[0].title == "<b>rico</b>"
@@ -257,7 +301,7 @@ class TestParsers:
                  {"publisher": {"name": "Outra"}, "textualRating": "Impreciso", "url": "u2"},
              ]},
         ]}
-        backend.save(KIND_FACTCHECK, payload, body)
+        write_cassette(tmp_path, KIND_FACTCHECK, payload, body)
         results = factcheck_search(FactCheckRequest(query="checagem"), backend)
         assert len(results) == 1
         assert results[0].publisher_name == "Checagem"
@@ -268,18 +312,18 @@ class TestParsers:
         backend = FixtureBackend(tmp_path)
         request = LlmRequest(prompt="pergunta")
         body = {"candidates": [{"content": {"parts": [{"text": "uma "}, {"text": "resposta"}]}}]}
-        backend.save(KIND_LLM, request.payload(), body)
+        write_cassette(tmp_path, KIND_LLM, request.payload(), body)
         assert llm_generate(request, backend) == "uma resposta"
 
     def test_llm_text_shortcut(self, tmp_path):
         backend = FixtureBackend(tmp_path)
         request = LlmRequest(prompt="pergunta 2")
-        backend.save(KIND_LLM, request.payload(), {"text": "direto"})
+        write_cassette(tmp_path, KIND_LLM, request.payload(), {"text": "direto"})
         assert llm_generate(request, backend) == "direto"
 
     def test_llm_no_candidates_fails(self, tmp_path):
         backend = FixtureBackend(tmp_path)
         request = LlmRequest(prompt="pergunta 3")
-        backend.save(KIND_LLM, request.payload(), {"candidates": []})
+        write_cassette(tmp_path, KIND_LLM, request.payload(), {"candidates": []})
         with pytest.raises(ProviderFailure):
             llm_generate(request, backend)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidencia.textprep import (
-    LlmInputConfig,
     build_query,
     content_token_count,
     find_urls,
@@ -76,10 +75,6 @@ class TestLlmInput:
         paragraphs = [f"paragrafo {i} conteúdo" for i in range(6)]
         out = llm_input("\n\n".join(paragraphs))
         assert out == "\n".join(paragraphs[:3])
-
-    def test_custom_config(self):
-        text = "um dois tres quatro cinco"
-        assert llm_input(text, LlmInputConfig(max_words=3)) == "um dois tres"
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=600))
     @settings(max_examples=200)

@@ -7,3 +7,6 @@ LLM-extracted claim when the text itself finds no match, and fact-check
 reviews, then analyze the outcome and run a few-shot classification
 evaluation over the enriched data.
 """
+
+# The one place the version is written; pyproject.toml reads it from here.
+__version__ = "0.1.0"

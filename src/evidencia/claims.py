@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import resources
-from .records import ErrorEvent
+from .records import MAX_CLAIM_WORDS, PROMPT_PATTERNS, ErrorEvent
 from .textprep import llm_input, word_tokens
 
 PLACEHOLDER = "{TEXTO DE ENTRADA}"
-PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_shot")
-MAX_CLAIM_WORDS = 20
 MAX_ATTEMPTS = 2  # one initial call plus one retry
 
 _LABEL_RE = re.compile(r"^(alega[çc][aã]o|resposta|sa[íi]da|busca|claim)\s*[:\-–]\s*", re.IGNORECASE)

@@ -17,41 +17,17 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from importlib import metadata
+from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from . import analytics, resources
-from .dedup import DedupCluster, DedupConfig, near_duplicates
-from .enrichment import EnrichConfig, FunnelStats, enrich_one
-from .evalkit import (
-    CONFIG_KINDS,
-    DataConfiguration,
-    EvalInstance,
-    SplitSpec,
-    build_config,
-    few_shot_classify,
-    score,
-    select_shots,
-    split,
-)
-from .claims import MAX_CLAIM_WORDS, PROMPT_PATTERNS, load_template
-from .langid import TrigramDetector
-from .providers import (
-    CACHE_MODES,
-    DEFAULT_MODEL,
-    Backend,
-    CachingBackend,
-    Clock,
-    FixtureBackend,
-    FrozenClock,
-    LiveBackend,
-    LlmRequest,
-    SystemClock,
-    llm_generate,
-)
+from . import __version__ as VERSION
 from .records import (
+    CACHE_MODES,
+    CONFIG_KINDS,
+    DEFAULT_MODEL,
+    MAX_CLAIM_WORDS,
+    PROMPT_PATTERNS,
     EnrichedRecord,
     NewsItem,
     SchemaError,
@@ -61,18 +37,36 @@ from .records import (
     write_news,
 )
 from .records import write_jsonl as _write_jsonl  # bench/tracer.py wraps it under this name
-from .validation import (
-    ReviewItem,
-    read_review_items,
-    run_validation,
-    validate_decision,
-    write_review_items,
-)
 
-try:
-    VERSION = metadata.version("evidencia")
-except metadata.PackageNotFoundError:
-    VERSION = "0.0.0+uninstalled"
+if TYPE_CHECKING:
+    from .clocks import Clock
+    from .evalkit import EvalInstance
+    from .providers import Backend
+
+
+def _deferred(module: str, name: str) -> Callable[..., Any]:
+    """Stand-in for ``module.name`` that imports the module on its first call.
+
+    Every other library module is imported inside the handler that uses it,
+    so a process loads only what its subcommand runs. The names below are
+    module attributes that handlers look up at call time, so a wrapper set
+    on this module (bench/tracer.py sets one on each) is the one called.
+    """
+
+    def call(*args: Any, **kwargs: Any) -> Any:
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+near_duplicates = _deferred("dedup", "near_duplicates")
+run_validation = _deferred("validation", "run_validation")
+write_review_items = _deferred("validation", "write_review_items")
+enrich_one = _deferred("enrichment", "enrich_one")
+few_shot_classify = _deferred("evalkit", "few_shot_classify")
+split = _deferred("evalkit", "split")
+build_config = _deferred("evalkit", "build_config")
 
 
 class ConfigError(Exception):
@@ -286,6 +280,8 @@ def _write_manifest(
     finished_at: str,
     notes: dict[str, Any] | None = None,
 ) -> None:
+    from . import resources
+
     payload = {
         "subcommand": subcommand,
         "version": VERSION,
@@ -305,12 +301,22 @@ def _write_manifest(
     manifest_path.write_text(json.dumps(payload, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
 
 
+def _utc_instant() -> str:
+    from .clocks import SystemClock
+
+    return SystemClock().utc_instant()
+
+
 def _clock_for(conf: dict[str, Any]) -> Clock:
+    from .clocks import FrozenClock, SystemClock
+
     # Frozen under fixtures so replayed runs are byte-identical.
     return FrozenClock() if conf.get("provider") == "fixture" else SystemClock()
 
 
 def _backend_for(conf: dict[str, Any], clock: Clock, required: bool = False) -> Backend | None:
+    from .providers import CachingBackend, FixtureBackend, LiveBackend
+
     provider = conf.get("provider")
     if provider is None:
         if required:
@@ -336,6 +342,8 @@ def _read_id_file(path: str) -> list[str]:
 
 
 def _read_instances(path: str) -> list[EvalInstance]:
+    from .evalkit import EvalInstance
+
     instances = []
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
@@ -362,8 +370,11 @@ def _read_instances(path: str) -> list[EvalInstance]:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_validate(conf: dict[str, Any]) -> int:
+    from .langid import TrigramDetector
+    from .validation import ReviewItem, read_review_items, validate_decision
+
     clock = _clock_for(conf)
-    started = SystemClock().utc_instant()
+    started = _utc_instant()
     records = read_news(conf["in"])
     decisions: list[ReviewItem] = []
     if conf.get("decisions"):
@@ -405,13 +416,15 @@ def _cmd_validate(conf: dict[str, Any]) -> int:
         Path(f"{out}.manifest.json"), "validate", conf,
         inputs=[conf["in"]] + ([conf["decisions"]] if conf.get("decisions") else []),
         outputs=[str(out), str(report_out), str(review_out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     return 0
 
 
 def _cmd_dedup(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from .dedup import DedupConfig
+
+    started = _utc_instant()
     records = read_news(conf["in"])
     cfg = DedupConfig(
         shingle_size=conf["shingle_size"],
@@ -433,13 +446,15 @@ def _cmd_dedup(conf: dict[str, Any]) -> int:
     _write_manifest(
         Path(f"{out}.manifest.json"), "dedup", conf,
         inputs=[conf["in"]], outputs=[str(out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     return 0
 
 
 def _cmd_review(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from .validation import ReviewItem, read_review_items, validate_decision
+
+    started = _utc_instant()
     queue = read_review_items(conf["queue"])
     if conf.get("decisions"):
         decisions = {item.id: item for item in read_review_items(conf["decisions"])}
@@ -468,13 +483,16 @@ def _cmd_review(conf: dict[str, Any]) -> int:
     _write_manifest(
         Path(f"{out}.manifest.json"), "review", conf,
         inputs=[conf["queue"]], outputs=[str(out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     return 0
 
 
 def _cmd_enrich(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from .claims import load_template
+    from .enrichment import EnrichConfig, FunnelStats
+
+    started = _utc_instant()
     clock = _clock_for(conf)
     backend = _backend_for(conf, clock, required=True)
     items = read_news(conf["in"])
@@ -489,6 +507,8 @@ def _cmd_enrich(conf: dict[str, Any]) -> int:
     if workers == 1:
         records = [enrich_one(item, backend, cfg, clock, template) for item in items]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda item: enrich_one(item, backend, cfg, clock, template), items))
     stats = FunnelStats.from_records(records)
@@ -508,7 +528,7 @@ def _cmd_enrich(conf: dict[str, Any]) -> int:
     _write_manifest(
         Path(f"{out}.manifest.json"), "enrich", conf,
         inputs=[conf["in"]], outputs=[str(out), str(stats_out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     if rate > conf["max_error_rate"]:
         print(f"error rate {rate:.2%} above --max-error-rate {conf['max_error_rate']:.2%}", file=sys.stderr)
@@ -533,7 +553,11 @@ def _render_section(lines: list[str], title: str, table: dict[Any, Any]) -> None
 
 
 def _cmd_analyze(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from . import analytics
+    from .dedup import DedupCluster
+    from .enrichment import FunnelStats
+
+    started = _utc_instant()
     report: dict[str, Any] = {}
     if _is_enriched_file(conf["in"]):
         enriched = read_enriched(conf["in"])
@@ -586,13 +610,15 @@ def _cmd_analyze(conf: dict[str, Any]) -> int:
         Path(f"{out}.manifest.json"), "analyze", conf,
         inputs=[conf["in"]] + ([conf["clusters"]] if conf.get("clusters") else []),
         outputs=[str(out), str(text_out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     return 0
 
 
 def _cmd_split(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from .evalkit import SplitSpec
+
+    started = _utc_instant()
     records = read_news(conf["in"])
     spec = SplitSpec(
         train=conf["train"], val=conf["val"], test=conf["test"],
@@ -610,13 +636,15 @@ def _cmd_split(conf: dict[str, Any]) -> int:
     _write_manifest(
         out_dir / "manifest.json", "split", conf,
         inputs=[conf["in"]], outputs=outputs,
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     return 0
 
 
 def _cmd_build_config(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from .evalkit import DataConfiguration
+
+    started = _utc_instant()
     cfg = DataConfiguration(conf["kind"])
     if cfg.context_source == "none":
         source: Sequence[NewsItem] | Sequence[EnrichedRecord] = read_news(conf["in"])
@@ -638,13 +666,16 @@ def _cmd_build_config(conf: dict[str, Any]) -> int:
     _write_manifest(
         Path(f"{out}.manifest.json"), "build-config", conf,
         inputs=[conf["in"]], outputs=[str(out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
     )
     return 0
 
 
 def _cmd_evaluate(conf: dict[str, Any]) -> int:
-    started = SystemClock().utc_instant()
+    from .evalkit import score, select_shots
+    from .providers import LlmRequest, llm_generate
+
+    started = _utc_instant()
     clock = _clock_for(conf)
     backend = _backend_for(conf, clock, required=True)
     instances = _read_instances(conf["in"])
@@ -691,7 +722,7 @@ def _cmd_evaluate(conf: dict[str, Any]) -> int:
         Path(f"{out}.manifest.json"), "evaluate", conf,
         inputs=[conf["in"], conf["shots_from"]],
         outputs=[str(out), str(predictions_out)],
-        started_at=started, finished_at=SystemClock().utc_instant(),
+        started_at=started, finished_at=_utc_instant(),
         notes={"shot_policy": "drawn from the training slice and excluded from evaluation"},
     )
     if rate > conf["max_error_rate"]:

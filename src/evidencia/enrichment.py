@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .claims import MAX_CLAIM_WORDS, ClaimPromptTemplate, extract_claim, load_template
+from .clocks import Clock, SystemClock
 from .matching import first_match
 from .providers import (
     DEFAULT_MODEL,
     Backend,
-    Clock,
     FactCheckRequest,
     LlmRequest,
     ProviderFailure,
-    SystemClock,
     WebSearchRequest,
     factcheck_search,
     llm_generate,

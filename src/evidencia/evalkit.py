@@ -16,10 +16,8 @@ from typing import Callable, Sequence
 from . import resources
 from .domains import registrable_domain
 from .matching import _MARKER_RE
-from .providers import ProviderFailure
-from .records import EnrichedRecord, ErrorEvent, NewsItem
+from .records import CONFIG_KINDS, EnrichedRecord, ErrorEvent, NewsItem
 
-CONFIG_KINDS = ("original", "validated", "enriched_full", "enriched_filtered")
 SHOT_COUNT = 15
 
 TAG_FAKE = "FAKE NEWS"
@@ -238,6 +236,8 @@ def few_shot_classify(
     A provider failure yields an abstention (None) for that instance and
     an error event, never an exception.
     """
+    from .providers import ProviderFailure  # here, so that split and build-config load no provider code
+
     shot_ids = {shot.id for shot in shots}
     overlap = [inst.id for inst in instances if inst.id in shot_ids]
     if overlap:

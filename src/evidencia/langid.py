@@ -43,18 +43,23 @@ def _trigrams(text: str) -> Counter[str]:
 
 
 class TrigramDetector:
-    """Character-trigram scorer over the shipped seed texts."""
+    """Character-trigram scorer over the shipped seed texts.
+
+    The smoothed log-probability ``log((count + ALPHA) / denom)`` of every
+    seed trigram, and the one value ``log(ALPHA / denom)`` that every unseen
+    trigram shares, are computed once per language here, so ``detect`` only
+    looks them up.
+    """
 
     def __init__(self) -> None:
-        self._profiles: dict[str, Counter[str]] = {}
-        self._totals: dict[str, int] = {}
-        vocab: set[str] = set()
-        for lang in LANGUAGES:
-            counts = _trigrams(_normalize(resources.language_seed(lang)))
-            self._profiles[lang] = counts
-            self._totals[lang] = sum(counts.values())
-            vocab.update(counts)
-        self._vocab_size = len(vocab) + 1
+        profiles = {lang: _trigrams(_normalize(resources.language_seed(lang))) for lang in LANGUAGES}
+        vocab_size = len(set().union(*profiles.values())) + 1
+        self._log_probs: dict[str, dict[str, float]] = {}
+        self._unseen: dict[str, float] = {}
+        for lang, counts in profiles.items():
+            denom = sum(counts.values()) + ALPHA * vocab_size
+            self._log_probs[lang] = {gram: math.log((n + ALPHA) / denom) for gram, n in counts.items()}
+            self._unseen[lang] = math.log(ALPHA / denom)
 
     def detect(self, text: str) -> tuple[str, float]:
         grams = _trigrams(_normalize(text[:MAX_CHARS]))
@@ -62,11 +67,11 @@ class TrigramDetector:
             return UNKNOWN, 0.0
         logs = {}
         for lang in LANGUAGES:
-            profile = self._profiles[lang]
-            denom = self._totals[lang] + ALPHA * self._vocab_size
+            log_prob = self._log_probs[lang].get
+            unseen = self._unseen[lang]
             total = 0.0
             for gram, n in grams.items():
-                total += n * math.log((profile.get(gram, 0) + ALPHA) / denom)
+                total += n * log_prob(gram, unseen)
             logs[lang] = total
         best = max(logs, key=lambda lang: logs[lang])
         peak = logs[best]

@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import threading
-import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-from .records import ClaimReviewResult, WebResult
-
-log = logging.getLogger(__name__)
+from .clocks import Clock, FrozenClock, SystemClock  # FrozenClock re-exported for callers
+from .records import CACHE_MODES, DEFAULT_MODEL, ClaimReviewResult, SchemaError, WebResult
 
 KIND_WEB = "web_search"
 KIND_FACTCHECK = "factcheck"
@@ -45,10 +41,6 @@ ENV_LLM_KEY = "EVD_LLM_KEY"
 WEB_SEARCH_URL = "https://www.googleapis.com/customsearch/v1"
 FACTCHECK_URL = "https://factchecktools.googleapis.com/v1alpha1/claims:search"
 LLM_URL_TEMPLATE = "https://generativelanguage.googleapis.com/v1beta/models/{model}:generateContent"
-
-CACHE_MODES = ("read_write", "read_only", "bypass")
-
-DEFAULT_MODEL = "gemini-1.5-flash"
 
 MAX_RETRIES = 3
 BACKOFF_INITIAL = 0.5
@@ -95,40 +87,6 @@ def request_hash(kind: str, payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class Clock(Protocol):
-    def now(self) -> float: ...
-    def sleep(self, seconds: float) -> None: ...
-    def utc_instant(self) -> str: ...
-
-
-class SystemClock:
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
-
-    def utc_instant(self) -> str:
-        return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-class FrozenClock:
-    """Constant wall-clock instant, so fixture-mode outputs are byte-identical;
-    ``now()`` advances only by ``sleep()``, so backoff costs no real time."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        self._now += seconds
-
-    def utc_instant(self) -> str:
-        return "2020-01-01T00:00:00Z"
-
-
 class Backend(Protocol):
     def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]: ...
 
@@ -166,7 +124,9 @@ class LiveBackend:
         last_error = "no attempt made"
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                log.warning("retrying %s call (attempt %d): %s", kind, attempt + 1, last_error)
+                import logging  # only a retry logs, so only a retry loads logging
+
+                logging.getLogger(__name__).warning("retrying %s call (attempt %d): %s", kind, attempt + 1, last_error)
                 self.clock.sleep(delay)
                 delay *= BACKOFF_MULTIPLIER
             self.attempts += 1
@@ -246,7 +206,9 @@ class FixtureBackend:
     """Replays recorded bodies from ``<dir>/<request_hash>.json`` files.
 
     Unknown search requests replay as empty result sets; unknown generation
-    requests fail, because silence is not a plausible model output.
+    requests fail, because silence is not a plausible model output. A
+    recorded file that does not parse, or holds no body, is a broken
+    recording: ``SchemaError`` names it.
     """
 
     def __init__(self, directory: str | Path):
@@ -254,10 +216,22 @@ class FixtureBackend:
 
     def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]:
         path = self.directory / f"{request_hash(kind, payload)}.json"
-        if not path.exists():
+        try:
+            return _read_body(path)
+        except FileNotFoundError:
             return _empty_body(kind)
-        stored = json.loads(path.read_text(encoding="utf-8"))
-        return stored["body"]
+        except ValueError as exc:
+            raise SchemaError(f"{path}: unreadable recorded response: {exc}") from None
+
+
+def _read_body(path: Path) -> dict[str, Any]:
+    """The ``body`` of the cassette at ``path``; ``ValueError`` when the
+    file does not parse or holds no body object."""
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    body = stored.get("body") if isinstance(stored, dict) else None
+    if not isinstance(body, dict):
+        raise ValueError("no response body")
+    return body
 
 
 def write_cassette(
@@ -295,7 +269,12 @@ def write_cassette(
 
 
 class CachingBackend:
-    """Persistent response cache in front of another backend."""
+    """Persistent response cache in front of another backend.
+
+    An entry that does not parse, or holds no body (say, one cut short by an
+    older writer), counts as a miss: the inner backend answers again and,
+    in ``read_write`` mode, the entry is rewritten whole.
+    """
 
     def __init__(self, inner: Backend, directory: str | Path, mode: str = "read_write", clock: Clock | None = None):
         if mode not in CACHE_MODES:
@@ -311,9 +290,13 @@ class CachingBackend:
         if self.mode == "bypass":
             return self.inner.fetch(kind, payload)
         path = self.directory / f"{request_hash(kind, payload)}.json"
-        if path.exists():
+        try:
+            body = _read_body(path)
+        except (FileNotFoundError, ValueError):
+            pass
+        else:
             self.hits += 1
-            return json.loads(path.read_text(encoding="utf-8"))["body"]
+            return body
         self.misses += 1
         body = self.inner.fetch(kind, payload)
         if self.mode == "read_write":

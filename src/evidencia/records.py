@@ -19,6 +19,15 @@ ERROR_STAGES = ("initial_search", "claim_extraction", "claim_search", "factcheck
 ERROR_KINDS = ("provider_failure", "empty_results", "constraint_violation")
 FACTCHECK_QUERY_USED = ("original", "claim", "none")
 
+# Option vocabularies the CLI parser offers. They live here, with the other
+# vocabularies, so that building the parser loads no module that acts on
+# them; providers, claims and evalkit re-export the ones they use.
+CACHE_MODES = ("read_write", "read_only", "bypass")
+DEFAULT_MODEL = "gemini-1.5-flash"
+PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_shot")
+MAX_CLAIM_WORDS = 20
+CONFIG_KINDS = ("original", "validated", "enriched_full", "enriched_filtered")
+
 
 class SchemaError(ValueError):
     """Raised when a record violates the on-disk contract."""

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import evidencia
+from evidencia import cli
 from evidencia.cli import main
 from evidencia.enrichment import FunnelStats
 from evidencia.records import read_enriched, read_news
@@ -267,6 +269,84 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def _seam_argv(subcommand, paths, out):
+    """Arguments that run ``subcommand`` on the fixture chain's files."""
+    fixtures = ["--provider", "fixture", "--fixtures", str(CASSETTES)]
+    return {
+        "validate": ["validate", "--in", CORPUS, "--out", str(out / "v.jsonl")],
+        "dedup": ["dedup", "--in", CORPUS, "--out", str(out / "c.jsonl")],
+        "enrich": ["enrich", "--in", str(paths["validated"]), "--out", str(out / "e.jsonl"), *fixtures],
+        "analyze": ["analyze", "--in", str(paths["enriched"]), "--out", str(out / "a.json")],
+        "split": ["split", "--in", str(paths["validated"]), "--out-dir", str(out / "s")],
+        "build-config": ["build-config", "--in", str(paths["enriched"]), "--out", str(out / "i.jsonl"),
+                         "--kind", "enriched_filtered"],
+        "evaluate": ["evaluate", "--in", str(paths["splits"] / "test.jsonl"),
+                     "--shots-from", str(paths["splits"] / "train.jsonl"),
+                     "--out", str(out / "r.json"), *fixtures],
+    }[subcommand]
+
+
+# Each name the benchmark's tracer wraps on the cli module, and a subcommand
+# whose handler calls it.
+TRACER_SEAMS = {
+    "near_duplicates": "dedup",
+    "run_validation": "validate",
+    "write_review_items": "validate",
+    "enrich_one": "enrich",
+    "few_shot_classify": "evaluate",
+    "split": "split",
+    "build_config": "build-config",
+    "_read_instances": "evaluate",
+    "read_news": "split",
+    "read_enriched": "analyze",
+    "write_news": "split",
+    "write_enriched": "enrich",
+    "_write_jsonl": "dedup",
+}
+
+
+class TestTracerSeams:
+    @pytest.mark.parametrize("name,subcommand", sorted(TRACER_SEAMS.items()))
+    def test_handler_calls_the_patched_name(self, pipeline, tmp_path, monkeypatch, name, subcommand):
+        original = getattr(cli, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        assert main(_seam_argv(subcommand, pipeline, tmp_path)) == 0
+        assert calls
+
+
+class TestBrokenCassettes:
+    def enrich(self, pipeline, out, fixtures, *extra):
+        return main(["enrich", "--in", str(pipeline["validated"]), "--out", str(out),
+                     "--provider", "fixture", "--fixtures", str(fixtures), *extra])
+
+    def test_cut_cache_entry_is_fetched_again_and_rewritten(self, pipeline, tmp_path):
+        cache = tmp_path / "cache"
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert self.enrich(pipeline, first, CASSETTES, "--cache", str(cache)) == 0
+        entry = sorted(cache.glob("*.json"))[0]
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[:100])
+        assert self.enrich(pipeline, second, CASSETTES, "--cache", str(cache)) == 0
+        assert entry.read_bytes() == whole
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_cut_fixture_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys):
+        fixtures = tmp_path / "cassettes"
+        shutil.copytree(CASSETTES, fixtures)
+        cut = sorted(fixtures.glob("*.json"))
+        for path in cut:
+            path.write_bytes(path.read_bytes()[:100])
+        assert self.enrich(pipeline, tmp_path / "e.jsonl", fixtures) == 2
+        err = capsys.readouterr().err
+        assert any(str(path) in err for path in cut), err
+
+
 class TestConfigFile:
     def test_file_value_applies_and_flag_wins(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -342,7 +422,32 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "evidencia" in proc.stdout
 
-    def test_cli_import_leaves_numpy_unloaded(self):
-        proc = self.run_fresh("-c", "import evidencia.cli, sys; print('numpy' in sys.modules)")
+    def test_version_is_the_package_version(self):
+        proc = self.run_fresh("-m", "evidencia.cli", "--version")
+        assert proc.stdout.strip() == f"evidencia {evidencia.__version__}"
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        assert "version" in project["project"]["dynamic"]
+        assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "evidencia.__version__"}
+
+    def modules_after(self, code):
+        """Names in sys.modules after ``code`` runs in a fresh interpreter."""
+        snapshot = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+        proc = self.run_fresh("-c", f"{code}\n{snapshot}")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        bare = self.modules_after("")
+        loaded = self.modules_after("import evidencia.cli as cli; cli.build_parser()")
+        own = {name for name in loaded if name.startswith("evidencia")}
+        assert own == {"evidencia", "evidencia.cli", "evidencia.records"}
+        for heavy in ("numpy", "importlib.metadata", "concurrent.futures", "logging"):
+            assert heavy in bare or heavy not in loaded, heavy
+
+    def test_split_loads_only_its_modules(self, tmp_path):
+        argv = ["split", "--in", CORPUS, "--out-dir", str(tmp_path / "s")]
+        loaded = self.modules_after(f"from evidencia.cli import main; assert main({argv!r}) == 0")
+        assert "evidencia.evalkit" in loaded
+        for name in ("dedup", "validation", "langid", "enrichment", "claims", "analytics", "providers"):
+            assert f"evidencia.{name}" not in loaded, name

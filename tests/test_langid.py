@@ -1,6 +1,41 @@
 """Language detection over the shipped trigram profiles."""
 
-from evidencia.langid import FixedDetector, TrigramDetector
+import math
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evidencia import resources
+from evidencia.langid import ALPHA, LANGUAGES, MAX_CHARS, FixedDetector, TrigramDetector, _normalize, _trigrams
+
+
+@lru_cache(maxsize=None)
+def _seed_profiles():
+    profiles = {lang: _trigrams(_normalize(resources.language_seed(lang))) for lang in LANGUAGES}
+    vocab_size = len(set().union(*profiles.values())) + 1
+    return profiles, vocab_size
+
+
+def per_trigram_detect(text):
+    """The naive Bayes score written out: one log per trigram and language."""
+    profiles, vocab_size = _seed_profiles()
+    grams = _trigrams(_normalize(text[:MAX_CHARS]))
+    if not grams:
+        return "und", 0.0
+    logs = {}
+    for lang in LANGUAGES:
+        profile = profiles[lang]
+        denom = sum(profile.values()) + ALPHA * vocab_size
+        total = 0.0
+        for gram, n in grams.items():
+            total += n * math.log((profile.get(gram, 0) + ALPHA) / denom)
+        logs[lang] = total
+    best = max(logs, key=lambda lang: logs[lang])
+    return best, 1.0 / sum(math.exp(value - logs[best]) for value in logs.values())
+
+
+_SEED_LETTERS = "".join(sorted(set(_normalize(" ".join(resources.language_seed(lang) for lang in LANGUAGES)))))
 
 
 class TestTrigramDetector:
@@ -32,6 +67,11 @@ class TestTrigramDetector:
         for text in ("vacina hoje", "short thing", "qué pasa", "123 456"):
             _, conf = detector.detect(text)
             assert 0.0 <= conf <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(max_size=200), st.text(alphabet=_SEED_LETTERS + ".,!?0123456789ÁÉ", max_size=600)))
+    def test_matches_the_per_trigram_formula(self, detector, text):
+        assert detector.detect(text) == per_trigram_detect(text)
 
     def test_deterministic(self, detector):
         text = "As escolas da cidade voltam às aulas na próxima segunda-feira."

@@ -27,6 +27,10 @@ from evidencia.providers import (
     web_search,
     write_cassette,
 )
+from evidencia.records import SchemaError
+
+# Entries a reader must not trust: cut short, not an object, no body.
+BROKEN_ENTRIES = ('{"body": {"items": [', '[]', '{"kind": "web_search"}', '{"body": "texto"}')
 
 
 class TestRequestHash:
@@ -65,6 +69,14 @@ class TestFixtureBackend:
         backend = FixtureBackend(tmp_path)
         with pytest.raises(ProviderFailure):
             backend.fetch(KIND_LLM, LlmRequest(prompt="oi").payload())
+
+    @pytest.mark.parametrize("text", BROKEN_ENTRIES)
+    def test_unreadable_recording_names_the_file(self, tmp_path, text):
+        payload = WebSearchRequest(query="vacina").payload()
+        path = write_cassette(tmp_path, KIND_WEB, payload, {"items": []})
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=path.name):
+            FixtureBackend(tmp_path).fetch(KIND_WEB, payload)
 
     def test_cassette_file_format(self, tmp_path):
         payload = FactCheckRequest(query="checar isto").payload()
@@ -123,6 +135,29 @@ class TestCachingBackend:
         cache = CachingBackend(inner, tmp_path, mode="bypass")
         assert cache.fetch(KIND_WEB, payload)["items"][0]["title"] == "live"
         assert inner.calls == 1
+
+    @pytest.mark.parametrize("text", BROKEN_ENTRIES)
+    def test_unreadable_entry_is_a_miss_and_is_rewritten(self, tmp_path, text):
+        payload = {"query": "x"}
+        path = write_cassette(tmp_path, KIND_WEB, payload, {"items": []})
+        path.write_text(text, encoding="utf-8")
+        inner = CountingBackend()
+        cache = CachingBackend(inner, tmp_path, clock=FrozenClock())
+        assert cache.fetch(KIND_WEB, payload) == inner.body
+        assert (cache.hits, cache.misses, inner.calls) == (0, 1, 1)
+        assert json.loads(path.read_text(encoding="utf-8"))["body"] == inner.body
+        assert cache.fetch(KIND_WEB, payload) == inner.body
+        assert (cache.hits, cache.misses, inner.calls) == (1, 1, 1)
+
+    def test_read_only_leaves_an_unreadable_entry_alone(self, tmp_path):
+        payload = {"query": "x"}
+        path = write_cassette(tmp_path, KIND_WEB, payload, {"items": []})
+        path.write_text(BROKEN_ENTRIES[0], encoding="utf-8")
+        inner = CountingBackend()
+        cache = CachingBackend(inner, tmp_path, mode="read_only")
+        assert cache.fetch(KIND_WEB, payload) == inner.body
+        assert (cache.misses, inner.calls) == (1, 1)
+        assert path.read_text(encoding="utf-8") == BROKEN_ENTRIES[0]
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):

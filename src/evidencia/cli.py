@@ -29,6 +29,7 @@ from .records import (
     MAX_CLAIM_WORDS,
     PROMPT_PATTERNS,
     EnrichedRecord,
+    FunnelStats,
     NewsItem,
     SchemaError,
     read_enriched,
@@ -141,7 +142,7 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("threshold", type=float, default=0.7, help="exact-Jaccard confirmation threshold"),
         Opt("shingle-size", type=int, default=5, help="character shingle length"),
         Opt("permutations", type=int, default=100, help="signature length"),
-        Opt("bands", type=int, default=50, help="LSH band count"),
+        Opt("bands", type=int, default=25, help="LSH band count; each band holds permutations / bands rows"),
         Opt("seed", type=int, default=3, help="permutation seed"),
     ],
     "review": [
@@ -490,7 +491,7 @@ def _cmd_review(conf: dict[str, Any]) -> int:
 
 def _cmd_enrich(conf: dict[str, Any]) -> int:
     from .claims import load_template
-    from .enrichment import EnrichConfig, FunnelStats
+    from .enrichment import EnrichConfig
 
     started = _utc_instant()
     clock = _clock_for(conf)
@@ -555,7 +556,6 @@ def _render_section(lines: list[str], title: str, table: dict[Any, Any]) -> None
 def _cmd_analyze(conf: dict[str, Any]) -> int:
     from . import analytics
     from .dedup import DedupCluster
-    from .enrichment import FunnelStats
 
     started = _utc_instant()
     report: dict[str, Any] = {}

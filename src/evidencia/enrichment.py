@@ -9,8 +9,7 @@ when the original query returns no reviews and a claim exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from .claims import MAX_CLAIM_WORDS, ClaimPromptTemplate, extract_claim, load_template
 from .clocks import Clock, SystemClock
@@ -26,7 +25,7 @@ from .providers import (
     llm_generate,
     web_search,
 )
-from .records import EnrichedRecord, ErrorEvent, NewsItem
+from .records import EnrichedRecord, ErrorEvent, FunnelStats, NewsItem  # FunnelStats re-exported for callers
 from .textprep import build_query, strip_emoji, strip_quotes
 
 
@@ -35,54 +34,6 @@ class EnrichConfig:
     max_claim_words: int = MAX_CLAIM_WORDS
     llm_model: str = DEFAULT_MODEL
     prompt_pattern: str = "main"
-
-
-@dataclass
-class FunnelStats:
-    """Aggregate outcome counters, always recomputable from the records."""
-
-    total: int = 0
-    matched_direct: int = 0
-    extraction_needed: int = 0
-    hard_failed: int = 0
-    claim_search_errors: int = 0
-    factcheck_hits_original: int = 0
-    factcheck_hits_claim: int = 0
-    match_index_histogram: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_records(cls, records: Iterable[EnrichedRecord]) -> "FunnelStats":
-        stats = cls()
-        for rec in records:
-            stats.total += 1
-            if rec.match_index is not None:
-                stats.matched_direct += 1
-                stats.match_index_histogram[rec.match_index] = (
-                    stats.match_index_histogram.get(rec.match_index, 0) + 1
-                )
-            elif rec.claim is not None:
-                stats.extraction_needed += 1
-            else:
-                stats.hard_failed += 1
-            if any(e.stage == "claim_search" and e.kind == "empty_results" for e in rec.errors):
-                stats.claim_search_errors += 1
-            if rec.factcheck_query_used == "original":
-                stats.factcheck_hits_original += 1
-            elif rec.factcheck_query_used == "claim":
-                stats.factcheck_hits_claim += 1
-        return stats
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "matched_direct": self.matched_direct,
-            "extraction_needed": self.extraction_needed,
-            "hard_failed": self.hard_failed,
-            "claim_search_errors": self.claim_search_errors,
-            "factcheck_hits_original": self.factcheck_hits_original,
-            "factcheck_hits_claim": self.factcheck_hits_claim,
-            "match_index_histogram": {str(k): v for k, v in sorted(self.match_index_histogram.items())},
-        }
 
 
 def enrich_one(

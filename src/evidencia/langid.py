@@ -36,10 +36,7 @@ def _normalize(text: str) -> str:
 
 
 def _trigrams(text: str) -> Counter[str]:
-    counts: Counter[str] = Counter()
-    for i in range(len(text) - 2):
-        counts[text[i : i + 3]] += 1
-    return counts
+    return Counter([text[i : i + 3] for i in range(len(text) - 2)])
 
 
 class TrigramDetector:

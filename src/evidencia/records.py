@@ -268,6 +268,59 @@ class EnrichedRecord:
         )
 
 
+@dataclass
+class FunnelStats:
+    """Aggregate outcome counters of an enrichment run, always recomputable
+    from the records.
+
+    It lives here rather than in ``enrichment`` so that ``analyze``, which
+    recomputes it from a file, loads none of the enrichment stack.
+    """
+
+    total: int = 0
+    matched_direct: int = 0
+    extraction_needed: int = 0
+    hard_failed: int = 0
+    claim_search_errors: int = 0
+    factcheck_hits_original: int = 0
+    factcheck_hits_claim: int = 0
+    match_index_histogram: dict[int, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_records(cls, records: Iterable[EnrichedRecord]) -> "FunnelStats":
+        stats = cls()
+        for rec in records:
+            stats.total += 1
+            if rec.match_index is not None:
+                stats.matched_direct += 1
+                stats.match_index_histogram[rec.match_index] = (
+                    stats.match_index_histogram.get(rec.match_index, 0) + 1
+                )
+            elif rec.claim is not None:
+                stats.extraction_needed += 1
+            else:
+                stats.hard_failed += 1
+            if any(e.stage == "claim_search" and e.kind == "empty_results" for e in rec.errors):
+                stats.claim_search_errors += 1
+            if rec.factcheck_query_used == "original":
+                stats.factcheck_hits_original += 1
+            elif rec.factcheck_query_used == "claim":
+                stats.factcheck_hits_claim += 1
+        return stats
+
+    def to_dict(self) -> dict:
+        return {
+            "total": self.total,
+            "matched_direct": self.matched_direct,
+            "extraction_needed": self.extraction_needed,
+            "hard_failed": self.hard_failed,
+            "claim_search_errors": self.claim_search_errors,
+            "factcheck_hits_original": self.factcheck_hits_original,
+            "factcheck_hits_claim": self.factcheck_hits_claim,
+            "match_index_histogram": {str(k): v for k, v in sorted(self.match_index_histogram.items())},
+        }
+
+
 def dumps_record(payload: dict[str, Any]) -> str:
     """Canonical single-line JSON used for every record file."""
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ": "))

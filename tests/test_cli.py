@@ -451,3 +451,12 @@ class TestEntryPoint:
         assert "evidencia.evalkit" in loaded
         for name in ("dedup", "validation", "langid", "enrichment", "claims", "analytics", "providers"):
             assert f"evidencia.{name}" not in loaded, name
+
+    def test_analyze_loads_none_of_the_enrichment_stack(self, pipeline, tmp_path):
+        argv = ["analyze", "--in", str(pipeline["enriched"]), "--clusters", str(pipeline["clusters"]),
+                "--out", str(tmp_path / "analysis.json")]
+        loaded = self.modules_after(f"from evidencia.cli import main; assert main({argv!r}) == 0")
+        assert "evidencia.analytics" in loaded
+        for name in ("enrichment", "claims", "matching", "providers"):
+            assert f"evidencia.{name}" not in loaded, name
+        assert (tmp_path / "analysis.json").read_bytes() == Path(pipeline["analysis"]).read_bytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidencia import dedup
+from evidencia import cli, dedup
 from evidencia.dedup import (
     DedupConfig,
     MinHasher,
@@ -182,7 +182,53 @@ class TestConfig:
 
     def test_default_banding(self):
         cfg = DedupConfig()
-        assert (cfg.num_permutations, cfg.bands, cfg.rows_per_band) == (100, 50, 2)
+        assert (cfg.num_permutations, cfg.bands, cfg.rows_per_band) == (100, 25, 4)
+
+    def test_dedup_subcommand_defaults_are_the_config_defaults(self, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "near_duplicates", lambda texts, cfg: seen.append(cfg) or [])
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "corpus": "fakebr", "text": "texto", "label": "fake"}\n', encoding="utf-8")
+        assert cli.main(["dedup", "--in", str(corpus), "--out", str(tmp_path / "clusters.jsonl")]) == 0
+        assert seen == [DedupConfig()]
+
+
+def planted_pairs(rng, jaccard, n_pairs):
+    """Shingle-set pairs of the given Jaccard over a union of 100 shingles,
+    with random contents so that no two pairs share a shingle."""
+    common = round(jaccard * 100)
+    pairs = []
+    for _ in range(n_pairs):
+        grams = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz ", k=8)) for _ in range(100)]
+        shared, rest = grams[:common], grams[common:]
+        half = len(rest) // 2
+        pairs.append((set(shared + rest[:half]), set(shared + rest[half:])))
+    return pairs
+
+
+class TestSCurve:
+    """At the default config, a planted pair of Jaccard J becomes a candidate
+    with probability 1 - (1 - J^r)^b, r rows per band and b bands."""
+
+    N_PAIRS = 300
+
+    @pytest.mark.parametrize("jaccard", [0.3, 0.5, 0.7, 0.9])
+    def test_candidate_rate_follows_the_banding_curve(self, jaccard):
+        cfg = DedupConfig()
+        pairs = planted_pairs(random.Random(int(jaccard * 10)), jaccard, self.N_PAIRS)
+        assert all(exact_jaccard(a, b) == jaccard for a, b in pairs)
+        hasher = MinHasher(cfg)
+        sigs = {}
+        for k, (a, b) in enumerate(pairs):
+            sigs[f"{k:03d}a"] = hasher.signature_of_shingles(a)
+            sigs[f"{k:03d}b"] = hasher.signature_of_shingles(b)
+        candidates = candidate_pairs(sigs, cfg)
+        hits = sum((f"{k:03d}a", f"{k:03d}b") in candidates for k in range(self.N_PAIRS))
+        expected = 1 - (1 - jaccard**cfg.rows_per_band) ** cfg.bands
+        # 4.5 binomial standard deviations, plus one pair for the rates
+        # near 1 whose deviation is almost zero.
+        bound = 4.5 * (expected * (1 - expected) / self.N_PAIRS) ** 0.5 + 1 / self.N_PAIRS
+        assert abs(hits / self.N_PAIRS - expected) <= bound
 
 
 def counting_jaccard(monkeypatch):

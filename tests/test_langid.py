@@ -38,6 +38,21 @@ def per_trigram_detect(text):
 _SEED_LETTERS = "".join(sorted(set(_normalize(" ".join(resources.language_seed(lang) for lang in LANGUAGES)))))
 
 
+def per_position_trigrams(text):
+    """Trigram counts written out: one increment per position."""
+    counts = {}
+    for i in range(len(text) - 2):
+        counts[text[i : i + 3]] = counts.get(text[i : i + 3], 0) + 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=200), st.text(alphabet=" abcãé", max_size=200)))
+def test_trigram_counts_and_first_seen_order(text):
+    # detect sums over the counts in this order, so the order fixes its floats.
+    assert list(_trigrams(text).items()) == list(per_position_trigrams(text).items())
+
+
 class TestTrigramDetector:
     def test_portuguese(self, detector):
         lang, conf = detector.detect(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -46,6 +47,27 @@ PIPELINE_DIGESTS = {
     "validated.jsonl.report.json": "9bb74cca84469bc8cb934276917efca50d45a34bc78e912bb7ea952286607a63",
     "validated.jsonl.review.jsonl": "5e2316163f9ac07f432e97e233237486f8b32ea8b8993fd4b82284396ecf76df",
 }
+
+
+# SHA-256 of every manifest of the fixture chain once its wall-clock instants,
+# the run's temporary root and the checkout root are masked (see
+# ``masked_manifest``). A change to any of them changes what a manifest says.
+MANIFEST_DIGESTS = {
+    "analysis.json.manifest.json": "277a958369c0b925e565ad15142788033aef7c7892ce8879cd92e5f1d240be0e",
+    "clusters.jsonl.manifest.json": "86d428d634d38250668ff123a7bdb929b5eaa13a1067fdb17d4f5f6a9629db26",
+    "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
+    "enriched.jsonl.manifest.json": "16daf156581f5e3340b3968c39a5ce5d3665c71d975b14ada845ccb2a764476a",
+    "evaluation.json.manifest.json": "5b8394f817badc70199cd2e5b665dbd727e36bebac2ba49ac377fafc6f82ab57",
+    "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
+    "splits/manifest.json": "fd304eefaf0110d12297ae6c25bab8a0839ec559ec4a111a0c58f4725e460ca0",
+    "validated.jsonl.manifest.json": "7509231265e8b7fbcfda37454fb54eb347fa74b59afa11365d2421f7d713a67f",
+}
+
+
+def masked_manifest(path, tmp_root):
+    text = Path(path).read_text(encoding="utf-8")
+    text = re.sub(r'"(started_at|finished_at)": "[^"]*"', r'"\1": "<instant>"', text)
+    return text.replace(str(tmp_root), "<tmp>").replace(str(ROOT), "<root>")
 
 
 def load_manifest(path):
@@ -195,6 +217,14 @@ class TestPipeline:
         root = pipeline["validated"].parent
         actual = {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in PIPELINE_DIGESTS}
         assert actual == PIPELINE_DIGESTS
+
+    def test_manifests_are_pinned(self, pipeline):
+        root = pipeline["validated"].parent
+        actual = {
+            name: hashlib.sha256(masked_manifest(root / name, root).encode("utf-8")).hexdigest()
+            for name in MANIFEST_DIGESTS
+        }
+        assert actual == MANIFEST_DIGESTS
 
 
 class TestBuildConfigEnriched:

@@ -3,12 +3,13 @@
 Eight subcommands wire the library into a reproducible pipeline:
 validate, dedup, review, enrich, analyze, split, build-config, evaluate.
 Options resolve as flags > config file > defaults; the config file is a
-flat `key = value` text file shared across subcommands. Every run that
-writes output also writes exactly one manifest (resource hashes, input
-hashes, provider mode, config snapshot) next to its primary output.
+flat `key = value` text file shared across subcommands. Each handler
+returns a ``Run`` naming what it wrote; ``main`` then writes exactly one
+manifest (resource hashes, input hashes, provider mode, config snapshot)
+next to the primary output and applies the error-rate gate.
 
 Exit codes: 0 success, 1 per-record error rate above --max-error-rate,
-2 configuration or usage errors.
+2 configuration or usage errors, malformed input lines and unreadable paths.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import sys
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__ as VERSION
 from .records import (
@@ -31,8 +32,8 @@ from .records import (
     EnrichedRecord,
     FunnelStats,
     NewsItem,
-    SchemaError,
     read_enriched,
+    read_jsonl,
     read_news,
     write_enriched,
     write_news,
@@ -271,16 +272,27 @@ def _dir_hash(path: str | None) -> str | None:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    manifest_path: Path,
-    subcommand: str,
-    conf: dict[str, Any],
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    started_at: str,
-    finished_at: str,
-    notes: dict[str, Any] | None = None,
-) -> None:
+def _write_json(path: Path, payload: Any, sort_keys: bool = False) -> None:
+    """The one writer of JSON sidecars: reports, statistics, results, manifests."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=sort_keys) + "\n",
+                    encoding="utf-8")
+
+
+class Run(NamedTuple):
+    """What a handler wrote. ``main`` stamps the manifest (none when
+    ``manifest`` is None), then exits 1 if ``error_rate`` is above
+    --max-error-rate and with ``code`` otherwise."""
+
+    manifest: Path | None
+    inputs: list[str | None]
+    outputs: list[str]
+    notes: dict[str, Any] | None = None
+    error_rate: float = 0.0
+    code: int = 0
+
+
+def _write_manifest(subcommand: str, conf: dict[str, Any], run: Run, started_at: str, finished_at: str) -> None:
     from . import resources
 
     payload = {
@@ -291,38 +303,29 @@ def _write_manifest(
         "provider_mode": conf.get("provider"),
         "fixtures_hash": _dir_hash(conf.get("fixtures")),
         "cache_hash": _dir_hash(conf.get("cache")),
-        "input_hashes": {p: _file_hash(Path(p)) for p in inputs if Path(p).is_file()},
-        "outputs": list(outputs),
+        "input_hashes": {p: _file_hash(Path(p)) for p in run.inputs if p and Path(p).is_file()},
+        "outputs": run.outputs,
         "started_at": started_at,
         "finished_at": finished_at,
     }
-    if notes:
-        payload["notes"] = notes
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(payload, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+    if run.notes:
+        payload["notes"] = run.notes
+    _write_json(run.manifest, payload)
 
 
-def _utc_instant() -> str:
-    from .clocks import SystemClock
-
-    return SystemClock().utc_instant()
-
-
-def _clock_for(conf: dict[str, Any]) -> Clock:
+def _provider(conf: dict[str, Any], required: bool = False) -> tuple[Backend | None, Clock]:
+    """The backend the provider options describe, or None when --provider is
+    unset and not ``required``, with the clock it stamps records with."""
     from .clocks import FrozenClock, SystemClock
-
-    # Frozen under fixtures so replayed runs are byte-identical.
-    return FrozenClock() if conf.get("provider") == "fixture" else SystemClock()
-
-
-def _backend_for(conf: dict[str, Any], clock: Clock, required: bool = False) -> Backend | None:
     from .providers import CachingBackend, FixtureBackend, LiveBackend
 
     provider = conf.get("provider")
+    # Frozen under fixtures so replayed runs are byte-identical.
+    clock: Clock = FrozenClock() if provider == "fixture" else SystemClock()
     if provider is None:
         if required:
             raise ConfigError("this subcommand needs --provider live|fixture")
-        return None
+        return None, clock
     if provider == "fixture":
         if not conf.get("fixtures"):
             raise ConfigError("--provider fixture needs --fixtures <dir>")
@@ -331,7 +334,7 @@ def _backend_for(conf: dict[str, Any], clock: Clock, required: bool = False) -> 
         backend = LiveBackend(clock=clock)
     if conf.get("cache"):
         backend = CachingBackend(backend, conf["cache"], conf.get("cache_mode") or "read_write", clock)
-    return backend
+    return backend, clock
 
 
 def _read_id_file(path: str) -> list[str]:
@@ -345,37 +348,26 @@ def _read_id_file(path: str) -> list[str]:
 def _read_instances(path: str) -> list[EvalInstance]:
     from .evalkit import EvalInstance
 
-    instances = []
+    def parse(raw: dict[str, Any]) -> EvalInstance:
+        return EvalInstance(
+            id=str(raw["id"]),
+            text=raw["text"],
+            label=raw["label"],
+            context=raw.get("context", ""),
+        )
+
     try:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                raw = json.loads(line)
-                instances.append(
-                    EvalInstance(
-                        id=str(raw["id"]),
-                        text=raw["text"],
-                        label=raw["label"],
-                        context=raw.get("context", ""),
-                    )
-                )
+        return list(read_jsonl(path, parse))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise SchemaError(f"{path}: bad instance line: {exc}") from None
-    return instances
 
 
 # ---------------------------------------------------------------- handlers
 
-def _cmd_validate(conf: dict[str, Any]) -> int:
+def _cmd_validate(conf: dict[str, Any]) -> Run:
     from .langid import TrigramDetector
     from .validation import ReviewItem, read_review_items, validate_decision
 
-    clock = _clock_for(conf)
-    started = _utc_instant()
     records = read_news(conf["in"])
     decisions: list[ReviewItem] = []
     if conf.get("decisions"):
@@ -383,7 +375,7 @@ def _cmd_validate(conf: dict[str, Any]) -> int:
         for item in decisions:
             validate_decision(item)
     incomplete = _read_id_file(conf["incomplete_ids"]) if conf.get("incomplete_ids") else []
-    backend = _backend_for(conf, clock)
+    backend, _ = _provider(conf)
 
     validated, report = run_validation(
         records,
@@ -402,8 +394,7 @@ def _cmd_validate(conf: dict[str, Any]) -> int:
     review_out = Path(conf.get("review_out") or f"{out}.review.jsonl")
     write_news(out, validated)
     write_review_items(review_out, report.review_items)
-    report_out.parent.mkdir(parents=True, exist_ok=True)
-    report_out.write_text(json.dumps(report.to_dict(), ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+    _write_json(report_out, report.to_dict())
 
     print(f"input records      {report.input_count}")
     for stage, count in report.stage_counts().items():
@@ -412,20 +403,13 @@ def _cmd_validate(conf: dict[str, Any]) -> int:
     print(f"review queue       {len(report.review_items)} item(s) -> {review_out}")
     if report.flagged_language:
         print(f"flagged language   {len(report.flagged_language)} record(s) kept, see report")
-
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "validate", conf,
-        inputs=[conf["in"]] + ([conf["decisions"]] if conf.get("decisions") else []),
-        outputs=[str(out), str(report_out), str(review_out)],
-        started_at=started, finished_at=_utc_instant(),
-    )
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("decisions")],
+               [str(out), str(report_out), str(review_out)])
 
 
-def _cmd_dedup(conf: dict[str, Any]) -> int:
+def _cmd_dedup(conf: dict[str, Any]) -> Run:
     from .dedup import DedupConfig
 
-    started = _utc_instant()
     records = read_news(conf["in"])
     cfg = DedupConfig(
         shingle_size=conf["shingle_size"],
@@ -444,18 +428,12 @@ def _cmd_dedup(conf: dict[str, Any]) -> int:
     _write_jsonl(out, payloads)
     involved = sum(len(c.members) for c in clusters)
     print(f"{len(clusters)} cluster(s) covering {involved} of {len(records)} records -> {out}")
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "dedup", conf,
-        inputs=[conf["in"]], outputs=[str(out)],
-        started_at=started, finished_at=_utc_instant(),
-    )
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["in"]], [str(out)])
 
 
-def _cmd_review(conf: dict[str, Any]) -> int:
+def _cmd_review(conf: dict[str, Any]) -> Run:
     from .validation import ReviewItem, read_review_items, validate_decision
 
-    started = _utc_instant()
     queue = read_review_items(conf["queue"])
     if conf.get("decisions"):
         decisions = {item.id: item for item in read_review_items(conf["decisions"])}
@@ -468,9 +446,9 @@ def _cmd_review(conf: dict[str, Any]) -> int:
                 print(f"no decision for queue item {rid}", file=sys.stderr)
             for rid in undecided:
                 print(f"decision field still empty on {rid}", file=sys.stderr)
-            return 2
+            return Run(None, [], [], code=2)
         print(f"{len(queue)} decision(s) check out")
-        return 0
+        return Run(None, [], [])
     if not conf.get("out"):
         raise ConfigError("review needs --out (skeleton mode) or --decisions (check mode)")
     out = Path(conf["out"])
@@ -481,21 +459,14 @@ def _cmd_review(conf: dict[str, Any]) -> int:
         skeleton.append(copy)
     write_review_items(out, skeleton)
     print(f"decision skeleton with {len(skeleton)} item(s) -> {out}")
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "review", conf,
-        inputs=[conf["queue"]], outputs=[str(out)],
-        started_at=started, finished_at=_utc_instant(),
-    )
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["queue"]], [str(out)])
 
 
-def _cmd_enrich(conf: dict[str, Any]) -> int:
+def _cmd_enrich(conf: dict[str, Any]) -> Run:
     from .claims import load_template
     from .enrichment import EnrichConfig
 
-    started = _utc_instant()
-    clock = _clock_for(conf)
-    backend = _backend_for(conf, clock, required=True)
+    backend, clock = _provider(conf, required=True)
     items = read_news(conf["in"])
     cfg = EnrichConfig(
         max_claim_words=conf["max_claim_words"],
@@ -517,33 +488,18 @@ def _cmd_enrich(conf: dict[str, Any]) -> int:
     out = Path(conf["out"])
     stats_out = Path(conf.get("stats_out") or f"{out}.stats.json")
     write_enriched(out, records)
-    stats_out.parent.mkdir(parents=True, exist_ok=True)
-    stats_out.write_text(json.dumps(stats.to_dict(), ensure_ascii=False, indent=1) + "\n", encoding="utf-8")
+    _write_json(stats_out, stats.to_dict())
 
     failed = sum(1 for r in records if r.errors)
     rate = failed / len(records) if records else 0.0
     print(f"enriched {len(records)} record(s): {stats.matched_direct} matched directly, "
           f"{stats.extraction_needed} via claim extraction, {stats.hard_failed} unmatched")
     print(f"records with errors: {failed} ({rate:.2%})")
-
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "enrich", conf,
-        inputs=[conf["in"]], outputs=[str(out), str(stats_out)],
-        started_at=started, finished_at=_utc_instant(),
-    )
-    if rate > conf["max_error_rate"]:
-        print(f"error rate {rate:.2%} above --max-error-rate {conf['max_error_rate']:.2%}", file=sys.stderr)
-        return 1
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["in"]], [str(out), str(stats_out)], error_rate=rate)
 
 
 def _is_enriched_file(path: str) -> bool:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                return "item" in json.loads(line)
-    return False
+    return "item" in next(read_jsonl(path, lambda raw: raw), {})
 
 
 def _render_section(lines: list[str], title: str, table: dict[Any, Any]) -> None:
@@ -553,11 +509,10 @@ def _render_section(lines: list[str], title: str, table: dict[Any, Any]) -> None
     lines.append("")
 
 
-def _cmd_analyze(conf: dict[str, Any]) -> int:
+def _cmd_analyze(conf: dict[str, Any]) -> Run:
     from . import analytics
     from .dedup import DedupCluster
 
-    started = _utc_instant()
     report: dict[str, Any] = {}
     if _is_enriched_file(conf["in"]):
         enriched = read_enriched(conf["in"])
@@ -566,9 +521,7 @@ def _cmd_analyze(conf: dict[str, Any]) -> int:
         report["text_stats"] = analytics.text_stats(items)
         report["domains"] = analytics.domain_distribution(enriched)
         report["ratings"] = analytics.rating_distribution(enriched)
-        report["match_index_histogram"] = {
-            str(k): v for k, v in sorted(analytics.match_index_histogram(enriched).items())
-        }
+        report["match_index_histogram"] = report["funnel"]["match_index_histogram"]
         years, undated = analytics.review_year_histogram(enriched)
         report["review_years"] = {str(k): v for k, v in sorted(years.items())}
         report["review_undated"] = undated
@@ -576,19 +529,14 @@ def _cmd_analyze(conf: dict[str, Any]) -> int:
         items = read_news(conf["in"])
         report["text_stats"] = analytics.text_stats(items)
     if conf.get("clusters"):
-        clusters = []
-        for line in Path(conf["clusters"]).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                raw = json.loads(line)
-                clusters.append(DedupCluster(members=tuple(raw["members"])))
+        clusters = list(read_jsonl(conf["clusters"], lambda raw: DedupCluster(members=tuple(raw["members"]))))
         report["cluster_sizes"] = {
             str(k): v for k, v in sorted(analytics.cluster_size_histogram(clusters).items())
         }
 
     out = Path(conf["out"])
     text_out = Path(conf.get("text_out") or f"{out}.txt")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, ensure_ascii=False, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out, report, sort_keys=True)
 
     lines: list[str] = []
     for section, content in report.items():
@@ -605,20 +553,12 @@ def _cmd_analyze(conf: dict[str, Any]) -> int:
     text_out.parent.mkdir(parents=True, exist_ok=True)
     text_out.write_text(text, encoding="utf-8")
     print(text, end="")
-
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "analyze", conf,
-        inputs=[conf["in"]] + ([conf["clusters"]] if conf.get("clusters") else []),
-        outputs=[str(out), str(text_out)],
-        started_at=started, finished_at=_utc_instant(),
-    )
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("clusters")], [str(out), str(text_out)])
 
 
-def _cmd_split(conf: dict[str, Any]) -> int:
+def _cmd_split(conf: dict[str, Any]) -> Run:
     from .evalkit import SplitSpec
 
-    started = _utc_instant()
     records = read_news(conf["in"])
     spec = SplitSpec(
         train=conf["train"], val=conf["val"], test=conf["test"],
@@ -626,25 +566,18 @@ def _cmd_split(conf: dict[str, Any]) -> int:
     )
     train, val, test = split(records, spec)
     out_dir = Path(conf["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, slice_ in (("train", train), ("val", val), ("test", test)):
         path = out_dir / f"{name}.jsonl"
         write_news(path, slice_)
         outputs.append(str(path))
     print(f"split {len(records)} record(s) into {len(train)}/{len(val)}/{len(test)} -> {out_dir}")
-    _write_manifest(
-        out_dir / "manifest.json", "split", conf,
-        inputs=[conf["in"]], outputs=outputs,
-        started_at=started, finished_at=_utc_instant(),
-    )
-    return 0
+    return Run(out_dir / "manifest.json", [conf["in"]], outputs)
 
 
-def _cmd_build_config(conf: dict[str, Any]) -> int:
+def _cmd_build_config(conf: dict[str, Any]) -> Run:
     from .evalkit import DataConfiguration
 
-    started = _utc_instant()
     cfg = DataConfiguration(conf["kind"])
     if cfg.context_source == "none":
         source: Sequence[NewsItem] | Sequence[EnrichedRecord] = read_news(conf["in"])
@@ -663,21 +596,14 @@ def _cmd_build_config(conf: dict[str, Any]) -> int:
     _write_jsonl(out, payloads)
     with_context = sum(1 for inst in instances if inst.context)
     print(f"{len(instances)} instance(s) ({with_context} with context) -> {out}")
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "build-config", conf,
-        inputs=[conf["in"]], outputs=[str(out)],
-        started_at=started, finished_at=_utc_instant(),
-    )
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["in"]], [str(out)])
 
 
-def _cmd_evaluate(conf: dict[str, Any]) -> int:
+def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     from .evalkit import score, select_shots
     from .providers import LlmRequest, llm_generate
 
-    started = _utc_instant()
-    clock = _clock_for(conf)
-    backend = _backend_for(conf, clock, required=True)
+    backend, _ = _provider(conf, required=True)
     instances = _read_instances(conf["in"])
     shot_pool = _read_instances(conf["shots_from"])
     shots = select_shots(shot_pool, seed=conf["seed"])
@@ -701,37 +627,21 @@ def _cmd_evaluate(conf: dict[str, Any]) -> int:
             for inst, pred in zip(instances, predictions)
         ],
     )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(
-            {
-                "result": result.to_dict(),
-                "shot_ids": sorted(shot_ids),
-                "seed": conf["seed"],
-                "provider_errors": [e.to_dict() for e in errors],
-            },
-            ensure_ascii=False, indent=1, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out, {
+        "result": result.to_dict(),
+        "shot_ids": sorted(shot_ids),
+        "seed": conf["seed"],
+        "provider_errors": [e.to_dict() for e in errors],
+    }, sort_keys=True)
     print(f"n={result.n} accuracy={result.accuracy:.4f} macro_f1={result.macro_f1:.4f} "
           f"abstentions={result.abstentions}")
-
-    rate = len(errors) / len(instances)
-    _write_manifest(
-        Path(f"{out}.manifest.json"), "evaluate", conf,
-        inputs=[conf["in"], conf["shots_from"]],
-        outputs=[str(out), str(predictions_out)],
-        started_at=started, finished_at=_utc_instant(),
-        notes={"shot_policy": "drawn from the training slice and excluded from evaluation"},
-    )
-    if rate > conf["max_error_rate"]:
-        print(f"error rate {rate:.2%} above --max-error-rate {conf['max_error_rate']:.2%}", file=sys.stderr)
-        return 1
-    return 0
+    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf["shots_from"]],
+               [str(out), str(predictions_out)],
+               notes={"shot_policy": "drawn from the training slice and excluded from evaluation"},
+               error_rate=len(errors) / len(instances))
 
 
-HANDLERS: dict[str, Callable[[dict[str, Any]], int]] = {
+HANDLERS: dict[str, Callable[[dict[str, Any]], Run]] = {
     "validate": _cmd_validate,
     "dedup": _cmd_dedup,
     "review": _cmd_review,
@@ -759,19 +669,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from .clocks import SystemClock
+
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
         file_conf = _load_config_file(ns.config) if ns.config else {}
         conf = _resolve(OPTIONS[ns.subcommand], ns, file_conf)
-        return HANDLERS[ns.subcommand](conf)
-    except (ConfigError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        started_at = SystemClock().utc_instant()
+        run = HANDLERS[ns.subcommand](conf)
+        if run.manifest is not None:
+            _write_manifest(ns.subcommand, conf, run, started_at, SystemClock().utc_instant())
+        limit = conf.get("max_error_rate")
+        if limit is not None and run.error_rate > limit:
+            print(f"error rate {run.error_rate:.2%} above --max-error-rate {limit:.2%}", file=sys.stderr)
+            return 1
+        return run.code
+    except (ConfigError, OSError, ValueError) as exc:
+        # SchemaError, a malformed input line, is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 LABELS = ("fake", "true")
 CORPORA = ("fakebr", "covid19br", "mumin_pt")
@@ -27,6 +27,8 @@ DEFAULT_MODEL = "gemini-1.5-flash"
 PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_shot")
 MAX_CLAIM_WORDS = 20
 CONFIG_KINDS = ("original", "validated", "enriched_full", "enriched_filtered")
+
+T = TypeVar("T")
 
 
 class SchemaError(ValueError):
@@ -326,22 +328,29 @@ def dumps_record(payload: dict[str, Any]) -> str:
     return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ": "))
 
 
-def _iter_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with path.open("r", encoding="utf-8") as fh:
+def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+    """Yield ``parse(obj)`` for the JSON object on each non-blank line.
+
+    A line that is not a JSON object, or that ``parse`` rejects with a
+    SchemaError or KeyError, raises SchemaError naming the file and line.
+    """
+    with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield lineno, line
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise SchemaError(f"expected an object, got {type(raw).__name__}")
+                parsed = parse(raw)
+            except (json.JSONDecodeError, SchemaError, KeyError) as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            yield parsed
 
 
 def read_news(path: str | Path) -> list[NewsItem]:
-    items = []
-    for lineno, line in _iter_lines(Path(path)):
-        try:
-            items.append(NewsItem.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, SchemaError) as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    return items
+    return list(read_jsonl(path, NewsItem.from_dict))
 
 
 def write_news(path: str | Path, items: Iterable[NewsItem]) -> None:
@@ -349,13 +358,7 @@ def write_news(path: str | Path, items: Iterable[NewsItem]) -> None:
 
 
 def read_enriched(path: str | Path) -> list[EnrichedRecord]:
-    records = []
-    for lineno, line in _iter_lines(Path(path)):
-        try:
-            records.append(EnrichedRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, SchemaError, KeyError) as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    return records
+    return list(read_jsonl(path, EnrichedRecord.from_dict))
 
 
 def write_enriched(path: str | Path, records: Iterable[EnrichedRecord]) -> None:

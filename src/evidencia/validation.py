@@ -11,7 +11,6 @@ sum of per-stage removals.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import resources
 from .dedup import DedupCluster, cluster, near_duplicates
 from .langid import LanguageDetector, TrigramDetector
 from .providers import Backend, FactCheckRequest, ProviderFailure, factcheck_search
-from .records import LABELS, NewsItem, SchemaError, write_jsonl
+from .records import LABELS, NewsItem, SchemaError, read_jsonl, write_jsonl
 from .textprep import build_query, content_token_count, find_urls, strip_emoji, strip_quotes, strip_urls
 
 STAGES = (
@@ -113,17 +112,7 @@ def validate_decision(item: ReviewItem) -> None:
 
 
 def read_review_items(path: str | Path) -> list[ReviewItem]:
-    items = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(ReviewItem.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, SchemaError) as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    return items
+    return list(read_jsonl(path, ReviewItem.from_dict))
 
 
 def write_review_items(path: str | Path, items: Iterable[ReviewItem]) -> None:

@@ -64,6 +64,10 @@ MANIFEST_DIGESTS = {
 }
 
 
+def manifest_times(root):
+    return {path: path.stat().st_mtime_ns for path in Path(root).rglob("*manifest.json")}
+
+
 def masked_manifest(path, tmp_root):
     text = Path(path).read_text(encoding="utf-8")
     text = re.sub(r'"(started_at|finished_at)": "[^"]*"', r'"\1": "<instant>"', text)
@@ -146,19 +150,24 @@ class TestPipeline:
             assert item["decision"] == {"action": item["suggestion"]}
 
     def test_review_check_mode_accepts_complete_file(self, pipeline, capsys):
+        before = manifest_times(pipeline["validated"].parent)
         code = main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
                      "--decisions", str(pipeline["skeleton"])])
         assert code == 0
         assert "check out" in capsys.readouterr().out
+        assert manifest_times(pipeline["validated"].parent) == before
 
     def test_review_check_mode_flags_missing_decision(self, pipeline, tmp_path, capsys):
         lines = Path(pipeline["skeleton"]).read_text(encoding="utf-8").strip().splitlines()
         partial = tmp_path / "partial.jsonl"
         partial.write_text(lines[0] + "\n", encoding="utf-8")
+        before = manifest_times(pipeline["validated"].parent)
         code = main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
                      "--decisions", str(partial)])
         assert code == 2
         assert "no decision for queue item" in capsys.readouterr().err
+        assert manifest_times(pipeline["validated"].parent) == before
+        assert manifest_times(tmp_path) == {}
 
     def test_enrich_outputs(self, pipeline):
         records = read_enriched(pipeline["enriched"])
@@ -271,6 +280,7 @@ class TestExitCodes:
         assert code == 1
         assert "above --max-error-rate" in capsys.readouterr().err
         assert out.exists()
+        load_manifest(f"{out}.manifest.json")
 
     def test_evaluate_error_rate_gate(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "no-cassettes"
@@ -281,11 +291,41 @@ class TestExitCodes:
                      "--provider", "fixture", "--fixtures", str(empty),
                      "--max-error-rate", "0.5"])
         assert code == 1
+        load_manifest(tmp_path / "r.json.manifest.json")
 
     def test_invalid_split_ratios(self, tmp_path, capsys):
         assert main(["split", "--in", CORPUS, "--out-dir", str(tmp_path / "s"),
                      "--train", "0.5", "--val", "0.1", "--test", "0.1"]) == 2
         assert "sum to 1" in capsys.readouterr().err
+
+    # Each case writes ``content`` to ``bad`` (a directory when None) and runs
+    # ``argv``; an unreadable path or a malformed line must exit 2 and name the file.
+    @pytest.mark.parametrize("content,argv", [
+        ('{"size": 2}\n', ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
+        ("members\n", ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
+        ("{\n", ["analyze", "--in", "{bad}", "--out", "{out}"]),
+        ('"an item"\n', ["analyze", "--in", "{bad}", "--out", "{out}"]),
+        ("[1, 2]\n", ["evaluate", "--in", "{bad}", "--shots-from", "{train}", "--out", "{out}",
+                      "--provider", "fixture", "--fixtures", str(CASSETTES)]),
+        ("[1]\n", ["build-config", "--in", "{bad}", "--out", "{out}", "--kind", "enriched_full"]),
+        ("[1]\n", ["review", "--queue", "{queue}", "--decisions", "{bad}"]),
+        ("[1]\n", ["validate", "--in", CORPUS, "--out", "{out}", "--decisions", "{bad}"]),
+        (None, ["validate", "--in", "{bad}", "--out", "{out}"]),
+        ("", ["split", "--in", CORPUS, "--out-dir", "{bad}"]),
+    ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
+            "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
+            "validate-in-directory", "split-out-dir-file"])
+    def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
+        bad = tmp_path / "bad.jsonl"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_text(content, encoding="utf-8")
+        paths = {"bad": bad, "out": tmp_path / "out.json", "enriched": pipeline["enriched"],
+                 "train": pipeline["splits"] / "train.jsonl",
+                 "queue": f"{pipeline['validated']}.review.jsonl"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert str(bad) in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,field", [
         ("--bands", "bands"),

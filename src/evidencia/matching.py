@@ -95,7 +95,10 @@ def match_score(query: str, result: WebResult) -> float:
 
     An empty term set scores 0, so stopword-only queries never match.
     """
-    terms = query_terms(query)
+    return _terms_score(query_terms(query), result)
+
+
+def _terms_score(terms: set[str], result: WebResult) -> float:
     if not terms:
         return 0.0
     present = _highlighted_terms((result.title, result.snippet))
@@ -104,7 +107,8 @@ def match_score(query: str, result: WebResult) -> float:
 
 def first_match(query: str, results: Sequence[WebResult]) -> tuple[list[float], int | None]:
     """Per-result scores and the 1-based rank of the first strong match."""
-    scores = [match_score(query, r) for r in results]
+    terms = query_terms(query)
+    scores = [_terms_score(terms, r) for r in results]
     for i, score in enumerate(scores):
         if score >= MATCH_THRESHOLD:
             return scores, i + 1

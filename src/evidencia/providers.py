@@ -1,15 +1,18 @@
 """External service access: web search, fact-check search and text generation.
 
 Three interchangeable backends expose the same ``fetch(kind, payload)``
-surface returning the verbatim JSON response body:
+surface returning the verbatim JSON response body. ``fetch`` also takes the
+request's hash when the caller has already computed it, so one request is
+hashed once:
 
 * ``LiveBackend`` performs HTTP calls (credentials from ``EVD_*`` environment
   variables), retrying transport errors, 429 and 5xx responses up to
   ``MAX_RETRIES`` times with exponential backoff;
 * ``FixtureBackend`` replays recorded response bodies from a directory keyed
   by request hash, for deterministic offline runs;
-* ``CachingBackend`` wraps another backend with a persistent response cache
-  using the same file format as fixtures.
+* ``CachingBackend`` wraps another backend with a persistent response cache:
+  one append-only JSONL log in the cache directory, one line per response,
+  each line holding the keys of a fixture file.
 
 The parsing helpers (``web_search``, ``factcheck_search``, ``llm_generate``)
 sit on top of any backend, so cached, recorded and live responses go through
@@ -22,6 +25,7 @@ import hashlib
 import json
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol
@@ -88,7 +92,9 @@ def request_hash(kind: str, payload: dict[str, Any]) -> str:
 
 
 class Backend(Protocol):
-    def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]: ...
+    def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
+        """The response body; ``digest``, when given, is ``request_hash(kind, payload)``."""
+        ...
 
 
 Transport = Callable[[str, str, dict[str, Any], dict[str, Any] | None], tuple[int, str]]
@@ -117,8 +123,9 @@ class LiveBackend:
         self.clock = clock or SystemClock()
         self.transport = transport or _requests_transport
         self.attempts = 0
+        self._attempts_lock = threading.Lock()
 
-    def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]:
+    def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
         method, url, params, body = self._build(kind, payload)
         delay = BACKOFF_INITIAL
         last_error = "no attempt made"
@@ -129,7 +136,8 @@ class LiveBackend:
                 logging.getLogger(__name__).warning("retrying %s call (attempt %d): %s", kind, attempt + 1, last_error)
                 self.clock.sleep(delay)
                 delay *= BACKOFF_MULTIPLIER
-            self.attempts += 1
+            with self._attempts_lock:
+                self.attempts += 1
             try:
                 status, text = self.transport(method, url, params, body)
             except Exception as exc:  # transport-level failure, retryable
@@ -214,8 +222,8 @@ class FixtureBackend:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
 
-    def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]:
-        path = self.directory / f"{request_hash(kind, payload)}.json"
+    def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
+        path = self.directory / f"{digest or request_hash(kind, payload)}.json"
         try:
             return _read_body(path)
         except FileNotFoundError:
@@ -227,11 +235,22 @@ class FixtureBackend:
 def _read_body(path: Path) -> dict[str, Any]:
     """The ``body`` of the cassette at ``path``; ``ValueError`` when the
     file does not parse or holds no body object."""
-    stored = json.loads(path.read_text(encoding="utf-8"))
-    body = stored.get("body") if isinstance(stored, dict) else None
-    if not isinstance(body, dict):
+    body = _body_of(json.loads(path.read_text(encoding="utf-8")))
+    if body is None:
         raise ValueError("no response body")
     return body
+
+
+def _body_of(stored: Any) -> dict[str, Any] | None:
+    """The ``body`` object of a parsed cassette, or None when it holds none."""
+    body = stored.get("body") if isinstance(stored, dict) else None
+    return body if isinstance(body, dict) else None
+
+
+def _cassette(digest: str, kind: str, payload: dict[str, Any], body: dict[str, Any],
+              captured_at: str) -> dict[str, Any]:
+    """The keys of a fixture file and of a cache log line."""
+    return {"request_hash": digest, "kind": kind, "captured_at": captured_at, "request": payload, "body": body}
 
 
 def write_cassette(
@@ -241,7 +260,7 @@ def write_cassette(
     body: dict[str, Any],
     captured_at: str = "",
 ) -> Path:
-    """Record one response body in the fixture/cache file format.
+    """Record one response body as the fixture file ``<request_hash>.json``.
 
     The file is written under a name unique to this writer and then renamed
     onto its final path, so a reader never sees a half-written cassette:
@@ -252,13 +271,7 @@ def write_cassette(
     directory.mkdir(parents=True, exist_ok=True)
     digest = request_hash(kind, payload)
     path = directory / f"{digest}.json"
-    record = {
-        "request_hash": digest,
-        "kind": kind,
-        "captured_at": captured_at,
-        "request": payload,
-        "body": body,
-    }
+    record = _cassette(digest, kind, payload, body, captured_at)
     tmp = directory / f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         tmp.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -271,37 +284,83 @@ def write_cassette(
 class CachingBackend:
     """Persistent response cache in front of another backend.
 
-    An entry that does not parse, or holds no body (say, one cut short by an
-    older writer), counts as a miss: the inner backend answers again and,
-    in ``read_write`` mode, the entry is rewritten whole.
+    The cache is the log ``<directory>/responses.jsonl``, read once when the
+    backend is built. Each miss in ``read_write`` mode appends one line
+    holding a fixture file's keys, in a single write on an append-only file
+    descriptor, so concurrent appends never interleave. A line that does not
+    parse, or holds no body object (say, the last line of a run that was
+    killed mid-write), is skipped: its request is a miss, answered again by
+    the inner backend and, in ``read_write`` mode, appended whole. Per-file
+    ``<hash>.json`` entries that older versions wrote are not read. The log's
+    descriptor opens at the first append and closes when the backend is
+    garbage-collected.
     """
+
+    LOG_NAME = "responses.jsonl"
 
     def __init__(self, inner: Backend, directory: str | Path, mode: str = "read_write", clock: Clock | None = None):
         if mode not in CACHE_MODES:
             raise ValueError(f"cache mode must be one of {CACHE_MODES}")
         self.inner = inner
         self.directory = Path(directory)
+        self.log = self.directory / self.LOG_NAME
         self.mode = mode
         self.clock = clock or SystemClock()
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()  # guards the entries, the counters and the log descriptor
+        self._fd: int | None = None
+        self._entries: dict[str, dict[str, Any]] = {}
+        self._needs_newline = False
+        if mode != "bypass":
+            self._load()
 
-    def fetch(self, kind: str, payload: dict[str, Any]) -> dict[str, Any]:
-        if self.mode == "bypass":
-            return self.inner.fetch(kind, payload)
-        path = self.directory / f"{request_hash(kind, payload)}.json"
+    def _load(self) -> None:
         try:
-            body = _read_body(path)
-        except (FileNotFoundError, ValueError):
-            pass
-        else:
-            self.hits += 1
-            return body
-        self.misses += 1
-        body = self.inner.fetch(kind, payload)
+            data = self.log.read_bytes()
+        except FileNotFoundError:
+            return
+        # Split on b"\n" only: str.splitlines would also split on U+2028,
+        # which ensure_ascii=False leaves unescaped inside a line.
+        for line in data.split(b"\n"):
+            try:
+                stored = json.loads(line)
+            except ValueError:
+                continue
+            body = _body_of(stored)
+            digest = stored.get("request_hash") if body is not None else None
+            if isinstance(digest, str):
+                self._entries[digest] = body
+        self._needs_newline = bool(data) and not data.endswith(b"\n")
+
+    def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
+        if self.mode == "bypass":
+            return self.inner.fetch(kind, payload, digest)
+        digest = digest or request_hash(kind, payload)
+        with self._lock:
+            body = self._entries.get(digest)
+            if body is not None:
+                self.hits += 1
+                return body
+            self.misses += 1
+        body = self.inner.fetch(kind, payload, digest)
         if self.mode == "read_write":
-            write_cassette(self.directory, kind, payload, body, self.clock.utc_instant())
+            self._append(_cassette(digest, kind, payload, body, self.clock.utc_instant()))
         return body
+
+    def _append(self, record: dict[str, Any]) -> None:
+        line = (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+        with self._lock:
+            if self._fd is None:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self.log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+                weakref.finalize(self, os.close, self._fd)
+            if self._needs_newline:  # a cut last line must not swallow this one
+                line = b"\n" + line
+                self._needs_newline = False
+            while line:  # one write unless the kernel takes only part of it
+                line = line[os.write(self._fd, line):]
+            self._entries[record["request_hash"]] = record["body"]
 
 
 def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:

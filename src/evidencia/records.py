@@ -332,7 +332,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterat
     """Yield ``parse(obj)`` for the JSON object on each non-blank line.
 
     A line that is not a JSON object, or that ``parse`` rejects with a
-    SchemaError or KeyError, raises SchemaError naming the file and line.
+    SchemaError, KeyError or TypeError (a field of the wrong type), raises
+    SchemaError naming the file and line.
     """
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -344,7 +345,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterat
                 if not isinstance(raw, dict):
                     raise SchemaError(f"expected an object, got {type(raw).__name__}")
                 parsed = parse(raw)
-            except (json.JSONDecodeError, SchemaError, KeyError) as exc:
+            except (json.JSONDecodeError, SchemaError, KeyError, TypeError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             yield parsed
 

@@ -15,6 +15,7 @@ import evidencia
 from evidencia import cli
 from evidencia.cli import main
 from evidencia.enrichment import FunnelStats
+from evidencia.providers import CachingBackend, FixtureBackend
 from evidencia.records import read_enriched, read_news
 
 from conftest import CASSETTES, FIXTURES, ROOT
@@ -312,9 +313,15 @@ class TestExitCodes:
         ("[1]\n", ["validate", "--in", CORPUS, "--out", "{out}", "--decisions", "{bad}"]),
         (None, ["validate", "--in", "{bad}", "--out", "{out}"]),
         ("", ["split", "--in", CORPUS, "--out-dir", "{bad}"]),
+        ('{"members": 5}\n', ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
+        ('{"id": "x", "corpus": "fakebr", "label": "fake", "text": "t", "extra": 5}\n',
+         ["validate", "--in", "{bad}", "--out", "{out}"]),
+        ('{"id": "rev-0001", "kind": "near_duplicate", "record_ids": 3}\n',
+         ["review", "--queue", "{bad}", "--out", "{out}"]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
-            "validate-in-directory", "split-out-dir-file"])
+            "validate-in-directory", "split-out-dir-file", "clusters-members-int", "validate-extra-int",
+            "review-record-ids-int"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
         bad = tmp_path / "bad.jsonl"
         if content is None:
@@ -397,14 +404,27 @@ class TestBrokenCassettes:
 
     def test_cut_cache_entry_is_fetched_again_and_rewritten(self, pipeline, tmp_path):
         cache = tmp_path / "cache"
+        log = cache / CachingBackend.LOG_NAME
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         assert self.enrich(pipeline, first, CASSETTES, "--cache", str(cache)) == 0
-        entry = sorted(cache.glob("*.json"))[0]
-        whole = entry.read_bytes()
-        entry.write_bytes(whole[:100])
+        whole = log.read_bytes()
+        last = whole.splitlines(keepends=True)[-1]
+        cut = whole[: len(whole) - len(last) + 100]  # as a run killed mid-write leaves it
+        log.write_bytes(cut)
         assert self.enrich(pipeline, second, CASSETTES, "--cache", str(cache)) == 0
-        assert entry.read_bytes() == whole
         assert second.read_bytes() == first.read_bytes()
+        # Nothing is rewritten in place: the cut line is closed by a newline
+        # and its request is appended again whole.
+        assert log.read_bytes() == cut + b"\n" + last
+        lines = log.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        unparsed = []
+        for line in lines[:-1]:
+            try:
+                json.loads(line)
+            except ValueError:
+                unparsed.append(line)
+        assert unparsed == [cut.rsplit(b"\n", 1)[-1]]
 
     def test_cut_fixture_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys):
         fixtures = tmp_path / "cassettes"
@@ -470,9 +490,43 @@ class TestEnrichModes:
         assert main(["enrich", "--in", str(pipeline["validated"]), "--out", str(out),
                      "--provider", "fixture", "--fixtures", str(CASSETTES),
                      "--cache", str(cache)]) == 0
-        assert any(cache.iterdir())
+        assert [path.name for path in cache.iterdir()] == [CachingBackend.LOG_NAME]
         manifest = load_manifest(f"{out}.manifest.json")
         assert manifest["cache_hash"]
+
+    def enrich_cached(self, pipeline, out, cache, *extra):
+        return main(["enrich", "--in", str(pipeline["validated"]), "--out", str(out),
+                     "--provider", "fixture", "--fixtures", str(CASSETTES), "--cache", str(cache), *extra])
+
+    @staticmethod
+    def logged_hashes(cache):
+        lines = (cache / CachingBackend.LOG_NAME).read_bytes().split(b"\n")
+        assert lines.pop() == b""  # every line, the last included, is whole
+        return [json.loads(line)["request_hash"] for line in lines]
+
+    def test_rerun_with_the_cache_fetches_nothing_it_logged(self, pipeline, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        assert self.enrich_cached(pipeline, first, cache) == 0
+        logged = set(self.logged_hashes(cache))
+        fetched = []
+        real_fetch = FixtureBackend.fetch
+
+        def counting_fetch(self, kind, payload, digest=None):
+            fetched.append(digest)
+            return real_fetch(self, kind, payload, digest)
+
+        monkeypatch.setattr(FixtureBackend, "fetch", counting_fetch)
+        assert self.enrich_cached(pipeline, second, cache) == 0
+        assert logged and not logged & set(fetched)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_parallel_cache_log_matches_serial(self, pipeline, tmp_path):
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert self.enrich_cached(pipeline, tmp_path / "s.jsonl", serial) == 0
+        assert self.enrich_cached(pipeline, tmp_path / "p.jsonl", parallel, "--parallelism", "4") == 0
+        assert set(self.logged_hashes(parallel)) == set(self.logged_hashes(serial))
+        assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
 
 
 class TestEntryPoint:

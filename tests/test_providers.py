@@ -32,6 +32,57 @@ from evidencia.records import SchemaError
 # Entries a reader must not trust: cut short, not an object, no body.
 BROKEN_ENTRIES = ('{"body": {"items": [', '[]', '{"kind": "web_search"}', '{"body": "texto"}')
 
+X_PAYLOAD = {"query": "x"}
+X_DIGEST = request_hash(KIND_WEB, X_PAYLOAD)
+
+
+def log_line(kind, payload, body, captured_at=""):
+    """One cache log line, as ``CachingBackend`` appends it."""
+    record = {"request_hash": request_hash(kind, payload), "kind": kind, "captured_at": captured_at,
+              "request": payload, "body": body}
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+# BROKEN_ENTRIES as cache log lines for X_PAYLOAD. The cut one is how the
+# last line of a run killed mid-write begins (keys are sorted, so "body"
+# comes first) and ends the log without a newline; the objects carry
+# X_DIGEST, so only their body is wrong.
+BROKEN_LINES = {
+    BROKEN_ENTRIES[0]: BROKEN_ENTRIES[0],
+    "[]": "[]\n",
+    '{"kind": "web_search"}': json.dumps({"kind": KIND_WEB, "request_hash": X_DIGEST}) + "\n",
+    '{"body": "texto"}': json.dumps({"body": "texto", "request_hash": X_DIGEST}) + "\n",
+}
+
+
+def cache_log(directory):
+    return Path(directory) / CachingBackend.LOG_NAME
+
+
+def run_threads(worker, count):
+    """Run ``worker(n)`` for n in range(count) on threads switching as often
+    as the interpreter allows; the exceptions they raised."""
+    errors = []
+
+    def guarded(n):
+        try:
+            worker(n)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=(n,)) for n in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
 
 class TestRequestHash:
     def test_deterministic(self):
@@ -94,7 +145,7 @@ class CountingBackend:
         self.exc = exc
         self.calls = 0
 
-    def fetch(self, kind, payload):
+    def fetch(self, kind, payload, digest=None):
         self.calls += 1
         if self.exc:
             raise self.exc
@@ -121,43 +172,104 @@ class TestCachingBackend:
         assert list(tmp_path.iterdir()) == []
 
     def test_read_only_serves_existing_entries(self, tmp_path):
-        payload = {"query": "x"}
-        write_cassette(tmp_path, KIND_WEB, payload, {"items": [{"title": "cached"}]})
+        log = cache_log(tmp_path)
+        log.write_text(log_line(KIND_WEB, X_PAYLOAD, {"items": [{"title": "cached"}]}), encoding="utf-8")
+        before = log.read_bytes()
         inner = CountingBackend()
         cache = CachingBackend(inner, tmp_path, mode="read_only")
-        assert cache.fetch(KIND_WEB, payload)["items"][0]["title"] == "cached"
+        assert cache.fetch(KIND_WEB, X_PAYLOAD)["items"][0]["title"] == "cached"
         assert inner.calls == 0
+        assert log.read_bytes() == before
 
     def test_bypass_ignores_cache_entirely(self, tmp_path):
-        payload = {"query": "x"}
-        write_cassette(tmp_path, KIND_WEB, payload, {"items": [{"title": "cached"}]})
+        log = cache_log(tmp_path)
+        log.write_text(log_line(KIND_WEB, X_PAYLOAD, {"items": [{"title": "cached"}]}), encoding="utf-8")
+        before = log.read_bytes()
         inner = CountingBackend()
         cache = CachingBackend(inner, tmp_path, mode="bypass")
-        assert cache.fetch(KIND_WEB, payload)["items"][0]["title"] == "live"
+        assert cache.fetch(KIND_WEB, X_PAYLOAD)["items"][0]["title"] == "live"
         assert inner.calls == 1
+        assert log.read_bytes() == before
 
-    @pytest.mark.parametrize("text", BROKEN_ENTRIES)
-    def test_unreadable_entry_is_a_miss_and_is_rewritten(self, tmp_path, text):
-        payload = {"query": "x"}
-        path = write_cassette(tmp_path, KIND_WEB, payload, {"items": []})
-        path.write_text(text, encoding="utf-8")
+    @pytest.mark.parametrize("entry", BROKEN_ENTRIES)
+    def test_unreadable_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
+        text = BROKEN_LINES[entry]
+        log = cache_log(tmp_path)
+        log.write_text(text, encoding="utf-8")
         inner = CountingBackend()
         cache = CachingBackend(inner, tmp_path, clock=FrozenClock())
-        assert cache.fetch(KIND_WEB, payload) == inner.body
+        assert cache.fetch(KIND_WEB, X_PAYLOAD) == inner.body
         assert (cache.hits, cache.misses, inner.calls) == (0, 1, 1)
-        assert json.loads(path.read_text(encoding="utf-8"))["body"] == inner.body
-        assert cache.fetch(KIND_WEB, payload) == inner.body
+        # The bad line stays; one whole line follows it, on a line of its own.
+        whole = log_line(KIND_WEB, X_PAYLOAD, inner.body, FrozenClock().utc_instant())
+        separator = "" if text.endswith("\n") else "\n"
+        assert log.read_text(encoding="utf-8") == text + separator + whole
+        assert cache.fetch(KIND_WEB, X_PAYLOAD) == inner.body
         assert (cache.hits, cache.misses, inner.calls) == (1, 1, 1)
+        again = CountingBackend()
+        reopened = CachingBackend(again, tmp_path, clock=FrozenClock())
+        assert reopened.fetch(KIND_WEB, X_PAYLOAD) == inner.body
+        assert (reopened.hits, reopened.misses, again.calls) == (1, 0, 0)
 
     def test_read_only_leaves_an_unreadable_entry_alone(self, tmp_path):
-        payload = {"query": "x"}
-        path = write_cassette(tmp_path, KIND_WEB, payload, {"items": []})
-        path.write_text(BROKEN_ENTRIES[0], encoding="utf-8")
+        text = BROKEN_LINES[BROKEN_ENTRIES[0]]
+        log = cache_log(tmp_path)
+        log.write_text(text, encoding="utf-8")
         inner = CountingBackend()
         cache = CachingBackend(inner, tmp_path, mode="read_only")
-        assert cache.fetch(KIND_WEB, payload) == inner.body
+        assert cache.fetch(KIND_WEB, X_PAYLOAD) == inner.body
         assert (cache.misses, inner.calls) == (1, 1)
-        assert path.read_text(encoding="utf-8") == BROKEN_ENTRIES[0]
+        assert log.read_text(encoding="utf-8") == text
+
+    def test_cut_entry_is_how_a_real_line_begins(self):
+        assert log_line(KIND_WEB, X_PAYLOAD, {"items": [{"title": "t"}]}).startswith(BROKEN_ENTRIES[0])
+
+    def test_log_is_the_only_file_and_one_line_per_miss(self, tmp_path):
+        inner = CountingBackend()
+        cache = CachingBackend(inner, tmp_path, clock=FrozenClock())
+        payloads = [{"query": f"q{n}"} for n in range(3)]
+        for payload in payloads + payloads:
+            cache.fetch(KIND_WEB, payload)
+        assert list(tmp_path.iterdir()) == [cache_log(tmp_path)]
+        expected = "".join(log_line(KIND_WEB, p, inner.body, FrozenClock().utc_instant()) for p in payloads)
+        assert cache_log(tmp_path).read_text(encoding="utf-8") == expected
+
+    def test_line_separator_characters_stay_inside_a_line(self, tmp_path):
+        payload = {"query": "a\u2028b\x85c\x1cd"}
+        body = {"items": [{"title": "e\u2029f"}]}
+        CachingBackend(CountingBackend(body), tmp_path).fetch(KIND_WEB, payload)
+        again = CountingBackend()
+        assert CachingBackend(again, tmp_path).fetch(KIND_WEB, payload) == body
+        assert again.calls == 0
+
+    def test_each_fetch_hashes_its_request_once(self, tmp_path, monkeypatch):
+        from evidencia import providers
+
+        hashed = []
+        real = providers.request_hash
+        monkeypatch.setattr(providers, "request_hash", lambda kind, payload: hashed.append(kind) or real(kind, payload))
+        write_cassette(tmp_path / "fixtures", KIND_WEB, X_PAYLOAD, {"items": [{"title": "recorded"}]})
+        hashed.clear()
+        cache = CachingBackend(FixtureBackend(tmp_path / "fixtures"), tmp_path / "cache", clock=FrozenClock())
+        assert cache.fetch(KIND_WEB, X_PAYLOAD)["items"][0]["title"] == "recorded"
+        assert cache.fetch(KIND_WEB, X_PAYLOAD)["items"][0]["title"] == "recorded"
+        assert hashed == [KIND_WEB, KIND_WEB]
+
+    def test_counters_and_log_under_threads(self, tmp_path):
+        cache = CachingBackend(CountingBackend(), tmp_path, clock=FrozenClock())
+        payloads = [{"query": f"q{n % 25}"} for n in range(400)]
+
+        def worker(n):
+            for payload in payloads[n::8]:
+                cache.fetch(KIND_WEB, payload)
+
+        assert run_threads(worker, 8) == []
+        assert cache.hits + cache.misses == len(payloads)
+        lines = cache_log(tmp_path).read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert len(lines) == cache.misses
+        logged = {json.loads(line)["request_hash"] for line in lines}
+        assert logged == {request_hash(KIND_WEB, p) for p in payloads}
 
     def test_unknown_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -189,30 +301,15 @@ class TestAtomicCassetteWrite:
         payload = {"query": "x"}
         body = {"items": [{"title": "t" * 20000}]}
         path = tmp_path / f"{request_hash(KIND_WEB, payload)}.json"
-        errors = []
 
         def worker(n):
-            try:
-                for _ in range(40):
-                    if n % 2:
-                        write_cassette(tmp_path, KIND_WEB, payload, body)
-                    elif path.exists():
-                        assert json.loads(path.read_text(encoding="utf-8"))["body"] == body
-            except Exception as exc:
-                errors.append(exc)
+            for _ in range(40):
+                if n % 2:
+                    write_cassette(tmp_path, KIND_WEB, payload, body)
+                elif path.exists():
+                    assert json.loads(path.read_text(encoding="utf-8"))["body"] == body
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        assert run_threads(worker, 8) == []
         assert list(tmp_path.iterdir()) == [path]
 
 
@@ -259,6 +356,17 @@ class TestLiveBackend:
         assert len(transport.calls) == 4
         # backoff 0.5, 1.0, 2.0 between the four attempts
         assert clock.now() == pytest.approx(3.5)
+
+    def test_attempts_count_every_call_under_threads(self):
+        transport = make_transport([(200, '{"items": []}')])
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
+
+        def worker(n):
+            for _ in range(50):
+                backend.fetch(KIND_WEB, WebSearchRequest(query=f"q{n}").payload())
+
+        assert run_threads(worker, 8) == []
+        assert backend.attempts == len(transport.calls) == 400
 
     def test_client_error_fails_immediately(self):
         transport = make_transport([(403, "denied")])

@@ -46,26 +46,13 @@ def text_stats(items: Sequence[NewsItem]) -> dict[str, dict[str, float]]:
     return out
 
 
-def domain_distribution(
-    records: Sequence[EnrichedRecord], which: str = "both"
-) -> dict[str, int]:
-    """Aggregated result-domain counts across search results.
-
-    ``which`` selects ``initial``, ``claim`` or ``both`` result lists.
-    Unparseable links count under ``invalid``.
-    """
-    if which not in ("initial", "claim", "both"):
-        raise ValueError("which must be initial, claim or both")
+def domain_distribution(records: Sequence[EnrichedRecord]) -> dict[str, int]:
+    """Aggregated result-domain counts across the initial and claim search
+    results. Unparseable links count under ``invalid``."""
     counts: Counter[str] = Counter()
     for rec in records:
-        pools = []
-        if which in ("initial", "both"):
-            pools.append(rec.initial_results)
-        if which in ("claim", "both") and rec.claim_results:
-            pools.append(rec.claim_results)
-        for pool in pools:
-            for result in pool:
-                counts[aggregate_domain(result.link)] += 1
+        for result in (*rec.initial_results, *(rec.claim_results or ())):
+            counts[aggregate_domain(result.link)] += 1
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 

@@ -258,18 +258,15 @@ def _file_hash(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _dir_hash(path: str | None) -> str | None:
-    """Order-independent content hash of a directory's files, or None."""
-    if not path:
+def _log_hash(directory: str | None) -> str | None:
+    """Content hash of the recorded-response log in ``directory``, or None
+    when there is none."""
+    if not directory:
         return None
-    root = Path(path)
-    if not root.is_dir():
-        return None
-    digest = hashlib.sha256()
-    for file in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(str(file.relative_to(root)).encode("utf-8"))
-        digest.update(_file_hash(file).encode("ascii"))
-    return digest.hexdigest()
+    from .providers import LOG_NAME
+
+    log = Path(directory, LOG_NAME)
+    return _file_hash(log) if log.is_file() else None
 
 
 def _write_json(path: Path, payload: Any, sort_keys: bool = False) -> None:
@@ -301,8 +298,8 @@ def _write_manifest(subcommand: str, conf: dict[str, Any], run: Run, started_at:
         "config": dict(sorted(conf.items())),
         "resource_hashes": resources.resource_hashes(),
         "provider_mode": conf.get("provider"),
-        "fixtures_hash": _dir_hash(conf.get("fixtures")),
-        "cache_hash": _dir_hash(conf.get("cache")),
+        "fixtures_hash": _log_hash(conf.get("fixtures")),
+        "cache_hash": _log_hash(conf.get("cache")),
         "input_hashes": {p: _file_hash(Path(p)) for p in run.inputs if p and Path(p).is_file()},
         "outputs": run.outputs,
         "started_at": started_at,

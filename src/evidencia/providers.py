@@ -6,13 +6,20 @@ request's hash when the caller has already computed it, so one request is
 hashed once:
 
 * ``LiveBackend`` performs HTTP calls (credentials from ``EVD_*`` environment
-  variables), retrying transport errors, 429 and 5xx responses up to
-  ``MAX_RETRIES`` times with exponential backoff;
-* ``FixtureBackend`` replays recorded response bodies from a directory keyed
-  by request hash, for deterministic offline runs;
-* ``CachingBackend`` wraps another backend with a persistent response cache:
-  one append-only JSONL log in the cache directory, one line per response,
-  each line holding the keys of a fixture file.
+  variables), retrying transport errors (``OSError``, which ``requests``'
+  exceptions are), 429 and 5xx responses up to ``MAX_RETRIES`` times with
+  exponential backoff; any other exception is a bug and propagates;
+* ``FixtureBackend`` replays recorded response bodies, for deterministic
+  offline runs;
+* ``CachingBackend`` wraps another backend with a persistent response cache.
+
+Fixtures and cache share one on-disk format: the append-only log
+``<dir>/responses.jsonl``, one compact JSON line per response holding
+``request_hash``, ``kind``, ``captured_at``, ``request`` and ``body``.
+``write_cassette`` and the cache append to it with the same line encoder.
+The fixture reader is strict (a broken line is a broken recording) and the
+cache reader lenient (a cut last line is what a crash leaves). Directories in
+the older one-``<hash>.json``-per-response layout are not read.
 
 The parsing helpers (``web_search``, ``factcheck_search``, ``llm_generate``)
 sit on top of any backend, so cached, recorded and live responses go through
@@ -31,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from .clocks import Clock, FrozenClock, SystemClock  # FrozenClock re-exported for callers
-from .records import CACHE_MODES, DEFAULT_MODEL, ClaimReviewResult, SchemaError, WebResult
+from .records import CACHE_MODES, DEFAULT_MODEL, ClaimReviewResult, SchemaError, WebResult, read_jsonl
 
 KIND_WEB = "web_search"
 KIND_FACTCHECK = "factcheck"
@@ -45,6 +52,8 @@ ENV_LLM_KEY = "EVD_LLM_KEY"
 WEB_SEARCH_URL = "https://www.googleapis.com/customsearch/v1"
 FACTCHECK_URL = "https://factchecktools.googleapis.com/v1alpha1/claims:search"
 LLM_URL_TEMPLATE = "https://generativelanguage.googleapis.com/v1beta/models/{model}:generateContent"
+
+LOG_NAME = "responses.jsonl"
 
 MAX_RETRIES = 3
 BACKOFF_INITIAL = 0.5
@@ -140,7 +149,7 @@ class LiveBackend:
                 self.attempts += 1
             try:
                 status, text = self.transport(method, url, params, body)
-            except Exception as exc:  # transport-level failure, retryable
+            except OSError as exc:  # transport-level failure, retryable
                 last_error = f"transport error: {exc}"
                 continue
             if status == 200:
@@ -211,46 +220,43 @@ def _empty_body(kind: str) -> dict[str, Any]:
 
 
 class FixtureBackend:
-    """Replays recorded bodies from ``<dir>/<request_hash>.json`` files.
+    """Replays the bodies recorded in ``<dir>/responses.jsonl``.
 
-    Unknown search requests replay as empty result sets; unknown generation
-    requests fail, because silence is not a plausible model output. A
-    recorded file that does not parse, or holds no body, is a broken
-    recording: ``SchemaError`` names it.
+    The log is read once, when the backend is built, and strictly: a line
+    that does not parse, or holds no ``request_hash`` and ``body`` object,
+    is a broken recording, and ``SchemaError`` names ``responses.jsonl:<line>``;
+    a missing log raises ``FileNotFoundError``. Unknown search requests
+    replay as empty result sets; unknown generation requests fail, because
+    silence is not a plausible model output.
     """
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
+        self._entries = dict(read_jsonl(Path(directory) / LOG_NAME, _entry))
 
     def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
-        path = self.directory / f"{digest or request_hash(kind, payload)}.json"
-        try:
-            return _read_body(path)
-        except FileNotFoundError:
-            return _empty_body(kind)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: unreadable recorded response: {exc}") from None
+        body = self._entries.get(digest or request_hash(kind, payload))
+        return _empty_body(kind) if body is None else body
 
 
-def _read_body(path: Path) -> dict[str, Any]:
-    """The ``body`` of the cassette at ``path``; ``ValueError`` when the
-    file does not parse or holds no body object."""
-    body = _body_of(json.loads(path.read_text(encoding="utf-8")))
-    if body is None:
-        raise ValueError("no response body")
-    return body
+def _entry(stored: Any) -> tuple[str, dict[str, Any]]:
+    """The ``(request_hash, body)`` of a parsed log line; ``SchemaError``
+    when the line holds no such pair."""
+    if isinstance(stored, dict):
+        digest, body = stored.get("request_hash"), stored.get("body")
+        if isinstance(digest, str) and isinstance(body, dict):
+            return digest, body
+    raise SchemaError("a recorded response needs a request_hash and a body object")
 
 
-def _body_of(stored: Any) -> dict[str, Any] | None:
-    """The ``body`` object of a parsed cassette, or None when it holds none."""
-    body = stored.get("body") if isinstance(stored, dict) else None
-    return body if isinstance(body, dict) else None
+def _log_line(digest: str, kind: str, payload: dict[str, Any], body: dict[str, Any], captured_at: str) -> bytes:
+    """One compact log line, its keys sorted, ending in a newline."""
+    record = {"request_hash": digest, "kind": kind, "captured_at": captured_at, "request": payload, "body": body}
+    return (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _cassette(digest: str, kind: str, payload: dict[str, Any], body: dict[str, Any],
-              captured_at: str) -> dict[str, Any]:
-    """The keys of a fixture file and of a cache log line."""
-    return {"request_hash": digest, "kind": kind, "captured_at": captured_at, "request": payload, "body": body}
+def _write_all(fd: int, data: bytes) -> None:
+    while data:  # one write unless the kernel takes only part of it
+        data = data[os.write(fd, data):]
 
 
 def write_cassette(
@@ -260,50 +266,43 @@ def write_cassette(
     body: dict[str, Any],
     captured_at: str = "",
 ) -> Path:
-    """Record one response body as the fixture file ``<request_hash>.json``.
+    """Record one response body as a line of ``<directory>/responses.jsonl``.
 
-    The file is written under a name unique to this writer and then renamed
-    onto its final path, so a reader never sees a half-written cassette:
-    an interrupted write leaves no entry, and concurrent writers of the same
-    entry each install a complete file.
+    The line goes out in a single write on an append-only descriptor, so
+    concurrent writers never interleave. Returns the log's path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    digest = request_hash(kind, payload)
-    path = directory / f"{digest}.json"
-    record = _cassette(digest, kind, payload, body, captured_at)
-    tmp = directory / f".{digest}.{os.getpid()}.{threading.get_ident()}.tmp"
+    log = directory / LOG_NAME
+    line = _log_line(request_hash(kind, payload), kind, payload, body, captured_at)
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
-        tmp.write_text(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        _write_all(fd, line)
     finally:
-        tmp.unlink(missing_ok=True)
-    return path
+        os.close(fd)
+    return log
 
 
 class CachingBackend:
     """Persistent response cache in front of another backend.
 
     The cache is the log ``<directory>/responses.jsonl``, read once when the
-    backend is built. Each miss in ``read_write`` mode appends one line
-    holding a fixture file's keys, in a single write on an append-only file
+    backend is built. Each miss in ``read_write`` mode appends one line, as
+    ``write_cassette`` does, in a single write on an append-only file
     descriptor, so concurrent appends never interleave. A line that does not
     parse, or holds no body object (say, the last line of a run that was
     killed mid-write), is skipped: its request is a miss, answered again by
-    the inner backend and, in ``read_write`` mode, appended whole. Per-file
-    ``<hash>.json`` entries that older versions wrote are not read. The log's
+    the inner backend and, in ``read_write`` mode, appended whole. The log's
     descriptor opens at the first append and closes when the backend is
     garbage-collected.
     """
-
-    LOG_NAME = "responses.jsonl"
 
     def __init__(self, inner: Backend, directory: str | Path, mode: str = "read_write", clock: Clock | None = None):
         if mode not in CACHE_MODES:
             raise ValueError(f"cache mode must be one of {CACHE_MODES}")
         self.inner = inner
         self.directory = Path(directory)
-        self.log = self.directory / self.LOG_NAME
+        self.log = self.directory / LOG_NAME
         self.mode = mode
         self.clock = clock or SystemClock()
         self.hits = 0
@@ -324,13 +323,10 @@ class CachingBackend:
         # which ensure_ascii=False leaves unescaped inside a line.
         for line in data.split(b"\n"):
             try:
-                stored = json.loads(line)
-            except ValueError:
+                digest, body = _entry(json.loads(line))
+            except ValueError:  # SchemaError included
                 continue
-            body = _body_of(stored)
-            digest = stored.get("request_hash") if body is not None else None
-            if isinstance(digest, str):
-                self._entries[digest] = body
+            self._entries[digest] = body
         self._needs_newline = bool(data) and not data.endswith(b"\n")
 
     def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
@@ -345,11 +341,10 @@ class CachingBackend:
             self.misses += 1
         body = self.inner.fetch(kind, payload, digest)
         if self.mode == "read_write":
-            self._append(_cassette(digest, kind, payload, body, self.clock.utc_instant()))
+            self._append(digest, body, _log_line(digest, kind, payload, body, self.clock.utc_instant()))
         return body
 
-    def _append(self, record: dict[str, Any]) -> None:
-        line = (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+    def _append(self, digest: str, body: dict[str, Any], line: bytes) -> None:
         with self._lock:
             if self._fd is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -358,9 +353,8 @@ class CachingBackend:
             if self._needs_newline:  # a cut last line must not swallow this one
                 line = b"\n" + line
                 self._needs_newline = False
-            while line:  # one write unless the kernel takes only part of it
-                line = line[os.write(self._fd, line):]
-            self._entries[record["request_hash"]] = record["body"]
+            _write_all(self._fd, line)
+            self._entries[digest] = body
 
 
 def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:

@@ -81,23 +81,11 @@ class TestDomainDistribution:
         ]
 
     def test_both_pools_aggregated(self):
-        dist = domain_distribution(self.records(), which="both")
+        dist = domain_distribution(self.records())
         assert dist == {"gov.br": 2, "uol.com.br": 2, "invalid": 1}
 
-    def test_initial_only(self):
-        dist = domain_distribution(self.records(), which="initial")
-        assert dist == {"gov.br": 2, "uol.com.br": 1}
-
-    def test_claim_only(self):
-        dist = domain_distribution(self.records(), which="claim")
-        assert dist == {"invalid": 1, "uol.com.br": 1}
-
-    def test_unknown_pool_rejected(self):
-        with pytest.raises(ValueError):
-            domain_distribution([], which="all")
-
     def test_sorted_by_count_then_name(self):
-        dist = domain_distribution(self.records(), which="both")
+        dist = domain_distribution(self.records())
         counts = list(dist.values())
         assert counts == sorted(counts, reverse=True)
         assert list(dist)[:2] == ["gov.br", "uol.com.br"]

@@ -15,7 +15,7 @@ import evidencia
 from evidencia import cli
 from evidencia.cli import main
 from evidencia.enrichment import FunnelStats
-from evidencia.providers import CachingBackend, FixtureBackend
+from evidencia.providers import LOG_NAME, FixtureBackend
 from evidencia.records import read_enriched, read_news
 
 from conftest import CASSETTES, FIXTURES, ROOT
@@ -57,8 +57,8 @@ MANIFEST_DIGESTS = {
     "analysis.json.manifest.json": "277a958369c0b925e565ad15142788033aef7c7892ce8879cd92e5f1d240be0e",
     "clusters.jsonl.manifest.json": "86d428d634d38250668ff123a7bdb929b5eaa13a1067fdb17d4f5f6a9629db26",
     "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
-    "enriched.jsonl.manifest.json": "16daf156581f5e3340b3968c39a5ce5d3665c71d975b14ada845ccb2a764476a",
-    "evaluation.json.manifest.json": "5b8394f817badc70199cd2e5b665dbd727e36bebac2ba49ac377fafc6f82ab57",
+    "enriched.jsonl.manifest.json": "5908d7aacdbe8215113b006b3e299bf8d484b141848d1cebfde747bec412e6c4",
+    "evaluation.json.manifest.json": "4cb02649dbc270d1093a73a9881ab4de9a147bb6d809aa3e9a95d3475cd33936",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
     "splits/manifest.json": "fd304eefaf0110d12297ae6c25bab8a0839ec559ec4a111a0c58f4725e460ca0",
     "validated.jsonl.manifest.json": "7509231265e8b7fbcfda37454fb54eb347fa74b59afa11365d2421f7d713a67f",
@@ -286,6 +286,7 @@ class TestExitCodes:
     def test_evaluate_error_rate_gate(self, pipeline, tmp_path, capsys):
         empty = tmp_path / "no-cassettes"
         empty.mkdir()
+        (empty / LOG_NAME).touch()
         code = main(["evaluate", "--in", str(pipeline["splits"] / "test.jsonl"),
                      "--shots-from", str(pipeline["splits"] / "train.jsonl"),
                      "--out", str(tmp_path / "r.json"),
@@ -404,7 +405,7 @@ class TestBrokenCassettes:
 
     def test_cut_cache_entry_is_fetched_again_and_rewritten(self, pipeline, tmp_path):
         cache = tmp_path / "cache"
-        log = cache / CachingBackend.LOG_NAME
+        log = cache / LOG_NAME
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         assert self.enrich(pipeline, first, CASSETTES, "--cache", str(cache)) == 0
         whole = log.read_bytes()
@@ -428,13 +429,49 @@ class TestBrokenCassettes:
 
     def test_cut_fixture_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys):
         fixtures = tmp_path / "cassettes"
-        shutil.copytree(CASSETTES, fixtures)
-        cut = sorted(fixtures.glob("*.json"))
-        for path in cut:
-            path.write_bytes(path.read_bytes()[:100])
-        assert self.enrich(pipeline, tmp_path / "e.jsonl", fixtures) == 2
-        err = capsys.readouterr().err
-        assert any(str(path) in err for path in cut), err
+        fixtures.mkdir()
+        lines = (CASSETTES / LOG_NAME).read_bytes().splitlines(keepends=True)
+        (fixtures / LOG_NAME).write_bytes(b"".join(line[:100] + b"\n" for line in lines))
+        out = tmp_path / "e.jsonl"
+        assert self.enrich(pipeline, out, fixtures) == 2
+        assert f"{fixtures / LOG_NAME}:1: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def run_on(subcommand, pipeline, out, fixtures):
+        argv = {
+            "enrich": ["enrich", "--in", str(pipeline["validated"])],
+            "evaluate": ["evaluate", "--in", str(pipeline["splits"] / "test.jsonl"),
+                         "--shots-from", str(pipeline["splits"] / "train.jsonl")],
+        }[subcommand]
+        return main([*argv, "--out", str(out), "--provider", "fixture", "--fixtures", str(fixtures)])
+
+    @pytest.mark.parametrize("subcommand", ["enrich", "evaluate"])
+    @pytest.mark.parametrize("kind", ["llm", "web_search"])
+    def test_one_cut_line_fails_before_any_record(self, pipeline, tmp_path, capsys, kind, subcommand):
+        # Whichever request the cut line recorded, and whether or not this
+        # subcommand would send it, the run stops before it writes anything.
+        fixtures = tmp_path / "cassettes"
+        fixtures.mkdir()
+        lines = (CASSETTES / LOG_NAME).read_bytes().splitlines(keepends=True)
+        cut = next(n for n, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        lines[cut] = lines[cut][:100] + b"\n"
+        (fixtures / LOG_NAME).write_bytes(b"".join(lines))
+        out = tmp_path / "out" / "result"
+        assert self.run_on(subcommand, pipeline, out, fixtures) == 2
+        assert f"{fixtures / LOG_NAME}:{cut + 1}: " in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("subcommand", ["enrich", "evaluate"])
+    def test_directory_without_a_log_exits_2_and_names_it(self, pipeline, tmp_path, capsys, subcommand):
+        # The older per-file layout is not read: without the log there is nothing to replay.
+        fixtures = tmp_path / "cassettes"
+        fixtures.mkdir()
+        (fixtures / f"{'0' * 64}.json").write_text('{"body": {"items": []}}', encoding="utf-8")
+        out = tmp_path / "out" / "result"
+        assert self.run_on(subcommand, pipeline, out, fixtures) == 2
+        assert str(fixtures / LOG_NAME) in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 class TestConfigFile:
@@ -490,7 +527,7 @@ class TestEnrichModes:
         assert main(["enrich", "--in", str(pipeline["validated"]), "--out", str(out),
                      "--provider", "fixture", "--fixtures", str(CASSETTES),
                      "--cache", str(cache)]) == 0
-        assert [path.name for path in cache.iterdir()] == [CachingBackend.LOG_NAME]
+        assert [path.name for path in cache.iterdir()] == [LOG_NAME]
         manifest = load_manifest(f"{out}.manifest.json")
         assert manifest["cache_hash"]
 
@@ -500,7 +537,7 @@ class TestEnrichModes:
 
     @staticmethod
     def logged_hashes(cache):
-        lines = (cache / CachingBackend.LOG_NAME).read_bytes().split(b"\n")
+        lines = (cache / LOG_NAME).read_bytes().split(b"\n")
         assert lines.pop() == b""  # every line, the last included, is whole
         return [json.loads(line)["request_hash"] for line in lines]
 

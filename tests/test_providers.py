@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from evidencia.providers import (
+    LOG_NAME,
     CachingBackend,
     FactCheckRequest,
     FixtureBackend,
@@ -29,15 +30,18 @@ from evidencia.providers import (
 )
 from evidencia.records import SchemaError
 
-# Entries a reader must not trust: cut short, not an object, no body.
-BROKEN_ENTRIES = ('{"body": {"items": [', '[]', '{"kind": "web_search"}', '{"body": "texto"}')
+from conftest import CASSETTES
+
+# Entries a reader must not trust: cut short, not an object, no body, no request hash.
+BROKEN_ENTRIES = ('{"body": {"items": [', '[]', '{"kind": "web_search"}', '{"body": "texto"}',
+                  '{"body": {"items": []}}')
 
 X_PAYLOAD = {"query": "x"}
 X_DIGEST = request_hash(KIND_WEB, X_PAYLOAD)
 
 
 def log_line(kind, payload, body, captured_at=""):
-    """One cache log line, as ``CachingBackend`` appends it."""
+    """One log line, as ``write_cassette`` and ``CachingBackend`` append it."""
     record = {"request_hash": request_hash(kind, payload), "kind": kind, "captured_at": captured_at,
               "request": payload, "body": body}
     return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
@@ -45,18 +49,19 @@ def log_line(kind, payload, body, captured_at=""):
 
 # BROKEN_ENTRIES as cache log lines for X_PAYLOAD. The cut one is how the
 # last line of a run killed mid-write begins (keys are sorted, so "body"
-# comes first) and ends the log without a newline; the objects carry
-# X_DIGEST, so only their body is wrong.
+# comes first) and ends the log without a newline; the objects with a body
+# problem carry X_DIGEST, so only their body is wrong.
 BROKEN_LINES = {
     BROKEN_ENTRIES[0]: BROKEN_ENTRIES[0],
     "[]": "[]\n",
     '{"kind": "web_search"}': json.dumps({"kind": KIND_WEB, "request_hash": X_DIGEST}) + "\n",
     '{"body": "texto"}': json.dumps({"body": "texto", "request_hash": X_DIGEST}) + "\n",
+    '{"body": {"items": []}}': '{"body": {"items": []}}\n',
 }
 
 
 def cache_log(directory):
-    return Path(directory) / CachingBackend.LOG_NAME
+    return Path(directory) / LOG_NAME
 
 
 def run_threads(worker, count):
@@ -104,39 +109,83 @@ class TestRequestHash:
         int(digest, 16)
 
 
+def empty_log(directory):
+    """A fixture directory that recorded nothing."""
+    (Path(directory) / LOG_NAME).touch()
+    return directory
+
+
 class TestFixtureBackend:
     def test_replays_recorded_body(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
         payload = WebSearchRequest(query="vacina").payload()
         write_cassette(tmp_path, KIND_WEB, payload, {"items": [{"title": "T", "link": "L"}]})
+        backend = FixtureBackend(tmp_path)
         assert backend.fetch(KIND_WEB, payload)["items"][0]["title"] == "T"
 
     def test_unknown_search_is_empty(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
+        backend = FixtureBackend(empty_log(tmp_path))
         assert backend.fetch(KIND_WEB, {"query": "nada"}) == {"items": []}
         assert backend.fetch(KIND_FACTCHECK, {"query": "nada"}) == {"claims": []}
 
     def test_unknown_generation_fails(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
+        backend = FixtureBackend(empty_log(tmp_path))
         with pytest.raises(ProviderFailure):
             backend.fetch(KIND_LLM, LlmRequest(prompt="oi").payload())
 
+    def test_per_file_layout_is_not_read(self, tmp_path):
+        log = write_cassette(tmp_path, KIND_WEB, X_PAYLOAD, {"items": []})
+        log.rename(tmp_path / f"{X_DIGEST}.json")
+        with pytest.raises(FileNotFoundError, match=str(log)):
+            FixtureBackend(tmp_path)
+
     @pytest.mark.parametrize("text", BROKEN_ENTRIES)
     def test_unreadable_recording_names_the_file(self, tmp_path, text):
-        payload = WebSearchRequest(query="vacina").payload()
-        path = write_cassette(tmp_path, KIND_WEB, payload, {"items": []})
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(SchemaError, match=path.name):
-            FixtureBackend(tmp_path).fetch(KIND_WEB, payload)
+        # Whatever kind of request the broken line recorded, the whole log is
+        # refused when the backend is built, not when that request comes up.
+        write_cassette(tmp_path, KIND_WEB, WebSearchRequest(query="vacina").payload(), {"items": []})
+        with (tmp_path / LOG_NAME).open("a", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(SchemaError, match=f"{LOG_NAME}:2: "):
+            FixtureBackend(tmp_path)
 
     def test_cassette_file_format(self, tmp_path):
         payload = FactCheckRequest(query="checar isto").payload()
-        path = write_cassette(tmp_path, KIND_FACTCHECK, payload, {"claims": []}, "2024-07-09T00:00:00Z")
-        stored = json.loads(path.read_text())
+        body = {"claims": [{"text": "a\u2028b"}]}
+        log = write_cassette(tmp_path, KIND_FACTCHECK, payload, body, "2024-07-09T00:00:00Z")
+        assert log == tmp_path / LOG_NAME
+        assert list(tmp_path.iterdir()) == [log]
+        text = log.read_text(encoding="utf-8")
+        assert text == log_line(KIND_FACTCHECK, payload, body, "2024-07-09T00:00:00Z")
+        stored = json.loads(text)
         assert stored["kind"] == KIND_FACTCHECK
         assert stored["request"] == payload
         assert stored["captured_at"] == "2024-07-09T00:00:00Z"
-        assert stored["request_hash"] == path.stem == request_hash(KIND_FACTCHECK, payload)
+        assert stored["request_hash"] == request_hash(KIND_FACTCHECK, payload)
+        payload2 = FactCheckRequest(query="outra").payload()
+        write_cassette(tmp_path, KIND_FACTCHECK, payload2, {"claims": []})
+        assert log.read_text(encoding="utf-8") == text + log_line(KIND_FACTCHECK, payload2, {"claims": []})
+
+    def test_fixture_log_feeds_the_cache_and_back(self, tmp_path):
+        write_cassette(tmp_path / "fixtures", KIND_WEB, X_PAYLOAD, {"items": [{"title": "recorded"}]})
+        cache = CachingBackend(FixtureBackend(tmp_path / "fixtures"), tmp_path / "cache", clock=FrozenClock())
+        cache.fetch(KIND_WEB, X_PAYLOAD)
+        # A cache log is a fixture log: it replays strictly as one.
+        replay = FixtureBackend(tmp_path / "cache")
+        assert replay.fetch(KIND_WEB, X_PAYLOAD) == {"items": [{"title": "recorded"}]}
+
+
+class TestShippedFixtures:
+    def test_every_line_is_whole_unique_and_hashes_its_request(self):
+        data = (CASSETTES / LOG_NAME).read_bytes()
+        assert data.endswith(b"\n")
+        lines = data.split(b"\n")[:-1]
+        stored = [json.loads(line) for line in lines]
+        digests = [entry["request_hash"] for entry in stored]
+        assert len(set(digests)) == len(digests) == len(lines)
+        for entry in stored:
+            assert entry["request_hash"] == request_hash(entry["kind"], entry["request"])
+            assert isinstance(entry["body"], dict)
+        assert sorted(path.name for path in CASSETTES.iterdir()) == [LOG_NAME]
 
 
 class CountingBackend:
@@ -276,41 +325,24 @@ class TestCachingBackend:
             CachingBackend(CountingBackend(), tmp_path, mode="write_only")
 
 
-class TestAtomicCassetteWrite:
-    def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
-        payload = {"query": "x"}
-        real_write_text = Path.write_text
-
-        def cut_short(self, data, *args, **kwargs):
-            real_write_text(self, data[:100], *args, **kwargs)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(Path, "write_text", cut_short)
-        with pytest.raises(KeyboardInterrupt):
-            write_cassette(tmp_path, KIND_WEB, payload, {"items": [{"title": "t" * 500}]})
-        monkeypatch.undo()
-
-        assert not (tmp_path / f"{request_hash(KIND_WEB, payload)}.json").exists()
-        assert list(tmp_path.iterdir()) == []
-        inner = CountingBackend()
-        cache = CachingBackend(inner, tmp_path, clock=FrozenClock())
-        assert cache.fetch(KIND_WEB, payload) == inner.body
-        assert inner.calls == 1
-
-    def test_concurrent_writers_and_readers_see_whole_files(self, tmp_path):
-        payload = {"query": "x"}
+class TestCassetteWriters:
+    def test_concurrent_writers_leave_whole_lines(self, tmp_path):
         body = {"items": [{"title": "t" * 20000}]}
-        path = tmp_path / f"{request_hash(KIND_WEB, payload)}.json"
+        payloads = [{"query": f"q{n}"} for n in range(800)]
 
         def worker(n):
-            for _ in range(40):
-                if n % 2:
-                    write_cassette(tmp_path, KIND_WEB, payload, body)
-                elif path.exists():
-                    assert json.loads(path.read_text(encoding="utf-8"))["body"] == body
+            for payload in payloads[n::8]:
+                write_cassette(tmp_path, KIND_WEB, payload, body)
 
         assert run_threads(worker, 8) == []
-        assert list(tmp_path.iterdir()) == [path]
+        log = tmp_path / LOG_NAME
+        assert list(tmp_path.iterdir()) == [log]
+        lines = log.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert len(lines) == len(payloads)
+        assert sorted(lines) == sorted(log_line(KIND_WEB, p, body).rstrip("\n").encode("utf-8") for p in payloads)
+        backend = FixtureBackend(tmp_path)
+        assert all(backend.fetch(KIND_WEB, payload) == body for payload in payloads)
 
 
 def make_transport(script):
@@ -368,6 +400,32 @@ class TestLiveBackend:
         assert run_threads(worker, 8) == []
         assert backend.attempts == len(transport.calls) == 400
 
+    def test_programming_error_propagates_after_one_attempt(self):
+        calls = []
+
+        def transport(method, url, params, body):
+            calls.append(url)
+            raise TypeError("unexpected keyword")
+
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
+        assert len(calls) == 1 and backend.attempts == 1
+
+    def test_connection_error_is_retried_then_fails(self):
+        calls = []
+
+        def transport(method, url, params, body):
+            calls.append(url)
+            raise ConnectionError("connection reset")
+
+        clock = FrozenClock()
+        backend = LiveBackend(CREDS, clock=clock, transport=transport)
+        with pytest.raises(ProviderFailure, match=r"giving up after 4 attempts \(transport error: connection reset\)"):
+            backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
+        assert len(calls) == 4 and backend.attempts == 4
+        assert clock.now() == pytest.approx(3.5)
+
     def test_client_error_fails_immediately(self):
         transport = make_transport([(403, "denied")])
         backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
@@ -417,7 +475,6 @@ class TestClocks:
 
 class TestParsers:
     def test_web_search_prefers_html_fields_and_caps(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
         payload = WebSearchRequest(query="vacina", num=2).payload()
         items = [
             {"title": "plain", "htmlTitle": "<b>rico</b>", "link": "l1",
@@ -426,14 +483,13 @@ class TestParsers:
             {"title": "descartado", "link": "l3", "snippet": "s3"},
         ]
         write_cassette(tmp_path, KIND_WEB, payload, {"items": items})
-        results = web_search(WebSearchRequest(query="vacina", num=2), backend)
+        results = web_search(WebSearchRequest(query="vacina", num=2), FixtureBackend(tmp_path))
         assert [r.rank for r in results] == [1, 2]
         assert results[0].title == "<b>rico</b>"
         assert results[0].snippet == "<b>s</b>"
         assert results[1].title == "só plain"
 
     def test_factcheck_takes_first_review_and_skips_reviewless(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
         payload = FactCheckRequest(query="checagem").payload()
         body = {"claims": [
             {"text": "sem revisão"},
@@ -445,28 +501,25 @@ class TestParsers:
              ]},
         ]}
         write_cassette(tmp_path, KIND_FACTCHECK, payload, body)
-        results = factcheck_search(FactCheckRequest(query="checagem"), backend)
+        results = factcheck_search(FactCheckRequest(query="checagem"), FixtureBackend(tmp_path))
         assert len(results) == 1
         assert results[0].publisher_name == "Checagem"
         assert results[0].textual_rating == "Falso"
         assert results[0].rank == 1
 
     def test_llm_joins_candidate_parts(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
         request = LlmRequest(prompt="pergunta")
         body = {"candidates": [{"content": {"parts": [{"text": "uma "}, {"text": "resposta"}]}}]}
         write_cassette(tmp_path, KIND_LLM, request.payload(), body)
-        assert llm_generate(request, backend) == "uma resposta"
+        assert llm_generate(request, FixtureBackend(tmp_path)) == "uma resposta"
 
     def test_llm_text_shortcut(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
         request = LlmRequest(prompt="pergunta 2")
         write_cassette(tmp_path, KIND_LLM, request.payload(), {"text": "direto"})
-        assert llm_generate(request, backend) == "direto"
+        assert llm_generate(request, FixtureBackend(tmp_path)) == "direto"
 
     def test_llm_no_candidates_fails(self, tmp_path):
-        backend = FixtureBackend(tmp_path)
         request = LlmRequest(prompt="pergunta 3")
         write_cassette(tmp_path, KIND_LLM, request.payload(), {"candidates": []})
         with pytest.raises(ProviderFailure):
-            llm_generate(request, backend)
+            llm_generate(request, FixtureBackend(tmp_path))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from evidencia import validation
 from evidencia.dedup import near_duplicates
 from evidencia.langid import FixedDetector
-from evidencia.providers import FixtureBackend, KIND_FACTCHECK, write_cassette
+from evidencia.providers import LOG_NAME, FixtureBackend, KIND_FACTCHECK, write_cassette
 from evidencia.records import NewsItem, SchemaError, dumps_record
 from evidencia.textprep import build_query
 from evidencia.validation import (
@@ -172,6 +172,7 @@ class TestExternalLabels:
         assert report.review_items == []
 
     def test_no_reviews_passes(self, tmp_path):
+        (tmp_path / LOG_NAME).touch()
         report = ValidationReport(input_count=1)
         check_external_labels([item("a")], FixtureBackend(tmp_path), report)
         assert report.review_items == []

@@ -2,12 +2,12 @@
 """Regenerate the shipped demo fixtures.
 
 Produces fixtures/corpus.jsonl (a small mixed corpus that exercises every
-validation and enrichment path) and fixtures/cassettes/ (recorded provider
-responses keyed by request hash) so the whole pipeline runs offline and
-byte-identically. The script is deterministic: running it twice leaves the
-tree unchanged. It also replays the pipeline in-process and asserts that
-each record lands on its intended path, so a contract change that breaks a
-fixture fails here first.
+validation and enrichment path) and fixtures/cassettes/responses.jsonl (the
+log of recorded provider responses, one line per request) so the whole
+pipeline runs offline and byte-identically. The script is deterministic:
+running it twice leaves the tree unchanged. It also replays the pipeline
+in-process and asserts that each record lands on its intended path, so a
+contract change that breaks a fixture fails here first.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from evidencia.evalkit import EvalInstance, SplitSpec, classification_prompt, se
 from evidencia.langid import TrigramDetector  # noqa: E402
 from evidencia.matching import first_match  # noqa: E402
 from evidencia.providers import (  # noqa: E402
+    LOG_NAME,
     FixtureBackend,
     FrozenClock,
     KIND_FACTCHECK,
@@ -37,9 +38,10 @@ from evidencia.providers import (  # noqa: E402
     LlmRequest,
     WebSearchRequest,
     FactCheckRequest,
+    request_hash,
     write_cassette,
 )
-from evidencia.records import NewsItem, WebResult, write_news  # noqa: E402
+from evidencia.records import NewsItem, WebResult, read_jsonl, write_news  # noqa: E402
 from evidencia.textprep import build_query, llm_input, strip_emoji, strip_quotes  # noqa: E402
 from evidencia.validation import run_validation  # noqa: E402
 
@@ -395,15 +397,31 @@ def matching_item(query: str, link: str) -> dict:
     })
 
 
+# request hash -> (kind, payload, body): the last body recorded for each request
+RECORDED: dict[str, tuple[str, dict, dict]] = {}
+
+
+def save(kind: str, payload: dict, body: dict) -> None:
+    RECORDED[request_hash(kind, payload)] = (kind, payload, body)
+
+
+def write_log() -> None:
+    """Rewrite the log from RECORDED, one line per request, so a request
+    recorded twice replays its last body."""
+    (CASSETTES / LOG_NAME).unlink(missing_ok=True)
+    for kind, payload, body in RECORDED.values():
+        write_cassette(CASSETTES, kind, payload, body, CAPTURED_AT)
+
+
 def save_web(query: str, items: list[dict]) -> None:
     payload = WebSearchRequest(query=query).payload()
-    write_cassette(CASSETTES, KIND_WEB, payload, {"items": items}, CAPTURED_AT)
+    save(KIND_WEB, payload, {"items": items})
 
 
 def save_llm(prompt: str, answer: str) -> None:
     payload = LlmRequest(prompt=prompt).payload()
     body = {"candidates": [{"content": {"parts": [{"text": answer}]}, "finishReason": "STOP"}]}
-    write_cassette(CASSETTES, KIND_LLM, payload, body, CAPTURED_AT)
+    save(KIND_LLM, payload, body)
 
 
 def save_factcheck(query: str, spec: dict) -> None:
@@ -420,7 +438,7 @@ def save_factcheck(query: str, spec: dict) -> None:
             "languageCode": "pt-BR",
         }],
     }]}
-    write_cassette(CASSETTES, KIND_FACTCHECK, payload, body, CAPTURED_AT)
+    save(KIND_FACTCHECK, payload, body)
 
 
 def final_claim(text: str, answer: str) -> str:
@@ -560,12 +578,14 @@ def main() -> None:
     assert k1 == "full_text"
     save_web(q1, [web_item(EXEMPLO1_RESULT)])
 
+    write_log()
     stats = verify_enrichment(validated)
     assert stats.total == len(validated)
     assert stats.hard_failed == 1, stats.hard_failed
     n_eval = build_eval_cassettes(validated)
+    write_log()
 
-    n_cassettes = len(list(CASSETTES.glob("*.json")))
+    n_cassettes = sum(1 for _ in read_jsonl(CASSETTES / LOG_NAME, lambda raw: raw))
     print(f"{len(RECORDS)} records -> {len(validated)} validated; "
           f"{stats.matched_direct} direct / {stats.extraction_needed} via claim / "
           f"{stats.hard_failed} unmatched; {n_eval} eval instances; {n_cassettes} cassettes")

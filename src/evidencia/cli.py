@@ -461,25 +461,22 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
 
 def _cmd_enrich(conf: dict[str, Any]) -> Run:
     from .claims import load_template
-    from .enrichment import EnrichConfig
 
     backend, clock = _provider(conf, required=True)
     items = read_news(conf["in"])
-    cfg = EnrichConfig(
-        max_claim_words=conf["max_claim_words"],
-        llm_model=conf["model"],
-        prompt_pattern=conf["claim_template"],
-    )
-    template = load_template(cfg.prompt_pattern)
+    template = load_template(conf["claim_template"])
+
+    def enrich(item: NewsItem) -> EnrichedRecord:
+        return enrich_one(item, backend, clock, template, conf["model"], conf["max_claim_words"])
 
     workers = max(1, conf["parallelism"])
     if workers == 1:
-        records = [enrich_one(item, backend, cfg, clock, template) for item in items]
+        records = [enrich(item) for item in items]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda item: enrich_one(item, backend, cfg, clock, template), items))
+            records = list(pool.map(enrich, items))
     stats = FunnelStats.from_records(records)
 
     out = Path(conf["out"])
@@ -573,16 +570,15 @@ def _cmd_split(conf: dict[str, Any]) -> Run:
 
 
 def _cmd_build_config(conf: dict[str, Any]) -> Run:
-    from .evalkit import DataConfiguration
+    from .evalkit import PLAIN_KINDS
 
-    cfg = DataConfiguration(conf["kind"])
-    if cfg.context_source == "none":
+    if conf["kind"] in PLAIN_KINDS:
         source: Sequence[NewsItem] | Sequence[EnrichedRecord] = read_news(conf["in"])
         base_items = list(source)
     else:
         source = read_enriched(conf["in"])
         base_items = [rec.item for rec in source]
-    instances = build_config(source, cfg)
+    instances = build_config(source, conf["kind"])
 
     payloads = []
     for item, inst in zip(base_items, instances):

@@ -9,8 +9,6 @@ when the original query returns no reviews and a claim exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .claims import MAX_CLAIM_WORDS, ClaimPromptTemplate, extract_claim, load_template
 from .clocks import Clock, SystemClock
 from .matching import first_match
@@ -29,22 +27,17 @@ from .records import EnrichedRecord, ErrorEvent, FunnelStats, NewsItem  # Funnel
 from .textprep import build_query, strip_emoji, strip_quotes
 
 
-@dataclass(frozen=True)
-class EnrichConfig:
-    max_claim_words: int = MAX_CLAIM_WORDS
-    llm_model: str = DEFAULT_MODEL
-    prompt_pattern: str = "main"
-
-
 def enrich_one(
     item: NewsItem,
     backend: Backend,
-    cfg: EnrichConfig = EnrichConfig(),
     clock: Clock | None = None,
     template: ClaimPromptTemplate | None = None,
+    model: str = DEFAULT_MODEL,
+    max_claim_words: int = MAX_CLAIM_WORDS,
 ) -> EnrichedRecord:
+    """Enrich one record; ``template`` defaults to the ``main`` claim prompt."""
     clock = clock or SystemClock()
-    template = template or load_template(cfg.prompt_pattern)
+    template = template or load_template()
     errors: list[ErrorEvent] = []
     timestamps: dict[str, str] = {}
 
@@ -66,9 +59,9 @@ def enrich_one(
     if match_index is None:
         outcome = extract_claim(
             item.text,
-            lambda prompt: llm_generate(LlmRequest(prompt=prompt, model=cfg.llm_model), backend),
+            lambda prompt: llm_generate(LlmRequest(prompt=prompt, model=model), backend),
             template=template,
-            max_claim_words=cfg.max_claim_words,
+            max_claim_words=max_claim_words,
         )
         timestamps["claim_extraction"] = clock.utc_instant()
         if outcome.error is not None:

@@ -20,6 +20,8 @@ from .records import CONFIG_KINDS, EnrichedRecord, ErrorEvent, NewsItem
 
 SHOT_COUNT = 15
 
+PLAIN_KINDS = ("original", "validated")  # the data configurations that attach no context
+
 TAG_FAKE = "FAKE NEWS"
 TAG_TRUE = "VERDADEIRO"
 
@@ -85,31 +87,6 @@ def split(
 
 
 @dataclass(frozen=True)
-class DataConfiguration:
-    """One of the four experiment data settings.
-
-    ``context_source`` is derived from the kind: plain kinds attach no
-    context, enriched kinds attach the first (optionally social-filtered)
-    search result plus the first fact-check rating.
-    """
-
-    kind: str
-    social_domains: frozenset[str] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in CONFIG_KINDS:
-            raise ValueError(f"unknown configuration {self.kind!r}; choose from {CONFIG_KINDS}")
-        if self.kind == "enriched_filtered" and self.social_domains is None:
-            object.__setattr__(self, "social_domains", frozenset(resources.social_domains()))
-
-    @property
-    def context_source(self) -> str:
-        if self.kind in ("original", "validated"):
-            return "none"
-        return "first_result_no_social" if self.kind == "enriched_filtered" else "first_result"
-
-
-@dataclass(frozen=True)
 class EvalInstance:
     """One classification example: text, optional context, gold label."""
 
@@ -145,31 +122,29 @@ def _context_for(rec: EnrichedRecord, social: frozenset[str] | None) -> str:
     return "\n".join(lines)
 
 
-def build_config(
-    records: Sequence[NewsItem] | Sequence[EnrichedRecord],
-    cfg: DataConfiguration | str,
-) -> list[EvalInstance]:
-    """Materialize a data configuration as classification instances.
+def build_config(records: Sequence[NewsItem] | Sequence[EnrichedRecord], kind: str) -> list[EvalInstance]:
+    """Materialize one of the four data configurations as classification
+    instances.
 
     ``original`` and ``validated`` take plain news items and attach no
     context. The enriched kinds take enriched records; the context is the
     marker-stripped title+snippet of the first web result (claim-search
     result when the claim path fired), then a rating line for the first
-    fact-check review. Records without results get empty context.
+    fact-check review. ``enriched_filtered`` skips results from social
+    media domains. Records without results get empty context.
     """
-    if isinstance(cfg, str):
-        cfg = DataConfiguration(cfg)
-    instances = []
-    if cfg.context_source == "none":
+    if kind not in CONFIG_KINDS:
+        raise ValueError(f"unknown configuration {kind!r}; choose from {CONFIG_KINDS}")
+    if kind in PLAIN_KINDS:
         for item in records:
             if not isinstance(item, NewsItem):
-                raise TypeError(f"configuration {cfg.kind} takes plain news records")
-            instances.append(EvalInstance(id=item.id, text=item.text, label=item.label))
-        return instances
-    social = cfg.social_domains if cfg.kind == "enriched_filtered" else None
+                raise TypeError(f"configuration {kind} takes plain news records")
+        return [EvalInstance(id=item.id, text=item.text, label=item.label) for item in records]
+    social = resources.social_domains() if kind == "enriched_filtered" else None
+    instances = []
     for rec in records:
         if not isinstance(rec, EnrichedRecord):
-            raise TypeError(f"configuration {cfg.kind} takes enriched records")
+            raise TypeError(f"configuration {kind} takes enriched records")
         instances.append(
             EvalInstance(
                 id=rec.item.id,

@@ -75,13 +75,3 @@ class TrigramDetector:
         evidence = sum(math.exp(value - peak) for value in logs.values())
         return best, 1.0 / evidence
 
-
-class FixedDetector:
-    """Test and override helper: answers from a mapping, else a default."""
-
-    def __init__(self, answers: dict[str, tuple[str, float]], default: tuple[str, float] = ("pt", 1.0)):
-        self.answers = dict(answers)
-        self.default = default
-
-    def detect(self, text: str) -> tuple[str, float]:
-        return self.answers.get(text, self.default)

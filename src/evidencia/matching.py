@@ -59,12 +59,6 @@ def _scan(field: str) -> tuple[str, list[tuple[int, int]]]:
     return "".join(parts), spans
 
 
-def highlighted_fragments(field: str) -> list[str]:
-    """The highlighted substrings of one field, in order."""
-    clean, spans = _scan(field)
-    return [clean[a:b] for a, b in spans]
-
-
 def _highlighted_terms(fields: Iterable[str]) -> set[str]:
     terms: set[str] = set()
     for field in fields:

@@ -64,35 +64,44 @@ class ProviderFailure(RuntimeError):
     """A provider call failed for good after any retries."""
 
 
+# The paper's fixed request settings: five pt-BR results per web search,
+# five fact-check claims, safety filters off for generation.
+WEB_RESULTS = 5
+WEB_GEO = "pt-BR"
+WEB_LANG_RESTRICT = "lang_pt"
+FACTCHECK_LANGUAGE = "pt-BR"
+FACTCHECK_PAGE_SIZE = 5
+SAFETY_CATEGORIES = (
+    "HARM_CATEGORY_HARASSMENT",
+    "HARM_CATEGORY_HATE_SPEECH",
+    "HARM_CATEGORY_SEXUALLY_EXPLICIT",
+    "HARM_CATEGORY_DANGEROUS_CONTENT",
+)
+
+
 @dataclass(frozen=True)
 class WebSearchRequest:
     query: str
-    num: int = 5
-    geo: str = "pt-BR"
-    lang_restrict: str = "lang_pt"
 
     def payload(self) -> dict[str, Any]:
-        return {"query": self.query, "num": self.num, "gl": self.geo, "lr": self.lang_restrict}
+        return {"query": self.query, "num": WEB_RESULTS, "gl": WEB_GEO, "lr": WEB_LANG_RESTRICT}
 
 
 @dataclass(frozen=True)
 class FactCheckRequest:
     query: str
-    language_code: str = "pt-BR"
-    page_size: int = 5
 
     def payload(self) -> dict[str, Any]:
-        return {"query": self.query, "languageCode": self.language_code, "pageSize": self.page_size}
+        return {"query": self.query, "languageCode": FACTCHECK_LANGUAGE, "pageSize": FACTCHECK_PAGE_SIZE}
 
 
 @dataclass(frozen=True)
 class LlmRequest:
     prompt: str
     model: str = DEFAULT_MODEL
-    safety_off: bool = True
 
     def payload(self) -> dict[str, Any]:
-        return {"prompt": self.prompt, "model": self.model, "safety_off": self.safety_off}
+        return {"prompt": self.prompt, "model": self.model, "safety_off": True}
 
 
 def request_hash(kind: str, payload: dict[str, Any]) -> str:
@@ -185,17 +194,10 @@ class LiveBackend:
         if kind == KIND_LLM:
             url = LLM_URL_TEMPLATE.format(model=payload["model"])
             params = {"key": self._credential(ENV_LLM_KEY)}
-            body: dict[str, Any] = {"contents": [{"parts": [{"text": payload["prompt"]}]}]}
-            if payload.get("safety_off"):
-                body["safetySettings"] = [
-                    {"category": cat, "threshold": "BLOCK_NONE"}
-                    for cat in (
-                        "HARM_CATEGORY_HARASSMENT",
-                        "HARM_CATEGORY_HATE_SPEECH",
-                        "HARM_CATEGORY_SEXUALLY_EXPLICIT",
-                        "HARM_CATEGORY_DANGEROUS_CONTENT",
-                    )
-                ]
+            body = {
+                "contents": [{"parts": [{"text": payload["prompt"]}]}],
+                "safetySettings": [{"category": cat, "threshold": "BLOCK_NONE"} for cat in SAFETY_CATEGORIES],
+            }
             return "POST", url, params, body
         raise ProviderFailure(f"unknown provider kind {kind!r}")
 
@@ -360,7 +362,7 @@ class CachingBackend:
 def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:
     body = backend.fetch(KIND_WEB, request.payload())
     results = []
-    for i, item in enumerate(body.get("items", [])[: request.num]):
+    for i, item in enumerate(body.get("items", [])[:WEB_RESULTS]):
         results.append(
             WebResult(
                 rank=i + 1,
@@ -375,7 +377,7 @@ def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:
 def factcheck_search(request: FactCheckRequest, backend: Backend) -> list[ClaimReviewResult]:
     body = backend.fetch(KIND_FACTCHECK, request.payload())
     results = []
-    for claim in body.get("claims", [])[: request.page_size]:
+    for claim in body.get("claims", [])[:FACTCHECK_PAGE_SIZE]:
         reviews = claim.get("claimReview") or []
         if not reviews:
             continue

@@ -130,6 +130,11 @@ class ValidationReport:
     review_items: list[ReviewItem] = field(default_factory=list)
     urls_stripped: int = 0
 
+    def add_review(self, kind: str, record_ids: list[str], **fields: Any) -> None:
+        """Queue a review item, numbered ``rev-NNNN`` in queue order."""
+        item_id = f"rev-{len(self.review_items) + 1:04d}"
+        self.review_items.append(ReviewItem(id=item_id, kind=kind, record_ids=record_ids, **fields))
+
     def stage_counts(self) -> dict[str, int]:
         """Records corrected or removed per stage."""
         return {s: len(self.removed[s]) + len(self.corrected[s]) for s in STAGES}
@@ -215,23 +220,18 @@ def flag_contradictions(
     """Emit review items for near-duplicate clusters of ``records`` with mixed
     labels and for records that cite the same URL under different labels."""
     by_id = {item.id: item for item in records}
-    counter = len(report.review_items)
 
     for dup in clusters:
         labels = {by_id[m].label for m in dup.members}
         if len(labels) > 1:
-            counter += 1
-            report.review_items.append(
-                ReviewItem(
-                    id=f"rev-{counter:04d}",
-                    kind="near_dup_conflict",
-                    record_ids=list(dup.members),
-                    suggestion="remove",
-                    context={
-                        "labels": {m: by_id[m].label for m in dup.members},
-                        "pairs": [{"a": a, "b": b, "jaccard": j} for a, b, j in dup.pairs],
-                    },
-                )
+            report.add_review(
+                "near_dup_conflict",
+                list(dup.members),
+                suggestion="remove",
+                context={
+                    "labels": {m: by_id[m].label for m in dup.members},
+                    "pairs": [{"a": a, "b": b, "jaccard": j} for a, b, j in dup.pairs],
+                },
             )
 
     cited: dict[str, list[str]] = {}
@@ -242,16 +242,8 @@ def flag_contradictions(
         ids = cited[url]
         labels = {by_id[i].label for i in ids}
         if len(ids) > 1 and len(labels) > 1:
-            counter += 1
-            report.review_items.append(
-                ReviewItem(
-                    id=f"rev-{counter:04d}",
-                    kind="shared_url_conflict",
-                    record_ids=sorted(ids),
-                    suggestion="remove",
-                    context={"url": url, "labels": {i: by_id[i].label for i in ids}},
-                )
-            )
+            context = {"url": url, "labels": {i: by_id[i].label for i in ids}}
+            report.add_review("shared_url_conflict", sorted(ids), suggestion="remove", context=context)
 
 
 def check_external_labels(
@@ -262,7 +254,6 @@ def check_external_labels(
     """Ask the fact-check service about each record; emit a review item when
     a normalized agency rating contradicts the stored label."""
     mapping = resources.rating_map()
-    counter = len(report.review_items)
     for item in records:
         query, _ = build_query(strip_emoji(strip_quotes(item.text)))
         try:
@@ -274,21 +265,17 @@ def check_external_labels(
             if bucket is None:
                 continue
             if bucket != item.label:
-                counter += 1
-                report.review_items.append(
-                    ReviewItem(
-                        id=f"rev-{counter:04d}",
-                        kind="external_label_conflict",
-                        record_ids=[item.id],
-                        suggestion="relabel",
-                        context={
-                            "stored_label": item.label,
-                            "external_bucket": bucket,
-                            "textual_rating": review.textual_rating,
-                            "publisher": review.publisher_name,
-                            "review_url": review.review_url,
-                        },
-                    )
+                report.add_review(
+                    "external_label_conflict",
+                    [item.id],
+                    suggestion="relabel",
+                    context={
+                        "stored_label": item.label,
+                        "external_bucket": bucket,
+                        "textual_rating": review.textual_rating,
+                        "publisher": review.publisher_name,
+                        "review_url": review.review_url,
+                    },
                 )
             break  # first decisive rating settles the comparison
 
@@ -301,13 +288,8 @@ def random_inspection(
         return
     rng = random.Random(seed)
     ids = sorted(item.id for item in records)
-    sample = sorted(rng.sample(ids, min(sample_size, len(ids))))
-    counter = len(report.review_items)
-    for record_id in sample:
-        counter += 1
-        report.review_items.append(
-            ReviewItem(id=f"rev-{counter:04d}", kind="random_inspection", record_ids=[record_id])
-        )
+    for record_id in sorted(rng.sample(ids, min(sample_size, len(ids)))):
+        report.add_review("random_inspection", [record_id])
 
 
 def apply_decisions(

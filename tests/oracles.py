@@ -3,7 +3,8 @@
 Everything here re-derives an answer from first principles: brute force,
 closed-form algebra, or a literal transcription of the documented procedure.
 Nothing imports the code under test, so agreement between the two sides is
-meaningful. Slow is fine; these only run in tests.
+meaningful. Slow is fine; these only run in tests. The test doubles at the
+end stand in for a library component whose answers a test wants to fix.
 """
 
 from __future__ import annotations
@@ -132,3 +133,16 @@ def ref_metrics(gold: list[str], predicted: list[str | None]) -> dict:
         "macro_f1": (f1_for("fake") + f1_for("true")) / 2,
         "abstentions": sum(1 for p in predicted if p is None),
     }
+
+
+# ------------------------------------------------------------- test doubles
+
+class FixedDetector:
+    """Language detector that answers from a mapping, else a default."""
+
+    def __init__(self, answers: dict[str, tuple[str, float]], default: tuple[str, float] = ("pt", 1.0)):
+        self.answers = dict(answers)
+        self.default = default
+
+    def detect(self, text: str) -> tuple[str, float]:
+        return self.answers.get(text, self.default)

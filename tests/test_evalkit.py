@@ -11,7 +11,6 @@ from evidencia.evalkit import (
     BASE_PROMPT,
     CONTEXT_CLAUSE,
     SHOT_COUNT,
-    DataConfiguration,
     EvalInstance,
     SplitSpec,
     build_config,
@@ -120,18 +119,23 @@ class TestSplit:
 class TestDataConfiguration:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown configuration"):
-            DataConfiguration("extended")
+            build_config([], "extended")
 
     def test_context_sources(self):
-        assert DataConfiguration("original").context_source == "none"
-        assert DataConfiguration("validated").context_source == "none"
-        assert DataConfiguration("enriched_full").context_source == "first_result"
-        assert DataConfiguration("enriched_filtered").context_source == "first_result_no_social"
+        # plain kinds attach nothing; enriched_full takes the first result,
+        # enriched_filtered the first result outside social media
+        for kind in ("original", "validated"):
+            assert build_config([news("a")], kind)[0].context == ""
+        rec = enriched_record("a", [web(1, "https://twitter.com/user/1", title="social"),
+                                    web(2, "https://noticias.example/x", title="jornal")])
+        assert build_config([rec], "enriched_full")[0].context == "social Um trecho."
+        assert build_config([rec], "enriched_filtered")[0].context == "jornal Um trecho."
 
     def test_filtered_kind_loads_social_list(self):
-        cfg = DataConfiguration("enriched_filtered")
-        assert "twitter.com" in cfg.social_domains
-        assert "facebook.com" in cfg.social_domains
+        rec = enriched_record("a", [web(1, "https://twitter.com/user/1", title="tuíte"),
+                                    web(2, "https://www.facebook.com/post/2", title="post"),
+                                    web(3, "https://noticias.example/x", title="jornal")])
+        assert build_config([rec], "enriched_filtered")[0].context == "jornal Um trecho."
 
 
 def enriched_record(id, results, claim=None, claim_results=None, reviews=()):

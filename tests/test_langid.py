@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidencia import resources
-from evidencia.langid import ALPHA, LANGUAGES, MAX_CHARS, FixedDetector, TrigramDetector, _normalize, _trigrams
+from evidencia.langid import ALPHA, LANGUAGES, MAX_CHARS, TrigramDetector, _normalize, _trigrams
+
+from oracles import FixedDetector
 
 
 @lru_cache(maxsize=None)

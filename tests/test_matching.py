@@ -6,7 +6,7 @@ non-stopword query terms, check each against the highlighted tokens, divide.
 
 import pytest
 
-from evidencia.matching import first_match, highlighted_fragments, match_score, query_terms
+from evidencia.matching import first_match, match_score, query_terms
 from evidencia.records import WebResult
 
 
@@ -29,13 +29,18 @@ class TestQueryTerms:
 
 class TestHighlighting:
     def test_fragments_extracted(self):
-        assert highlighted_fragments("O <b>vírus</b> chegou à <b>China</b>") == ["vírus", "China"]
+        # terms: vírus, china, chegou; highlighted: vírus, china -> 2/3
+        title = "O <b>vírus</b> chegou à <b>China</b>"
+        assert match_score("vírus chegou China", result(title=title)) == pytest.approx(2 / 3)
 
     def test_dangling_open_marker_runs_to_end(self):
-        assert highlighted_fragments("texto <b>até o fim") == ["até o fim"]
+        # terms: texto, fim; "até o fim" is highlighted through the end -> 1/2
+        assert match_score("texto fim", result(title="texto <b>até o fim")) == 0.5
 
     def test_stray_close_marker_ignored(self):
-        assert highlighted_fragments("sem abertura</b> aqui") == []
+        # the stray </b> highlights nothing and leaves the next <b> working
+        assert match_score("abertura", result(title="sem abertura</b> aqui")) == 0.0
+        assert match_score("abertura aqui", result(title="sem abertura</b> <b>aqui</b>")) == 0.5
 
     def test_token_split_by_markers_counts_whole(self):
         # "coronavírus" is marked only in part; the whole token must count.

@@ -1,6 +1,10 @@
 """Provider plumbing: hashing, replay, caching, retry, response parsing."""
 
+import hashlib
 import json
+import os
+import shutil
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -30,7 +34,7 @@ from evidencia.providers import (
 )
 from evidencia.records import SchemaError
 
-from conftest import CASSETTES
+from conftest import CASSETTES, FIXTURES, ROOT
 
 # Entries a reader must not trust: cut short, not an object, no body, no request hash.
 BROKEN_ENTRIES = ('{"body": {"items": [', '[]', '{"kind": "web_search"}', '{"body": "texto"}',
@@ -107,6 +111,29 @@ class TestRequestHash:
         digest = request_hash(KIND_WEB, {"query": "x"})
         assert len(digest) == 64
         int(digest, 16)
+
+
+# Each request type's payload and one hash, as recorded before the request
+# types lost their settable fields. Every recorded response is keyed by such
+# a hash, so a change here orphans the shipped fixtures and every cache.
+PINNED_REQUESTS = {
+    KIND_WEB: (WebSearchRequest(query="vacina"),
+               {"query": "vacina", "num": 5, "gl": "pt-BR", "lr": "lang_pt"},
+               "a6fe0ebd74a118f56f6b6fb0189276b515f6af626645e9597191aebee62aab4b"),
+    KIND_FACTCHECK: (FactCheckRequest(query="vacina"),
+                     {"query": "vacina", "languageCode": "pt-BR", "pageSize": 5},
+                     "70c2b290919ef208edbe356b51c7d564d0f366e84a5d7349a1daa70b5724384b"),
+    KIND_LLM: (LlmRequest(prompt="vacina"),
+               {"prompt": "vacina", "model": "gemini-1.5-flash", "safety_off": True},
+               "32813d079116b05cfd3e69b04c617da16ef7612a1beadc26bd789b37a96f77fd"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_REQUESTS))
+def test_request_payload_and_hash_are_pinned(kind):
+    req, payload, digest = PINNED_REQUESTS[kind]
+    assert req.payload() == payload
+    assert request_hash(kind, req.payload()) == digest
 
 
 def empty_log(directory):
@@ -186,6 +213,23 @@ class TestShippedFixtures:
             assert entry["request_hash"] == request_hash(entry["kind"], entry["request"])
             assert isinstance(entry["body"], dict)
         assert sorted(path.name for path in CASSETTES.iterdir()) == [LOG_NAME]
+
+    def test_fixture_tool_rebuilds_them_byte_for_byte_under_any_hash_seed(self, tmp_path):
+        # The two seeds order a set of two strings differently, so a loop
+        # over a set in the tool would give one of them a different log.
+        def digests(root):
+            return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in root.rglob("*") if p.is_file()}
+
+        shipped = digests(FIXTURES)
+        for seed in ("0", "2"):
+            copy = tmp_path / f"seed{seed}"
+            for name in ("src", "tools", "fixtures"):
+                shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            subprocess.run([sys.executable, "tools/build_demo_fixtures.py"], cwd=copy, env=env,
+                           capture_output=True, check=True)
+            assert digests(copy / "fixtures") == shipped, f"PYTHONHASHSEED={seed}"
 
 
 class CountingBackend:
@@ -446,6 +490,37 @@ class TestLiveBackend:
         assert method == "POST"
         assert "gemini-1.5-flash" in url
 
+    def test_llm_post_turns_every_safety_filter_off(self):
+        bodies = []
+
+        def transport(method, url, params, body):
+            bodies.append(body)
+            return 200, '{"text": "ok"}'
+
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
+        backend.fetch(KIND_LLM, LlmRequest(prompt="olá").payload())
+        categories = ("HARM_CATEGORY_HARASSMENT", "HARM_CATEGORY_HATE_SPEECH",
+                      "HARM_CATEGORY_SEXUALLY_EXPLICIT", "HARM_CATEGORY_DANGEROUS_CONTENT")
+        assert bodies == [{
+            "contents": [{"parts": [{"text": "olá"}]}],
+            "safetySettings": [{"category": cat, "threshold": "BLOCK_NONE"} for cat in categories],
+        }]
+
+    def test_searches_get_the_fixed_settings(self):
+        sent = []
+
+        def transport(method, url, params, body):
+            sent.append((method, params, body))
+            return 200, "{}"
+
+        backend = LiveBackend(CREDS, clock=FrozenClock(), transport=transport)
+        backend.fetch(KIND_WEB, WebSearchRequest(query="vacina").payload())
+        backend.fetch(KIND_FACTCHECK, FactCheckRequest(query="vacina").payload())
+        assert sent == [
+            ("GET", {"key": "k", "cx": "cx", "q": "vacina", "num": 5, "gl": "pt-BR", "lr": "lang_pt"}, None),
+            ("GET", {"key": "fk", "query": "vacina", "languageCode": "pt-BR", "pageSize": 5}, None),
+        ]
+
     def test_credentials_from_env(self, monkeypatch):
         monkeypatch.setenv("EVD_SEARCH_KEY", "abc")
         monkeypatch.delenv("EVD_LLM_KEY", raising=False)
@@ -475,16 +550,16 @@ class TestClocks:
 
 class TestParsers:
     def test_web_search_prefers_html_fields_and_caps(self, tmp_path):
-        payload = WebSearchRequest(query="vacina", num=2).payload()
+        payload = WebSearchRequest(query="vacina").payload()
         items = [
             {"title": "plain", "htmlTitle": "<b>rico</b>", "link": "l1",
              "snippet": "s", "htmlSnippet": "<b>s</b>"},
             {"title": "só plain", "link": "l2", "snippet": "s2"},
-            {"title": "descartado", "link": "l3", "snippet": "s3"},
-        ]
+        ] + [{"title": f"item {n}", "link": f"l{n}", "snippet": f"s{n}"} for n in range(3, 8)]
         write_cassette(tmp_path, KIND_WEB, payload, {"items": items})
-        results = web_search(WebSearchRequest(query="vacina", num=2), FixtureBackend(tmp_path))
-        assert [r.rank for r in results] == [1, 2]
+        results = web_search(WebSearchRequest(query="vacina"), FixtureBackend(tmp_path))
+        assert [r.link for r in results] == ["l1", "l2", "l3", "l4", "l5"]  # seven items, capped at five
+        assert [r.rank for r in results] == [1, 2, 3, 4, 5]
         assert results[0].title == "<b>rico</b>"
         assert results[0].snippet == "<b>s</b>"
         assert results[1].title == "só plain"
@@ -506,6 +581,12 @@ class TestParsers:
         assert results[0].publisher_name == "Checagem"
         assert results[0].textual_rating == "Falso"
         assert results[0].rank == 1
+
+    def test_factcheck_caps_at_five_claims(self, tmp_path):
+        claims = [{"text": f"alegação {n}", "claimReview": [{"textualRating": "Falso"}]} for n in range(7)]
+        write_cassette(tmp_path, KIND_FACTCHECK, FactCheckRequest(query="muitas").payload(), {"claims": claims})
+        results = factcheck_search(FactCheckRequest(query="muitas"), FixtureBackend(tmp_path))
+        assert [r.claim_text for r in results] == [f"alegação {n}" for n in range(5)]
 
     def test_llm_joins_candidate_parts(self, tmp_path):
         request = LlmRequest(prompt="pergunta")

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from evidencia import validation
 from evidencia.dedup import near_duplicates
-from evidencia.langid import FixedDetector
 from evidencia.providers import LOG_NAME, FixtureBackend, KIND_FACTCHECK, write_cassette
 from evidencia.records import NewsItem, SchemaError, dumps_record
 from evidencia.textprep import build_query
@@ -26,6 +25,8 @@ from evidencia.validation import (
     validate_decision,
     write_review_items,
 )
+
+from oracles import FixedDetector
 
 LONG = ("O governo municipal confirmou nesta semana a abertura de novas vagas de "
         "vacinação em todos os postos de saúde da cidade durante o próximo mês.")
@@ -135,6 +136,16 @@ class TestContradictions:
         report = ValidationReport(input_count=2)
         flag_contradictions(records, report, dups(records))
         assert [r.id for r in report.review_items] == ["rev-0001", "rev-0002"]
+
+    def test_later_stages_continue_the_numbering(self):
+        records = [item("a"), item("b", text=LONG + " x"), item("c", text=LONG + " y")]
+        report = ValidationReport(input_count=3)
+        report.add_review("near_dup_conflict", ["a", "b"], suggestion="remove")
+        random_inspection(records, report, 2)
+        assert [(r.id, r.kind) for r in report.review_items] == [
+            ("rev-0001", "near_dup_conflict"), ("rev-0002", "random_inspection"), ("rev-0003", "random_inspection"),
+        ]
+        assert report.review_items[0].suggestion == "remove"
 
 
 def plant_factcheck(directory, query, rating):

@@ -397,17 +397,19 @@ def matching_item(query: str, link: str) -> dict:
     })
 
 
-# request hash -> (kind, payload, body): the last body recorded for each request
+# request hash -> (kind, payload, body), in the order requests were first recorded
 RECORDED: dict[str, tuple[str, dict, dict]] = {}
 
 
 def save(kind: str, payload: dict, body: dict) -> None:
-    RECORDED[request_hash(kind, payload)] = (kind, payload, body)
+    """Record one response; a request recorded twice must get the same body,
+    or one script would replay a body another script never checked."""
+    recorded = RECORDED.setdefault(request_hash(kind, payload), (kind, payload, body))
+    assert recorded[2] == body, f"{kind} request recorded with two bodies: {payload}"
 
 
 def write_log() -> None:
-    """Rewrite the log from RECORDED, one line per request, so a request
-    recorded twice replays its last body."""
+    """Rewrite the log from RECORDED, one line per request."""
     (CASSETTES / LOG_NAME).unlink(missing_ok=True)
     for kind, payload, body in RECORDED.values():
         write_cassette(CASSETTES, kind, payload, body, CAPTURED_AT)
@@ -471,8 +473,16 @@ def build_record_cassettes(rec: NewsItem, template) -> None:
         scores, idx = first_match(query, results)
         assert idx == rank, f"{rec.id}: expected match at {rank}, got {idx} ({scores})"
     else:
-        # initial search must come back weak for the claim path to fire
-        if rec.id == "fake_0001":
+        answer = scenario["answer"]
+        claim = final_claim(rec.text, answer)
+        claim_result = scenario.get("claim_result")
+        claim_items = [web_item(claim_result) if claim_result
+                       else matching_item(claim, "https://checagemaberta.com.br/verificacao")]
+        # initial search must come back weak for the claim path to fire; a
+        # claim equal to the query (mm_0002) replays the claim search's body
+        if claim == query:
+            initial = claim_items
+        elif rec.id == "fake_0001":
             initial = [web_item(FARMACIA_RESULT)]
         else:
             initial = [web_item(GENERIC_RESULTS[0])]
@@ -482,18 +492,15 @@ def build_record_cassettes(rec: NewsItem, template) -> None:
         scores, idx = first_match(query, results)
         assert idx is None, f"{rec.id}: initial search matched at {idx} ({scores})"
 
-        answer = scenario["answer"]
-        # cover both the validated text and the raw corpus text, so records
-        # can be enriched straight from the corpus file too
-        for text_variant in {rec.text, rec.extra.get("text_raw", rec.text)}:
+        # cover both the raw corpus text and the validated text, so records
+        # can be enriched straight from the corpus file too; dict.fromkeys
+        # keeps that order, where a set's order would follow the hash seed
+        for text_variant in dict.fromkeys((rec.extra.get("text_raw", rec.text), rec.text)):
             save_llm(template.render(llm_input(text_variant)), answer)
-        claim = final_claim(rec.text, answer)
         if scenario.get("enforced"):
             assert len(claim.split()) == 20, f"{rec.id}: expected a truncated 20-word claim"
         if scenario.get("search") != "empty":
-            result = scenario.get("claim_result")
-            item = web_item(result) if result else matching_item(claim, "https://checagemaberta.com.br/verificacao")
-            save_web(claim, [item])
+            save_web(claim, claim_items)
         if scenario.get("factcheck") == "claim":
             save_factcheck(claim, FACTCHECKS[rec.id])
 

@@ -27,7 +27,6 @@ from .records import (
     CACHE_MODES,
     CONFIG_KINDS,
     DEFAULT_MODEL,
-    MAX_CLAIM_WORDS,
     PROMPT_PATTERNS,
     EnrichedRecord,
     FunnelStats,
@@ -91,21 +90,11 @@ class Opt:
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         kwargs: dict[str, Any] = {"dest": self.dest, "default": argparse.SUPPRESS, "help": self.help}
-        if self.type is bool:
-            parser.add_argument(f"--{self.name}", action=argparse.BooleanOptionalAction, **kwargs)
-            return
         if self.choices:
             kwargs["choices"] = self.choices
         parser.add_argument(f"--{self.name}", type=self.type, **kwargs)
 
     def coerce(self, raw: str) -> Any:
-        if self.type is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ConfigError(f"config key {self.dest!r}: not a boolean: {raw!r}")
         try:
             value = self.type(raw.strip())
         except ValueError:
@@ -119,7 +108,8 @@ PROVIDER_OPTS = [
     Opt("provider", choices=("live", "fixture"), help="backend mode"),
     Opt("fixtures", help="directory of recorded response files (fixture mode)"),
     Opt("cache", help="response cache directory"),
-    Opt("cache-mode", choices=CACHE_MODES, default="read_write", help="cache behavior"),
+    Opt("cache-mode", choices=CACHE_MODES, default="read_write",
+        help="read_write appends each fetched response to the cache log; read_only never writes it"),
 ]
 
 OPTIONS: dict[str, list[Opt]] = {
@@ -140,11 +130,6 @@ OPTIONS: dict[str, list[Opt]] = {
     "dedup": [
         Opt("in", required=True, help="input records"),
         Opt("out", required=True, help="cluster report output, one cluster per line"),
-        Opt("threshold", type=float, default=0.7, help="exact-Jaccard confirmation threshold"),
-        Opt("shingle-size", type=int, default=5, help="character shingle length"),
-        Opt("permutations", type=int, default=100, help="signature length"),
-        Opt("bands", type=int, default=25, help="LSH band count; each band holds permutations / bands rows"),
-        Opt("seed", type=int, default=3, help="permutation seed"),
     ],
     "review": [
         Opt("queue", required=True, help="review queue produced by validate"),
@@ -160,7 +145,6 @@ OPTIONS: dict[str, list[Opt]] = {
             choices=PROMPT_PATTERNS,
             help="claim extraction prompt pattern"),
         Opt("model", default=DEFAULT_MODEL, help="generation model name"),
-        Opt("max-claim-words", type=int, default=MAX_CLAIM_WORDS, help="claim length cap"),
         Opt("max-error-rate", type=float, default=1.0,
             help="exit 1 when the share of records with errors exceeds this"),
         *PROVIDER_OPTS,
@@ -178,7 +162,6 @@ OPTIONS: dict[str, list[Opt]] = {
         Opt("val", type=float, default=0.1, help="validation ratio"),
         Opt("test", type=float, default=0.1, help="test ratio"),
         Opt("seed", type=int, default=0, help="shuffle seed"),
-        Opt("pair-preserving", type=bool, default=True, help="keep pairs in one slice"),
     ],
     "build-config": [
         Opt("in", required=True, help="plain records (original/validated) or enriched records"),
@@ -330,7 +313,7 @@ def _provider(conf: dict[str, Any], required: bool = False) -> tuple[Backend | N
     else:
         backend = LiveBackend(clock=clock)
     if conf.get("cache"):
-        backend = CachingBackend(backend, conf["cache"], conf.get("cache_mode") or "read_write", clock)
+        backend = CachingBackend(backend, conf["cache"], conf["cache_mode"], clock)
     return backend, clock
 
 
@@ -363,14 +346,10 @@ def _read_instances(path: str) -> list[EvalInstance]:
 
 def _cmd_validate(conf: dict[str, Any]) -> Run:
     from .langid import TrigramDetector
-    from .validation import ReviewItem, read_review_items, validate_decision
+    from .validation import read_review_items
 
     records = read_news(conf["in"])
-    decisions: list[ReviewItem] = []
-    if conf.get("decisions"):
-        decisions = read_review_items(conf["decisions"])
-        for item in decisions:
-            validate_decision(item)
+    decisions = read_review_items(conf["decisions"]) if conf.get("decisions") else []
     incomplete = _read_id_file(conf["incomplete_ids"]) if conf.get("incomplete_ids") else []
     backend, _ = _provider(conf)
 
@@ -400,22 +379,15 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
     print(f"review queue       {len(report.review_items)} item(s) -> {review_out}")
     if report.flagged_language:
         print(f"flagged language   {len(report.flagged_language)} record(s) kept, see report")
+    if report.external_check_failed:
+        print(f"fact-check failed  {len(report.external_check_failed)} record(s) not cross-checked, see report")
     return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("decisions")],
                [str(out), str(report_out), str(review_out)])
 
 
 def _cmd_dedup(conf: dict[str, Any]) -> Run:
-    from .dedup import DedupConfig
-
     records = read_news(conf["in"])
-    cfg = DedupConfig(
-        shingle_size=conf["shingle_size"],
-        num_permutations=conf["permutations"],
-        bands=conf["bands"],
-        seed=conf["seed"],
-        jaccard_threshold=conf["threshold"],
-    )
-    clusters = near_duplicates({r.id: r.text for r in records}, cfg)
+    clusters = near_duplicates({r.id: r.text for r in records})
     payloads = []
     for c in clusters:
         row = c.to_dict()
@@ -429,15 +401,13 @@ def _cmd_dedup(conf: dict[str, Any]) -> Run:
 
 
 def _cmd_review(conf: dict[str, Any]) -> Run:
-    from .validation import ReviewItem, read_review_items, validate_decision
+    from .validation import ReviewItem, read_review_items
 
     queue = read_review_items(conf["queue"])
     if conf.get("decisions"):
         decisions = {item.id: item for item in read_review_items(conf["decisions"])}
         missing = [item.id for item in queue if item.id not in decisions]
         undecided = [i for i, item in decisions.items() if item.decision is None]
-        for item in decisions.values():
-            validate_decision(item)
         if missing or undecided:
             for rid in missing:
                 print(f"no decision for queue item {rid}", file=sys.stderr)
@@ -467,7 +437,7 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     template = load_template(conf["claim_template"])
 
     def enrich(item: NewsItem) -> EnrichedRecord:
-        return enrich_one(item, backend, clock, template, conf["model"], conf["max_claim_words"])
+        return enrich_one(item, backend, clock, template, conf["model"])
 
     workers = max(1, conf["parallelism"])
     if workers == 1:
@@ -554,10 +524,7 @@ def _cmd_split(conf: dict[str, Any]) -> Run:
     from .evalkit import SplitSpec
 
     records = read_news(conf["in"])
-    spec = SplitSpec(
-        train=conf["train"], val=conf["val"], test=conf["test"],
-        seed=conf["seed"], pair_preserving=conf["pair_preserving"],
-    )
+    spec = SplitSpec(train=conf["train"], val=conf["val"], test=conf["test"], seed=conf["seed"])
     train, val, test = split(records, spec)
     out_dir = Path(conf["out_dir"])
     outputs = []

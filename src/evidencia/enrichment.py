@@ -9,7 +9,9 @@ when the original query returns no reviews and a claim exists.
 
 from __future__ import annotations
 
-from .claims import MAX_CLAIM_WORDS, ClaimPromptTemplate, extract_claim, load_template
+from typing import Any, Callable
+
+from .claims import ClaimPromptTemplate, extract_claim, load_template
 from .clocks import Clock, SystemClock
 from .matching import first_match
 from .providers import (
@@ -27,13 +29,24 @@ from .records import EnrichedRecord, ErrorEvent, FunnelStats, NewsItem  # Funnel
 from .textprep import build_query, strip_emoji, strip_quotes
 
 
+def _search(
+    search: Callable[[Any, Backend], list[Any]], request: Any, backend: Backend, stage: str, errors: list[ErrorEvent]
+) -> list[Any] | None:
+    """``search(request, backend)``, or None after recording a provider
+    failure under ``stage``."""
+    try:
+        return search(request, backend)
+    except ProviderFailure as exc:
+        errors.append(ErrorEvent(stage, "provider_failure", str(exc)))
+        return None
+
+
 def enrich_one(
     item: NewsItem,
     backend: Backend,
     clock: Clock | None = None,
     template: ClaimPromptTemplate | None = None,
     model: str = DEFAULT_MODEL,
-    max_claim_words: int = MAX_CLAIM_WORDS,
 ) -> EnrichedRecord:
     """Enrich one record; ``template`` defaults to the ``main`` claim prompt."""
     clock = clock or SystemClock()
@@ -44,11 +57,7 @@ def enrich_one(
     prepared = strip_emoji(strip_quotes(item.text))
     query, query_kind = build_query(prepared)
 
-    try:
-        results = web_search(WebSearchRequest(query=query), backend)
-    except ProviderFailure as exc:
-        results = []
-        errors.append(ErrorEvent("initial_search", "provider_failure", str(exc)))
+    results = _search(web_search, WebSearchRequest(query=query), backend, "initial_search", errors) or []
     timestamps["initial_search"] = clock.utc_instant()
 
     scores, match_index = first_match(query, results)
@@ -61,7 +70,6 @@ def enrich_one(
             item.text,
             lambda prompt: llm_generate(LlmRequest(prompt=prompt, model=model), backend),
             template=template,
-            max_claim_words=max_claim_words,
         )
         timestamps["claim_extraction"] = clock.utc_instant()
         if outcome.error is not None:
@@ -69,32 +77,21 @@ def enrich_one(
         claim = outcome.claim
         claim_enforced = outcome.enforced
         if claim is not None:
-            try:
-                claim_results = web_search(WebSearchRequest(query=claim), backend)
-            except ProviderFailure as exc:
-                claim_results = []
-                errors.append(ErrorEvent("claim_search", "provider_failure", str(exc)))
-            else:
-                if not claim_results:
-                    errors.append(ErrorEvent("claim_search", "empty_results", "claim search returned nothing"))
+            claim_results = _search(web_search, WebSearchRequest(query=claim), backend, "claim_search", errors)
+            if claim_results == []:
+                errors.append(ErrorEvent("claim_search", "empty_results", "claim search returned nothing"))
+            claim_results = claim_results or []
             timestamps["claim_search"] = clock.utc_instant()
 
-    factcheck_results = []
     factcheck_query_used = "none"
-    try:
-        factcheck_results = factcheck_search(FactCheckRequest(query=query), backend)
-    except ProviderFailure as exc:
-        errors.append(ErrorEvent("factcheck_search", "provider_failure", str(exc)))
+    factcheck_results = _search(factcheck_search, FactCheckRequest(query=query), backend, "factcheck_search",
+                                errors) or []
     if factcheck_results:
         factcheck_query_used = "original"
     elif claim is not None:
-        try:
-            fallback = factcheck_search(FactCheckRequest(query=claim), backend)
-        except ProviderFailure as exc:
-            fallback = []
-            errors.append(ErrorEvent("factcheck_search", "provider_failure", str(exc)))
-        if fallback:
-            factcheck_results = fallback
+        factcheck_results = _search(factcheck_search, FactCheckRequest(query=claim), backend, "factcheck_search",
+                                    errors) or []
+        if factcheck_results:
             factcheck_query_used = "claim"
     timestamps["factcheck_search"] = clock.utc_instant()
 

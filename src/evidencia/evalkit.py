@@ -44,7 +44,6 @@ class SplitSpec:
     val: float = 0.1
     test: float = 0.1
     seed: int = 0
-    pair_preserving: bool = True
 
     def __post_init__(self) -> None:
         if min(self.train, self.val, self.test) < 0:
@@ -64,9 +63,9 @@ def split(
     """
     units: dict[str, list[NewsItem]] = {}
     for item in items:
-        if spec.pair_preserving and item.corpus == "fakebr" and not item.pair_id:
+        if item.corpus == "fakebr" and not item.pair_id:
             raise ValueError(f"record {item.id}: fakebr record without pair_id")
-        key = f"pair:{item.pair_id}" if (spec.pair_preserving and item.pair_id) else f"solo:{item.id}"
+        key = f"pair:{item.pair_id}" if item.pair_id else f"solo:{item.id}"
         units.setdefault(key, []).append(item)
 
     unit_keys = sorted(units)

@@ -313,8 +313,7 @@ class CachingBackend:
         self._fd: int | None = None
         self._entries: dict[str, dict[str, Any]] = {}
         self._needs_newline = False
-        if mode != "bypass":
-            self._load()
+        self._load()
 
     def _load(self) -> None:
         try:
@@ -332,8 +331,6 @@ class CachingBackend:
         self._needs_newline = bool(data) and not data.endswith(b"\n")
 
     def fetch(self, kind: str, payload: dict[str, Any], digest: str | None = None) -> dict[str, Any]:
-        if self.mode == "bypass":
-            return self.inner.fetch(kind, payload, digest)
         digest = digest or request_hash(kind, payload)
         with self._lock:
             body = self._entries.get(digest)

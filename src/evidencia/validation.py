@@ -45,7 +45,11 @@ _KIND_STAGE = {
 
 @dataclass
 class ReviewItem:
-    """One judgment call for a human, plus the eventual decision."""
+    """One judgment call for a human, plus the eventual decision.
+
+    Construction rejects an unknown kind and a malformed decision with a
+    SchemaError, so a decisions file is checked line by line as it is read.
+    """
 
     id: str
     kind: str
@@ -59,6 +63,19 @@ class ReviewItem:
     def __post_init__(self) -> None:
         if self.kind not in REVIEW_KINDS:
             raise SchemaError(f"unknown review kind {self.kind!r}")
+        decision = self.decision
+        if decision is None:
+            return
+        if not isinstance(decision, dict):
+            raise SchemaError(f"review {self.id}: decision must be an object")
+        action = decision.get("action")
+        if action not in DECISION_ACTIONS:
+            raise SchemaError(f"review {self.id}: unknown action {action!r}")
+        unknown = [i for i in decision.get("ids", self.record_ids) if i not in self.record_ids]
+        if unknown:
+            raise SchemaError(f"review {self.id}: decision targets unknown records {unknown}")
+        if action == "relabel" and decision.get("label") not in LABELS:
+            raise SchemaError(f"review {self.id}: relabel needs a valid label")
 
     @property
     def stage(self) -> str:
@@ -94,23 +111,6 @@ class ReviewItem:
         )
 
 
-def validate_decision(item: ReviewItem) -> None:
-    """Raise SchemaError when an adjudicated decision is malformed."""
-    decision = item.decision
-    if decision is None:
-        return
-    action = decision.get("action")
-    if action not in DECISION_ACTIONS:
-        raise SchemaError(f"review {item.id}: unknown action {action!r}")
-    ids = decision.get("ids", item.record_ids)
-    unknown = [i for i in ids if i not in item.record_ids]
-    if unknown:
-        raise SchemaError(f"review {item.id}: decision targets unknown records {unknown}")
-    if action == "relabel":
-        if decision.get("label") not in LABELS:
-            raise SchemaError(f"review {item.id}: relabel needs a valid label")
-
-
 def read_review_items(path: str | Path) -> list[ReviewItem]:
     return list(read_jsonl(path, ReviewItem.from_dict))
 
@@ -127,6 +127,7 @@ class ValidationReport:
     removal_reasons: dict[str, str] = field(default_factory=dict)
     corrected: dict[str, list[dict[str, Any]]] = field(default_factory=lambda: {s: [] for s in STAGES})
     flagged_language: list[str] = field(default_factory=list)
+    external_check_failed: list[str] = field(default_factory=list)
     review_items: list[ReviewItem] = field(default_factory=list)
     urls_stripped: int = 0
 
@@ -146,7 +147,7 @@ class ValidationReport:
         return self.input_count == self.output_count + self.total_removed()
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        out = {
             "input_count": self.input_count,
             "output_count": self.output_count,
             "stage_counts": self.stage_counts(),
@@ -157,6 +158,9 @@ class ValidationReport:
             "urls_stripped": self.urls_stripped,
             "review_queue_size": len(self.review_items),
         }
+        if self.external_check_failed:
+            out["external_check_failed"] = self.external_check_failed
+        return out
 
 
 def _remove(report: ValidationReport, stage: str, record_id: str, reason: str) -> None:
@@ -252,13 +256,15 @@ def check_external_labels(
     report: ValidationReport,
 ) -> None:
     """Ask the fact-check service about each record; emit a review item when
-    a normalized agency rating contradicts the stored label."""
+    a normalized agency rating contradicts the stored label. A record whose
+    lookup fails is listed in ``report.external_check_failed``."""
     mapping = resources.rating_map()
     for item in records:
         query, _ = build_query(strip_emoji(strip_quotes(item.text)))
         try:
             reviews = factcheck_search(FactCheckRequest(query=query), backend)
         except ProviderFailure:
+            report.external_check_failed.append(item.id)
             continue
         for review in reviews:
             bucket = mapping.get(review.textual_rating.strip().lower())
@@ -298,7 +304,6 @@ def apply_decisions(
     """Apply adjudicated review items; attribution follows the item's kind."""
     by_id = {item.id: item for item in records}
     for item in decisions:
-        validate_decision(item)
         if item.decision is None:
             continue
         action = item.decision["action"]

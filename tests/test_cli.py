@@ -1,6 +1,7 @@
 """Command-line behavior: the full pipeline, option resolution, exit codes."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -16,7 +17,9 @@ from evidencia import cli
 from evidencia.cli import main
 from evidencia.enrichment import FunnelStats
 from evidencia.providers import LOG_NAME, FixtureBackend
+from evidencia.evalkit import SplitSpec
 from evidencia.records import read_enriched, read_news
+from evidencia.validation import run_validation
 
 from conftest import CASSETTES, FIXTURES, ROOT
 
@@ -55,12 +58,12 @@ PIPELINE_DIGESTS = {
 # ``masked_manifest``). A change to any of them changes what a manifest says.
 MANIFEST_DIGESTS = {
     "analysis.json.manifest.json": "277a958369c0b925e565ad15142788033aef7c7892ce8879cd92e5f1d240be0e",
-    "clusters.jsonl.manifest.json": "86d428d634d38250668ff123a7bdb929b5eaa13a1067fdb17d4f5f6a9629db26",
+    "clusters.jsonl.manifest.json": "ac1300f3d278587bd9080145d2fd857ca40b9d2eef163fd61e7107636d8745f1",
     "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
-    "enriched.jsonl.manifest.json": "5908d7aacdbe8215113b006b3e299bf8d484b141848d1cebfde747bec412e6c4",
+    "enriched.jsonl.manifest.json": "e48d80f67d962cd7e38cf64fc249c5630fcfe4fbc74b38d72a21129ab8bb7126",
     "evaluation.json.manifest.json": "4cb02649dbc270d1093a73a9881ab4de9a147bb6d809aa3e9a95d3475cd33936",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
-    "splits/manifest.json": "fd304eefaf0110d12297ae6c25bab8a0839ec559ec4a111a0c58f4725e460ca0",
+    "splits/manifest.json": "ae1cc68ddeaabacfe267c567d88acf83e2a85d941fb2176e3aea8f1b19bd039f",
     "validated.jsonl.manifest.json": "7509231265e8b7fbcfda37454fb54eb347fa74b59afa11365d2421f7d713a67f",
 }
 
@@ -335,15 +338,50 @@ class TestExitCodes:
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert str(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,field", [
-        ("--bands", "bands"),
-        ("--shingle-size", "shingle_size"),
-        ("--permutations", "num_permutations"),
-    ])
-    def test_dedup_sizes_below_one(self, tmp_path, capsys, flag, field):
-        out = tmp_path / "clusters.jsonl"
-        assert main(["dedup", "--in", CORPUS, "--out", str(out), flag, "0"]) == 2
-        assert f"{field} must be at least 1" in capsys.readouterr().err
+
+class TestValidateInputs:
+    def test_review_skeleton_feeds_back_as_decisions(self, pipeline, tmp_path):
+        out = tmp_path / "v.jsonl"
+        assert main(["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(pipeline["skeleton"])]) == 0
+        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
+        assert report["removed"]["contradiction_resolution"] == ["cv_0009", "cv_0010", "cv_0011", "cv_0012"]
+        assert report["removal_reasons"]["cv_0009"] == "decision:near_dup_conflict"
+        assert report["removal_reasons"]["cv_0011"] == "decision:shared_url_conflict"
+        assert report["output_count"] == len(read_news(out)) == 26
+        assert str(pipeline["skeleton"]) in load_manifest(f"{out}.manifest.json")["input_hashes"]
+
+    @pytest.mark.parametrize("decision,message", [
+        ({"action": "ban"}, "unknown action 'ban'"),
+        ("remove", "decision must be an object"),
+    ], ids=["unknown-action", "not-an-object"])
+    def test_bad_decision_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, decision, message):
+        first, second = Path(pipeline["skeleton"]).read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "decisions.jsonl"
+        bad.write_text(first + "\n" + json.dumps({**json.loads(second), "decision": decision}) + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "v.jsonl"
+        for argv in (["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(bad)],
+                     ["review", "--queue", f"{pipeline['validated']}.review.jsonl", "--decisions", str(bad)]):
+            assert main(argv) == 2
+            assert f"{bad}:2: review rev-0002: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_incomplete_ids_remove_the_record_and_its_pair(self, tmp_path):
+        ids = tmp_path / "incomplete.txt"
+        ids.write_text("fake_0001\n\n", encoding="utf-8")
+        out = tmp_path / "v.jsonl"
+        assert main(["validate", "--in", CORPUS, "--out", str(out), "--incomplete-ids", str(ids)]) == 0
+        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
+        assert report["removal_reasons"]["fake_0001"] == "truncated_source"
+        assert report["removal_reasons"]["true_0001"] == "pair_member_removed"
+        kept = {item.id for item in read_news(out)}
+        assert len(kept) == 28 and not kept & {"fake_0001", "true_0001"}
+
+    def test_missing_incomplete_ids_file_exits_2_and_names_it(self, tmp_path, capsys):
+        missing = tmp_path / "incomplete.txt"
+        out = tmp_path / "v.jsonl"
+        assert main(["validate", "--in", CORPUS, "--out", str(out), "--incomplete-ids", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -396,6 +434,34 @@ class TestTracerSeams:
         monkeypatch.setattr(cli, name, counting)
         assert main(_seam_argv(subcommand, pipeline, tmp_path)) == 0
         assert calls
+
+
+VALIDATION_DEFAULTS = {name: p.default for name, p in inspect.signature(run_validation).parameters.items()}
+
+
+class TestDefaults:
+    # Each case runs a subcommand with no settings, captures the call its
+    # handler makes through a cli stand-in, and compares the value ``pick``
+    # takes from that call with the library's default.
+    @pytest.mark.parametrize("subcommand,stand_in,pick,library_default", [
+        ("validate", "run_validation", lambda args, kwargs: kwargs["min_content_tokens"],
+         VALIDATION_DEFAULTS["min_content_tokens"]),
+        ("validate", "run_validation", lambda args, kwargs: kwargs["auto_remove_confidence"],
+         VALIDATION_DEFAULTS["auto_remove_confidence"]),
+        ("split", "split", lambda args, kwargs: args[1], SplitSpec()),
+    ], ids=["min-content-tokens", "auto-remove-confidence", "split-spec"])
+    def test_cli_default_is_the_library_default(self, pipeline, tmp_path, monkeypatch, subcommand, stand_in,
+                                                pick, library_default):
+        original = getattr(cli, stand_in)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(pick(args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, stand_in, recording)
+        assert main(_seam_argv(subcommand, pipeline, tmp_path)) == 0
+        assert calls == [library_default]
 
 
 class TestBrokenCassettes:
@@ -495,6 +561,35 @@ class TestConfigFile:
         assert main(["--config", str(conf), "validate", "--in", CORPUS,
                      "--out", str(tmp_path / "o.jsonl")]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    # Settings removed because they only let a run contradict the procedure
+    # or another subcommand: (subcommand arguments, flag, config-file line).
+    @pytest.mark.parametrize("argv,flag,key", [
+        (["dedup", "--in", CORPUS], ["--threshold", "0.5"], "threshold = 0.5"),
+        (["dedup", "--in", CORPUS], ["--shingle-size", "3"], "shingle-size = 3"),
+        (["dedup", "--in", CORPUS], ["--permutations", "50"], "permutations = 50"),
+        (["dedup", "--in", CORPUS], ["--bands", "10"], "bands = 10"),
+        (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         ["--max-claim-words", "5"], "max-claim-words = 5"),
+        (["split", "--in", CORPUS], ["--no-pair-preserving"], "pair-preserving = false"),
+    ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving"])
+    def test_removed_setting_exits_2(self, tmp_path, capsys, argv, flag, key):
+        out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *out, *flag])
+        assert exc.value.code == 2
+        conf = tmp_path / "run.conf"
+        conf.write_text(key + "\n", encoding="utf-8")
+        assert main(["--config", str(conf), *argv, *out]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_bypass_cache_mode_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--out", str(tmp_path / "r.json"),
+                  "--provider", "fixture", "--fixtures", str(CASSETTES),
+                  "--cache", str(tmp_path / "cache"), "--cache-mode", "bypass"])
+        assert exc.value.code == 2
 
     def test_bad_config_value(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidencia import cli, dedup
+from evidencia import cli, dedup, validation
 from evidencia.dedup import (
     DedupConfig,
     MinHasher,
@@ -185,12 +185,25 @@ class TestConfig:
         assert (cfg.num_permutations, cfg.bands, cfg.rows_per_band) == (100, 25, 4)
 
     def test_dedup_subcommand_defaults_are_the_config_defaults(self, monkeypatch, tmp_path):
-        seen = []
-        monkeypatch.setattr(cli, "near_duplicates", lambda texts, cfg: seen.append(cfg) or [])
+        # dedup makes validate's call: the texts alone, so DedupConfig() applies.
+        seen = {}
+
+        def recorder(subcommand):
+            def near_duplicates(*args, **kwargs):
+                seen[subcommand] = (args, kwargs)
+                return []
+            return near_duplicates
+
+        monkeypatch.setattr(cli, "near_duplicates", recorder("dedup"))
+        monkeypatch.setattr(validation, "near_duplicates", recorder("validate"))
+        text = ("O governo municipal confirmou nesta semana a abertura de novas vagas de "
+                "vacinação em todos os postos de saúde da cidade durante o próximo mês.")
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text('{"id": "a", "corpus": "fakebr", "text": "texto", "label": "fake"}\n', encoding="utf-8")
-        assert cli.main(["dedup", "--in", str(corpus), "--out", str(tmp_path / "clusters.jsonl")]) == 0
-        assert seen == [DedupConfig()]
+        corpus.write_text(f'{{"id": "a", "corpus": "covid19br", "text": "{text}", "label": "true"}}\n',
+                          encoding="utf-8")
+        for subcommand in ("dedup", "validate"):
+            assert cli.main([subcommand, "--in", str(corpus), "--out", str(tmp_path / f"{subcommand}.jsonl")]) == 0
+        assert seen["dedup"] == seen["validate"] == (({"a": text},), {})
 
 
 def planted_pairs(rng, jaccard, n_pairs):

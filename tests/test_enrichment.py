@@ -1,9 +1,12 @@
 """Enrichment flow over the recorded fixture corpus."""
 
+from dataclasses import replace
+
 import pytest
 
 from evidencia.enrichment import FunnelStats, enrich_one
-from evidencia.providers import FrozenClock
+from evidencia.providers import KIND_FACTCHECK, KIND_WEB, FrozenClock, ProviderFailure
+from evidencia.records import ErrorEvent
 from evidencia.validation import run_validation
 
 
@@ -90,6 +93,42 @@ class TestFactcheck:
         rec = enriched["mm_0003"]
         assert rec.claim is None
         assert rec.factcheck_query_used == "none"
+
+
+class FailingSearch:
+    """Replays ``inner`` but raises ProviderFailure for one (kind, query)."""
+
+    def __init__(self, inner, kind, query):
+        self.inner, self.kind, self.query = inner, kind, query
+
+    def fetch(self, kind, payload, digest=None):
+        if kind == self.kind and payload.get("query") == self.query:
+            raise ProviderFailure(f"{kind}: HTTP 503")
+        return self.inner.fetch(kind, payload, digest)
+
+
+class TestSearchFailures:
+    # Each case fails one search of a record and names the error stage, the
+    # search's query (the record's query or its claim) and the fields that
+    # must differ from the record enriched without a failure.
+    @pytest.mark.parametrize("record_id,kind,query_from,stage,emptied", [
+        ("fake_0001", KIND_WEB, "query", "initial_search", {"initial_results": [], "match_scores": []}),
+        ("fake_0001", KIND_WEB, "claim", "claim_search", {"claim_results": []}),
+        ("fake_0001", KIND_FACTCHECK, "query", "factcheck_search",
+         {"factcheck_results": [], "factcheck_query_used": "none"}),
+        ("cv_0002", KIND_FACTCHECK, "claim", "factcheck_search",
+         {"factcheck_results": [], "factcheck_query_used": "none"}),
+    ], ids=["initial-web", "claim-web", "original-factcheck", "claim-factcheck-fallback"])
+    def test_failure_is_recorded_and_the_rest_filled(self, corpus_by_id, backend, record_id, kind, query_from,
+                                                     stage, emptied):
+        item = corpus_by_id[record_id]
+        clean = enrich_one(item, backend, clock=FrozenClock())
+        assert not clean.errors
+        assert all(getattr(clean, name) for name in emptied if name != "factcheck_query_used")
+
+        failing = FailingSearch(backend, kind, getattr(clean, query_from))
+        got = enrich_one(item, failing, clock=FrozenClock())
+        assert got == replace(clean, errors=[ErrorEvent(stage, "provider_failure", f"{kind}: HTTP 503")], **emptied)
 
 
 class TestTimestampsAndQueries:

@@ -274,16 +274,6 @@ class TestCachingBackend:
         assert inner.calls == 0
         assert log.read_bytes() == before
 
-    def test_bypass_ignores_cache_entirely(self, tmp_path):
-        log = cache_log(tmp_path)
-        log.write_text(log_line(KIND_WEB, X_PAYLOAD, {"items": [{"title": "cached"}]}), encoding="utf-8")
-        before = log.read_bytes()
-        inner = CountingBackend()
-        cache = CachingBackend(inner, tmp_path, mode="bypass")
-        assert cache.fetch(KIND_WEB, X_PAYLOAD)["items"][0]["title"] == "live"
-        assert inner.calls == 1
-        assert log.read_bytes() == before
-
     @pytest.mark.parametrize("entry", BROKEN_ENTRIES)
     def test_unreadable_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
         text = BROKEN_LINES[entry]
@@ -365,8 +355,9 @@ class TestCachingBackend:
         assert logged == {request_hash(KIND_WEB, p) for p in payloads}
 
     def test_unknown_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CachingBackend(CountingBackend(), tmp_path, mode="write_only")
+        for mode in ("write_only", "bypass"):
+            with pytest.raises(ValueError):
+                CachingBackend(CountingBackend(), tmp_path, mode=mode)
 
 
 class TestCassetteWriters:

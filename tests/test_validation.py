@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from evidencia import validation
 from evidencia.dedup import near_duplicates
-from evidencia.providers import LOG_NAME, FixtureBackend, KIND_FACTCHECK, write_cassette
+from evidencia.providers import LOG_NAME, FixtureBackend, KIND_FACTCHECK, ProviderFailure, write_cassette
 from evidencia.records import NewsItem, SchemaError, dumps_record
 from evidencia.textprep import build_query
 from evidencia.validation import (
@@ -22,7 +22,6 @@ from evidencia.validation import (
     read_review_items,
     run_validation,
     strip_record_urls,
-    validate_decision,
     write_review_items,
 )
 
@@ -188,6 +187,23 @@ class TestExternalLabels:
         check_external_labels([item("a")], FixtureBackend(tmp_path), report)
         assert report.review_items == []
 
+    def test_failed_lookup_is_reported(self, tmp_path):
+        plant_factcheck(tmp_path, build_query(LONG)[0], "Falso")
+        replay = FixtureBackend(tmp_path)
+        other = "Outro texto sobre a campanha de vacinação nas escolas estaduais da região metropolitana."
+
+        class FailsOnOther:
+            def fetch(self, kind, payload, digest=None):
+                if payload["query"] == build_query(other)[0]:
+                    raise ProviderFailure("factcheck: HTTP 503")
+                return replay.fetch(kind, payload, digest)
+
+        report = ValidationReport(input_count=2)
+        check_external_labels([item("a"), item("b", text=other)], FailsOnOther(), report)
+        assert report.external_check_failed == ["b"]
+        assert [r.record_ids for r in report.review_items] == [["a"]]
+        assert report.to_dict()["external_check_failed"] == ["b"]
+
 
 class TestRandomInspection:
     def test_zero_sample_is_noop(self):
@@ -263,15 +279,15 @@ class TestDecisions:
 
     def test_validate_decision_rejects_unknown_action(self):
         with pytest.raises(SchemaError, match="unknown action"):
-            validate_decision(self.make_review({"action": "ban"}))
+            self.make_review({"action": "ban"})
 
     def test_validate_decision_rejects_foreign_ids(self):
         with pytest.raises(SchemaError, match="unknown records"):
-            validate_decision(self.make_review({"action": "remove", "ids": ["zz"]}))
+            self.make_review({"action": "remove", "ids": ["zz"]})
 
     def test_validate_decision_requires_relabel_label(self):
         with pytest.raises(SchemaError, match="valid label"):
-            validate_decision(self.make_review({"action": "relabel"}))
+            self.make_review({"action": "relabel"})
 
 
 class TestReviewFile:
@@ -397,6 +413,7 @@ class TestFullRun:
             "external_label_check", "subset_inspection", "fakebr_specific",
         }
         assert data["review_queue_size"] == 2
+        assert "external_check_failed" not in data
 
     def test_decisions_feed_back(self, corpus, detector):
         validated, report = run_validation(corpus, detector=detector)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import resources
+from .providers import ProviderFailure
 from .records import MAX_CLAIM_WORDS, PROMPT_PATTERNS, ErrorEvent
 from .textprep import llm_input, word_tokens
 
@@ -71,8 +72,9 @@ def extract_claim(
 ) -> ClaimOutcome:
     """Run the extraction loop for one text.
 
-    ``generate`` maps a prompt to the model's raw completion; provider errors
-    must surface as exceptions and become ``provider_failure`` events here.
+    ``generate`` maps a prompt to the model's raw completion; a
+    ``ProviderFailure`` it raises becomes a ``provider_failure`` event here,
+    and any other exception propagates.
     """
     template = template or load_template()
     prompt = template.render(llm_input(text))
@@ -81,7 +83,7 @@ def extract_claim(
     for attempts in range(1, MAX_ATTEMPTS + 1):
         try:
             raw = generate(prompt)
-        except Exception as exc:
+        except ProviderFailure as exc:
             return ClaimOutcome(
                 claim=None,
                 attempts=attempts,

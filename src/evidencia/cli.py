@@ -2,10 +2,11 @@
 
 Eight subcommands wire the library into a reproducible pipeline:
 validate, dedup, review, enrich, analyze, split, build-config, evaluate.
-Options resolve as flags > config file > defaults; the config file is a
-flat `key = value` text file shared across subcommands. Each handler
-returns a ``Run`` naming what it wrote; ``main`` then writes exactly one
-manifest (resource hashes, input hashes, provider mode, config snapshot)
+argparse reads every option. ``@FILE`` after the subcommand reads further
+arguments from FILE, one per line (``--seed=1``): a later flag wins, and an
+option the subcommand lacks exits 2 as it does on the command line. Each
+handler returns a ``Run`` naming what it wrote; ``main`` then writes exactly
+one manifest (resource hashes, input hashes, provider mode, config snapshot)
 next to the primary output and applies the error-rate gate.
 
 Exit codes: 0 success, 1 per-record error rate above --max-error-rate,
@@ -71,164 +72,8 @@ build_config = _deferred("evalkit", "build_config")
 
 
 class ConfigError(Exception):
-    """Bad flag/config-file input; maps to exit code 2."""
-
-
-# ---------------------------------------------------------------- options
-
-class Opt:
-    """One resolvable option: flag, config-file key and default."""
-
-    def __init__(self, name, *, type=str, default=None, required=False, choices=None, help=""):
-        self.name = name
-        self.dest = name.replace("-", "_")
-        self.type = type
-        self.default = default
-        self.required = required
-        self.choices = choices
-        self.help = help
-
-    def add_to(self, parser: argparse.ArgumentParser) -> None:
-        kwargs: dict[str, Any] = {"dest": self.dest, "default": argparse.SUPPRESS, "help": self.help}
-        if self.choices:
-            kwargs["choices"] = self.choices
-        parser.add_argument(f"--{self.name}", type=self.type, **kwargs)
-
-    def coerce(self, raw: str) -> Any:
-        try:
-            value = self.type(raw.strip())
-        except ValueError:
-            raise ConfigError(f"config key {self.dest!r}: bad value {raw!r}") from None
-        if self.choices and value not in self.choices:
-            raise ConfigError(f"config key {self.dest!r}: {value!r} not in {self.choices}")
-        return value
-
-
-PROVIDER_OPTS = [
-    Opt("provider", choices=("live", "fixture"), help="backend mode"),
-    Opt("fixtures", help="directory of recorded response files (fixture mode)"),
-    Opt("cache", help="response cache directory"),
-    Opt("cache-mode", choices=CACHE_MODES, default="read_write",
-        help="read_write appends each fetched response to the cache log; read_only never writes it"),
-]
-
-OPTIONS: dict[str, list[Opt]] = {
-    "validate": [
-        Opt("in", required=True, help="input records, one JSON object per line"),
-        Opt("out", required=True, help="validated records output"),
-        Opt("report-out", help="report JSON (default: <out>.report.json)"),
-        Opt("review-out", help="review queue output (default: <out>.review.jsonl)"),
-        Opt("decisions", help="adjudicated review items to apply"),
-        Opt("incomplete-ids", help="file of known-truncated record ids, one per line"),
-        Opt("min-content-tokens", type=int, default=15, help="short-text removal threshold"),
-        Opt("auto-remove-confidence", type=float, default=0.95,
-            help="language confidence above which non-Portuguese records are removed"),
-        Opt("sample-size", type=int, default=0, help="random inspection sample size"),
-        Opt("seed", type=int, default=0, help="inspection sampling seed"),
-        *PROVIDER_OPTS,
-    ],
-    "dedup": [
-        Opt("in", required=True, help="input records"),
-        Opt("out", required=True, help="cluster report output, one cluster per line"),
-    ],
-    "review": [
-        Opt("queue", required=True, help="review queue produced by validate"),
-        Opt("out", help="write a decision-skeleton file to edit"),
-        Opt("decisions", help="check an edited decisions file against the queue"),
-    ],
-    "enrich": [
-        Opt("in", required=True, help="validated records"),
-        Opt("out", required=True, help="enriched records output"),
-        Opt("stats-out", help="funnel statistics JSON (default: <out>.stats.json)"),
-        Opt("parallelism", type=int, default=1, help="concurrent records"),
-        Opt("claim-template", default="main",
-            choices=PROMPT_PATTERNS,
-            help="claim extraction prompt pattern"),
-        Opt("model", default=DEFAULT_MODEL, help="generation model name"),
-        Opt("max-error-rate", type=float, default=1.0,
-            help="exit 1 when the share of records with errors exceeds this"),
-        *PROVIDER_OPTS,
-    ],
-    "analyze": [
-        Opt("in", required=True, help="enriched or plain records"),
-        Opt("out", required=True, help="report JSON output"),
-        Opt("text-out", help="plain-text report (default: <out>.txt)"),
-        Opt("clusters", help="dedup cluster report to include size histogram"),
-    ],
-    "split": [
-        Opt("in", required=True, help="records to split"),
-        Opt("out-dir", required=True, help="directory for train/val/test files"),
-        Opt("train", type=float, default=0.8, help="train ratio"),
-        Opt("val", type=float, default=0.1, help="validation ratio"),
-        Opt("test", type=float, default=0.1, help="test ratio"),
-        Opt("seed", type=int, default=0, help="shuffle seed"),
-    ],
-    "build-config": [
-        Opt("in", required=True, help="plain records (original/validated) or enriched records"),
-        Opt("out", required=True, help="classification instances output"),
-        Opt("kind", required=True, choices=CONFIG_KINDS, help="data configuration"),
-    ],
-    "evaluate": [
-        Opt("in", required=True, help="instances to classify (build-config output)"),
-        Opt("shots-from", required=True, help="training instances the 15 shots are drawn from"),
-        Opt("out", required=True, help="results JSON output"),
-        Opt("predictions-out", help="per-instance predictions (default: <out>.predictions.jsonl)"),
-        Opt("seed", type=int, default=0, help="shot sampling seed"),
-        Opt("model", default=DEFAULT_MODEL, help="generation model name"),
-        Opt("max-error-rate", type=float, default=1.0,
-            help="exit 1 when the share of provider failures exceeds this"),
-        *PROVIDER_OPTS,
-    ],
-}
-
-HELP = {
-    "validate": "filter and adjudicate a corpus; emits validated records, a review queue and a report",
-    "dedup": "near-duplicate clusters via MinHash-LSH with exact-Jaccard confirmation",
-    "review": "turn a review queue into a decision skeleton, or check an edited decisions file",
-    "enrich": "attach search results, claims and fact-check reviews to each record",
-    "analyze": "corpus and enrichment statistics in JSON and plain text",
-    "split": "deterministic pair-preserving train/val/test split",
-    "build-config": "materialize a data configuration as classification instances",
-    "evaluate": "few-shot LLM classification with accuracy and macro-F1",
-}
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    """Flat `key = value` lines; # starts a comment; keys may use dashes."""
-    values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        values[key.strip().replace("-", "_")] = raw.strip()
-    return values
-
-
-def _resolve(opts: list[Opt], ns: argparse.Namespace, file_conf: dict[str, str]) -> dict[str, Any]:
-    """Merge flag > config file > default, enforcing required options."""
-    all_dests = {o.dest for group in OPTIONS.values() for o in group}
-    for key in file_conf:
-        if key not in all_dests:
-            raise ConfigError(f"unknown config key {key!r}")
-    conf: dict[str, Any] = {}
-    given = vars(ns)
-    for opt in opts:
-        if opt.dest in given:
-            conf[opt.dest] = given[opt.dest]
-        elif opt.dest in file_conf:
-            conf[opt.dest] = opt.coerce(file_conf[opt.dest])
-        else:
-            conf[opt.dest] = opt.default
-        if opt.required and conf[opt.dest] is None:
-            raise ConfigError(f"missing required option --{opt.name}")
-    return conf
+    """Options that parse but cannot run together, or leave nothing to do;
+    maps to exit code 2."""
 
 
 # ---------------------------------------------------------------- plumbing
@@ -318,11 +163,7 @@ def _provider(conf: dict[str, Any], required: bool = False) -> tuple[Backend | N
 
 
 def _read_id_file(path: str) -> list[str]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    return [line.strip() for line in lines if line.strip()]
+    return [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
 def _read_instances(path: str) -> list[EvalInstance]:
@@ -336,10 +177,7 @@ def _read_instances(path: str) -> list[EvalInstance]:
             context=raw.get("context", ""),
         )
 
-    try:
-        return list(read_jsonl(path, parse))
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    return list(read_jsonl(path, parse))
 
 
 # ---------------------------------------------------------------- handlers
@@ -381,7 +219,7 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
         print(f"flagged language   {len(report.flagged_language)} record(s) kept, see report")
     if report.external_check_failed:
         print(f"fact-check failed  {len(report.external_check_failed)} record(s) not cross-checked, see report")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("decisions")],
+    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("decisions"), conf.get("incomplete_ids")],
                [str(out), str(report_out), str(review_out)])
 
 
@@ -423,6 +261,8 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
     for item in queue:
         copy = ReviewItem.from_dict(item.to_dict())
         copy.decision = {"action": item.suggestion}
+        if item.kind == "external_label_conflict":
+            copy.decision["label"] = item.context["external_bucket"]
         skeleton.append(copy)
     write_review_items(out, skeleton)
     print(f"decision skeleton with {len(skeleton)} item(s) -> {out}")
@@ -617,29 +457,97 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evidencia",
         description="Corpus validation, evidence enrichment and few-shot evaluation for Portuguese fake-news data.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
-    parser.add_argument("--config", help="flat key = value config file; flags still win")
     subparsers = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
-    for name, opts in OPTIONS.items():
-        sub = subparsers.add_parser(name, help=HELP[name])
-        for opt in opts:
-            opt.add_to(sub)
+
+    def subcommand(name: str, summary: str) -> Callable[..., Any]:
+        return subparsers.add_parser(name, help=summary).add_argument
+
+    def provider_options(opt: Callable[..., Any]) -> None:
+        opt("--provider", choices=("live", "fixture"), help="backend mode")
+        opt("--fixtures", help="directory of recorded response files (fixture mode)")
+        opt("--cache", help="response cache directory")
+        opt("--cache-mode", choices=CACHE_MODES, default="read_write",
+            help="read_write appends each fetched response to the cache log; read_only never writes it")
+
+    opt = subcommand("validate", "filter and adjudicate a corpus; emits validated records, a review queue and a report")
+    opt("--in", required=True, help="input records, one JSON object per line")
+    opt("--out", required=True, help="validated records output")
+    opt("--report-out", help="report JSON (default: <out>.report.json)")
+    opt("--review-out", help="review queue output (default: <out>.review.jsonl)")
+    opt("--decisions", help="adjudicated review items to apply")
+    opt("--incomplete-ids", help="file of known-truncated record ids, one per line")
+    opt("--min-content-tokens", type=int, default=15, help="short-text removal threshold")
+    opt("--auto-remove-confidence", type=float, default=0.95,
+        help="language confidence above which non-Portuguese records are removed")
+    opt("--sample-size", type=int, default=0, help="random inspection sample size")
+    opt("--seed", type=int, default=0, help="inspection sampling seed")
+    provider_options(opt)
+
+    opt = subcommand("dedup", "near-duplicate clusters via MinHash-LSH with exact-Jaccard confirmation")
+    opt("--in", required=True, help="input records")
+    opt("--out", required=True, help="cluster report output, one cluster per line")
+
+    opt = subcommand("review", "turn a review queue into a decision skeleton, or check an edited decisions file")
+    opt("--queue", required=True, help="review queue produced by validate")
+    opt("--out", help="write a decision-skeleton file to edit")
+    opt("--decisions", help="check an edited decisions file against the queue")
+
+    opt = subcommand("enrich", "attach search results, claims and fact-check reviews to each record")
+    opt("--in", required=True, help="validated records")
+    opt("--out", required=True, help="enriched records output")
+    opt("--stats-out", help="funnel statistics JSON (default: <out>.stats.json)")
+    opt("--parallelism", type=int, default=1, help="concurrent records")
+    opt("--claim-template", default="main", choices=PROMPT_PATTERNS, help="claim extraction prompt pattern")
+    opt("--model", default=DEFAULT_MODEL, help="generation model name")
+    opt("--max-error-rate", type=float, default=1.0,
+        help="exit 1 when the share of records with errors exceeds this")
+    provider_options(opt)
+
+    opt = subcommand("analyze", "corpus and enrichment statistics in JSON and plain text")
+    opt("--in", required=True, help="enriched or plain records")
+    opt("--out", required=True, help="report JSON output")
+    opt("--text-out", help="plain-text report (default: <out>.txt)")
+    opt("--clusters", help="dedup cluster report to include size histogram")
+
+    opt = subcommand("split", "deterministic pair-preserving train/val/test split")
+    opt("--in", required=True, help="records to split")
+    opt("--out-dir", required=True, help="directory for train/val/test files")
+    opt("--train", type=float, default=0.8, help="train ratio")
+    opt("--val", type=float, default=0.1, help="validation ratio")
+    opt("--test", type=float, default=0.1, help="test ratio")
+    opt("--seed", type=int, default=0, help="shuffle seed")
+
+    opt = subcommand("build-config", "materialize a data configuration as classification instances")
+    opt("--in", required=True, help="plain records (original/validated) or enriched records")
+    opt("--out", required=True, help="classification instances output")
+    opt("--kind", required=True, choices=CONFIG_KINDS, help="data configuration")
+
+    opt = subcommand("evaluate", "few-shot LLM classification with accuracy and macro-F1")
+    opt("--in", required=True, help="instances to classify (build-config output)")
+    opt("--shots-from", required=True, help="training instances the 15 shots are drawn from")
+    opt("--out", required=True, help="results JSON output")
+    opt("--predictions-out", help="per-instance predictions (default: <out>.predictions.jsonl)")
+    opt("--seed", type=int, default=0, help="shot sampling seed")
+    opt("--model", default=DEFAULT_MODEL, help="generation model name")
+    opt("--max-error-rate", type=float, default=1.0,
+        help="exit 1 when the share of provider failures exceeds this")
+    provider_options(opt)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     from .clocks import SystemClock
 
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    conf = vars(build_parser().parse_args(argv))
+    subcommand = conf.pop("subcommand")
     try:
-        file_conf = _load_config_file(ns.config) if ns.config else {}
-        conf = _resolve(OPTIONS[ns.subcommand], ns, file_conf)
         started_at = SystemClock().utc_instant()
-        run = HANDLERS[ns.subcommand](conf)
+        run = HANDLERS[subcommand](conf)
         if run.manifest is not None:
-            _write_manifest(ns.subcommand, conf, run, started_at, SystemClock().utc_instant())
+            _write_manifest(subcommand, conf, run, started_at, SystemClock().utc_instant())
         limit = conf.get("max_error_rate")
         if limit is not None and run.error_rate > limit:
             print(f"error rate {run.error_rate:.2%} above --max-error-rate {limit:.2%}", file=sys.stderr)

@@ -10,6 +10,7 @@ from evidencia.claims import (
     extract_claim,
     load_template,
 )
+from evidencia.providers import ProviderFailure
 from evidencia.textprep import llm_input
 
 
@@ -106,12 +107,20 @@ class TestExtractClaim:
 
     def test_provider_exception_becomes_provider_failure(self):
         def generate(prompt):
-            raise RuntimeError("quota exceeded")
+            raise ProviderFailure("quota exceeded")
 
         outcome = extract_claim("texto", generate)
         assert outcome.claim is None
         assert outcome.error.kind == "provider_failure"
         assert "quota exceeded" in outcome.error.detail
+
+    def test_other_exceptions_propagate(self):
+        # A bug in the caller's generator is not a provider failure to record.
+        def generate(prompt):
+            raise TypeError("generate() got an unexpected keyword argument")
+
+        with pytest.raises(TypeError):
+            extract_claim("texto", generate)
 
     def test_custom_cap(self):
         outcome = extract_claim("texto", lambda p: "um dois tres quatro", max_claim_words=3)

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -260,8 +261,10 @@ class TestAnalyzePlain:
 
 class TestExitCodes:
     def test_missing_required_option(self, capsys):
-        assert main(["validate", "--in", CORPUS]) == 2
-        assert "missing required option --out" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--in", CORPUS])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["validate", "--in", str(tmp_path / "nope.jsonl"),
@@ -303,8 +306,9 @@ class TestExitCodes:
                      "--train", "0.5", "--val", "0.1", "--test", "0.1"]) == 2
         assert "sum to 1" in capsys.readouterr().err
 
-    # Each case writes ``content`` to ``bad`` (a directory when None) and runs
-    # ``argv``; an unreadable path or a malformed line must exit 2 and name the file.
+    # Each case writes ``content`` to ``bad`` (a directory when None, nothing
+    # when False) and runs ``argv``; an unreadable path or a malformed line
+    # must exit 2 and name the file.
     @pytest.mark.parametrize("content,argv", [
         ('{"size": 2}\n', ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
         ("members\n", ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
@@ -322,15 +326,17 @@ class TestExitCodes:
          ["validate", "--in", "{bad}", "--out", "{out}"]),
         ('{"id": "rev-0001", "kind": "near_duplicate", "record_ids": 3}\n',
          ["review", "--queue", "{bad}", "--out", "{out}"]),
+        (False, ["evaluate", "--in", "{train}", "--shots-from", "{bad}", "--out", "{out}",
+                 "--provider", "fixture", "--fixtures", str(CASSETTES)]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
             "validate-in-directory", "split-out-dir-file", "clusters-members-int", "validate-extra-int",
-            "review-record-ids-int"])
+            "review-record-ids-int", "evaluate-shots-from-missing"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
         bad = tmp_path / "bad.jsonl"
         if content is None:
             bad.mkdir()
-        else:
+        elif content is not False:
             bad.write_text(content, encoding="utf-8")
         paths = {"bad": bad, "out": tmp_path / "out.json", "enriched": pipeline["enriched"],
                  "train": pipeline["splits"] / "train.jsonl",
@@ -376,6 +382,24 @@ class TestValidateInputs:
         assert report["removal_reasons"]["true_0001"] == "pair_member_removed"
         kept = {item.id for item in read_news(out)}
         assert len(kept) == 28 and not kept & {"fake_0001", "true_0001"}
+        assert str(ids) in load_manifest(f"{out}.manifest.json")["input_hashes"]
+
+    def test_external_label_skeleton_relabels_as_written(self, tmp_path):
+        queue = tmp_path / "queue.jsonl"
+        queue.write_text(json.dumps({
+            "id": "rev-0001", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
+            "suggestion": "relabel", "context": {"stored_label": "true", "external_bucket": "fake"},
+        }) + "\n", encoding="utf-8")
+        skeleton = tmp_path / "decisions.jsonl"
+        assert main(["review", "--queue", str(queue), "--out", str(skeleton)]) == 0
+        assert main(["review", "--queue", str(queue), "--decisions", str(skeleton)]) == 0
+        out = tmp_path / "v.jsonl"
+        assert main(["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(skeleton)]) == 0
+        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
+        assert report["corrected"]["external_label_check"] == [
+            {"id": "cv_0007", "field": "label", "old": "true", "new": "fake", "reason": "external_label_conflict"},
+        ]
+        assert {item.id: item.label for item in read_news(out)}["cv_0007"] == "fake"
 
     def test_missing_incomplete_ids_file_exits_2_and_names_it(self, tmp_path, capsys):
         missing = tmp_path / "incomplete.txt"
@@ -541,47 +565,59 @@ class TestBrokenCassettes:
 
 
 class TestConfigFile:
+    """Settings kept in a file are argparse option files: ``@FILE`` after the
+    subcommand, one argument per line."""
+
+    @staticmethod
+    def option_file(tmp_path, *lines):
+        path = tmp_path / "run.args"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        return f"@{path}"
+
+    @staticmethod
+    def exits_2(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code == 2
+
     def test_file_value_applies_and_flag_wins(self, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("# shared settings\nmin-content-tokens = 1000\n", encoding="utf-8")
+        args = self.option_file(tmp_path, "--min-content-tokens=1000")
         out_file = tmp_path / "strict.jsonl"
-        assert main(["--config", str(conf), "validate", "--in", CORPUS,
-                     "--out", str(out_file)]) == 0
-        strict = read_news(out_file)
-        assert len(strict) < 5
+        assert main(["validate", args, "--in", CORPUS, "--out", str(out_file)]) == 0
+        assert len(read_news(out_file)) < 5
+        assert load_manifest(f"{out_file}.manifest.json")["config"]["min_content_tokens"] == 1000
 
         out_flag = tmp_path / "normal.jsonl"
-        assert main(["--config", str(conf), "validate", "--in", CORPUS,
-                     "--out", str(out_flag), "--min-content-tokens", "15"]) == 0
+        assert main(["validate", args, "--in", CORPUS, "--out", str(out_flag), "--min-content-tokens", "15"]) == 0
         assert len(read_news(out_flag)) == 30
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("bogus-key = 1\n", encoding="utf-8")
-        assert main(["--config", str(conf), "validate", "--in", CORPUS,
-                     "--out", str(tmp_path / "o.jsonl")]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        args = self.option_file(tmp_path, "--bogus-key=1")
+        assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
+        assert "unrecognized arguments: --bogus-key=1" in capsys.readouterr().err
+
+    def test_other_subcommands_option_exits_2(self, tmp_path, capsys):
+        # A file written for split is not silently half-read by validate.
+        args = self.option_file(tmp_path, "--seed=1", "--train=0.7")
+        assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
+        assert "unrecognized arguments: --train=0.7" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
 
     # Settings removed because they only let a run contradict the procedure
-    # or another subcommand: (subcommand arguments, flag, config-file line).
-    @pytest.mark.parametrize("argv,flag,key", [
-        (["dedup", "--in", CORPUS], ["--threshold", "0.5"], "threshold = 0.5"),
-        (["dedup", "--in", CORPUS], ["--shingle-size", "3"], "shingle-size = 3"),
-        (["dedup", "--in", CORPUS], ["--permutations", "50"], "permutations = 50"),
-        (["dedup", "--in", CORPUS], ["--bands", "10"], "bands = 10"),
+    # or another subcommand: (subcommand arguments, flag).
+    @pytest.mark.parametrize("argv,flag", [
+        (["dedup", "--in", CORPUS], ["--threshold", "0.5"]),
+        (["dedup", "--in", CORPUS], ["--shingle-size", "3"]),
+        (["dedup", "--in", CORPUS], ["--permutations", "50"]),
+        (["dedup", "--in", CORPUS], ["--bands", "10"]),
         (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
-         ["--max-claim-words", "5"], "max-claim-words = 5"),
-        (["split", "--in", CORPUS], ["--no-pair-preserving"], "pair-preserving = false"),
+         ["--max-claim-words", "5"]),
+        (["split", "--in", CORPUS], ["--no-pair-preserving"]),
     ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving"])
-    def test_removed_setting_exits_2(self, tmp_path, capsys, argv, flag, key):
+    def test_removed_setting_exits_2(self, tmp_path, argv, flag):
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, *out, *flag])
-        assert exc.value.code == 2
-        conf = tmp_path / "run.conf"
-        conf.write_text(key + "\n", encoding="utf-8")
-        assert main(["--config", str(conf), *argv, *out]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert self.exits_2([*argv, *out, *flag])
+        assert self.exits_2([*argv, *out, self.option_file(tmp_path, *flag)])
         assert not (tmp_path / "out").exists()
 
     def test_bypass_cache_mode_exits_2(self, tmp_path):
@@ -592,18 +628,27 @@ class TestConfigFile:
         assert exc.value.code == 2
 
     def test_bad_config_value(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("min-content-tokens = muitos\n", encoding="utf-8")
-        assert main(["--config", str(conf), "validate", "--in", CORPUS,
-                     "--out", str(tmp_path / "o.jsonl")]) == 2
-        assert "bad value" in capsys.readouterr().err
+        args = self.option_file(tmp_path, "--min-content-tokens=muitos")
+        assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
+        assert "invalid int value: 'muitos'" in capsys.readouterr().err
 
-    def test_malformed_line(self, tmp_path, capsys):
+    def test_malformed_line(self, tmp_path):
+        # Each line is one argument, so neither the old ``key = value`` form,
+        # nor a blank line, nor a comment is read as a setting.
+        for line in ("min-content-tokens = 1000", "", "# comment"):
+            args = self.option_file(tmp_path, "--seed=1", line)
+            assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")]), line
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_missing_option_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "run.args"
+        assert self.exits_2(["validate", f"@{missing}", "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
+        assert str(missing) in capsys.readouterr().err
+
+    def test_config_flag_exits_2(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text("sem sinal de igual\n", encoding="utf-8")
-        assert main(["--config", str(conf), "validate", "--in", CORPUS,
-                     "--out", str(tmp_path / "o.jsonl")]) == 2
-        assert "expected 'key = value'" in capsys.readouterr().err
+        conf.write_text("min-content-tokens = 1000\n", encoding="utf-8")
+        assert self.exits_2(["--config", str(conf), "validate", "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
 
 
 class TestEnrichModes:
@@ -659,6 +704,30 @@ class TestEnrichModes:
         assert self.enrich_cached(pipeline, tmp_path / "p.jsonl", parallel, "--parallelism", "4") == 0
         assert set(self.logged_hashes(parallel)) == set(self.logged_hashes(serial))
         assert (tmp_path / "p.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+
+
+def readme_commands():
+    """Every ``evidencia`` command in README's shell blocks, with ``\\``
+    continuations joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [line
+            for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("evidencia ")]
+
+
+class TestReadme:
+    def test_every_command_parses(self, capsys):
+        commands = [shlex.split(command, comments=True) for command in readme_commands()]
+        assert {argv[1] for argv in commands} == set(cli.HANDLERS)
+        parser = cli.build_parser()
+        rejected = []
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                rejected.append(shlex.join(argv))
+        assert rejected == [], capsys.readouterr().err
 
 
 class TestEntryPoint:

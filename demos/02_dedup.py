@@ -1,8 +1,9 @@
 """Near-duplicate detection on the demo corpus.
 
-MinHash signatures plus LSH banding nominate candidate pairs; every
-candidate is confirmed against exact character-shingle Jaccard before it
-can form a cluster, so the output carries no false positives.
+One-permutation hashing with densification signs each text, and LSH
+banding of the signatures nominates candidate pairs; every candidate is
+confirmed against exact character-shingle Jaccard before it can form a
+cluster, so the output carries no false positives.
 """
 
 from pathlib import Path
@@ -20,7 +21,7 @@ def main():
     records = read_news(FIXTURES / "corpus.jsonl")
     texts = {item.id: item.text for item in records}
     cfg = DedupConfig()
-    print(f"{len(texts)} texts, {cfg.num_permutations} permutations, "
+    print(f"{len(texts)} texts, {cfg.num_permutations} bins, "
           f"{cfg.bands} bands, confirm at Jaccard >= {cfg.jaccard_threshold}")
 
     clusters = near_duplicates(texts, cfg)

@@ -242,7 +242,7 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
     from .validation import ReviewItem, read_review_items
 
     queue = read_review_items(conf["queue"])
-    if conf.get("decisions"):
+    if conf["decisions"] is not None:
         decisions = {item.id: item for item in read_review_items(conf["decisions"])}
         missing = [item.id for item in queue if item.id not in decisions]
         undecided = [i for i, item in decisions.items() if item.decision is None]
@@ -254,8 +254,6 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
             return Run(None, [], [], code=2)
         print(f"{len(queue)} decision(s) check out")
         return Run(None, [], [])
-    if not conf.get("out"):
-        raise ConfigError("review needs --out (skeleton mode) or --decisions (check mode)")
     out = Path(conf["out"])
     skeleton = []
     for item in queue:
@@ -486,14 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--seed", type=int, default=0, help="inspection sampling seed")
     provider_options(opt)
 
-    opt = subcommand("dedup", "near-duplicate clusters via MinHash-LSH with exact-Jaccard confirmation")
+    opt = subcommand("dedup", "near-duplicate clusters: one-permutation hashing, LSH banding, exact-Jaccard check")
     opt("--in", required=True, help="input records")
     opt("--out", required=True, help="cluster report output, one cluster per line")
 
-    opt = subcommand("review", "turn a review queue into a decision skeleton, or check an edited decisions file")
-    opt("--queue", required=True, help="review queue produced by validate")
-    opt("--out", help="write a decision-skeleton file to edit")
-    opt("--decisions", help="check an edited decisions file against the queue")
+    review = subparsers.add_parser(
+        "review", help="turn a review queue into a decision skeleton, or check an edited decisions file")
+    review.add_argument("--queue", required=True, help="review queue produced by validate")
+    mode = review.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="write a decision-skeleton file to edit")
+    mode.add_argument("--decisions", help="check an edited decisions file against the queue")
 
     opt = subcommand("enrich", "attach search results, claims and fact-check reviews to each record")
     opt("--in", required=True, help="validated records")

@@ -1,27 +1,44 @@
-"""Near-duplicate detection: MinHash signatures, LSH banding, exact
+"""Near-duplicate detection: one-permutation hashing, LSH banding, exact
 confirmation and clustering.
 
-Texts are shingled into character 5-grams. Each signature component is the
-minimum of a 64-bit multiply-add hash over the blake2b values of the shingle
-set, so component agreement between two signatures estimates the exact
-Jaccard similarity of the shingle sets. One draw per component suffices: an
-odd multiplier makes the map a bijection on the 64-bit ring, so equal minima
-always come from the same shingle. The draws depend only on the config, so
-they are made once per config and shared. `near_duplicates` builds one
-hasher per call, and the hasher keeps the blake2b value of each distinct
-shingle it has seen: a shingle that many texts share is hashed once per
-call, and the memo goes away with the call.
+Texts are shingled into character 5-grams and signed by one-permutation
+hashing (Li, Owen & Zhang, NeurIPS 2012) with optimal densification
+(Shrivastava, ICML 2017). Each distinct shingle gets one 64-bit blake2b
+value h, salted by the config's seed. With n = num_permutations bins, the
+shingle falls in bin h % n with value h // n, and each bin keeps its
+minimum. Two sets agree on a bin that both fill exactly when the smallest
+value of their union there belongs to a shared shingle, so the fraction of
+agreeing bins estimates the exact Jaccard similarity of the shingle sets.
+
+A set leaves a bin empty when none of its shingles falls there, which is
+common once a set has fewer shingles than a few times n. Each empty bin i
+copies the first bin the set filled along i's probe order: a permutation of
+all n bins that depends only on i and the seed, never on the set. Two sets
+that fill the same bins therefore copy from the same bins, which keeps the
+estimate unbiased, and the scan ends within n steps because a set that is
+signed is never empty. `near_duplicates` builds one hasher per call. The
+hasher keeps the (value, bin) pair of each distinct shingle it has seen and
+the probe order of each bin it has filled: a shingle that many texts share
+is hashed once per call, and the memo goes away with the call.
 
 Candidate pairs come from banding the signatures. With b bands of r rows,
 a pair of Jaccard J collides in at least one band with probability
-1 - (1 - J^r)^b. The default is b=25 bands of r=4 rows. Its 50%-collision
-point, (1/b)^(1/r) ~ 0.45, lies below the 0.7 threshold but not far below
-it, so few candidates are hopeless and a pair at the threshold is still
-found almost always. The price is a miss bound: a pair at exactly J=0.7 is
-missed with probability (1 - 0.7^4)^25 ~ 1.0e-3, and one at J=0.8 with
-about 2e-6. b=50 bands of r=2 rows would miss at J=0.7 with about 2e-15,
-but collide half the time already at J ~ 0.14; on the benchmark corpora
-that sends 12 to 1,300 times as many candidates to confirmation.
+1 - (1 - J^r)^b when the rows are independent. The default is b=25 bands of
+r=4 rows. Its 50%-collision point, (1/b)^(1/r) ~ 0.45, lies below the 0.7
+threshold but not far below it, so few candidates are hopeless and a pair
+at the threshold is still found almost always. The price is a miss bound:
+with independent rows a pair at exactly J=0.7 is missed with probability
+(1 - 0.7^4)^25 ~ 1.0e-3, and one at J=0.8 with about 2e-6. Bins of one
+permutation are not independent: a shingle fills one bin only, and an
+empty bin copies a filled one. Measured at the default config on planted
+pairs at J=0.7, the miss rate is 1.02e-3 for sets of 84 and 86 shingles
+(400,000 pairs; about 43 of a set's 100 bins are empty), 5.2e-4 for sets
+of about 255 (200,000 pairs) and 8.3e-4 for sets of about 850 (100,000
+pairs): each at or below the formula's 1.04e-3. `TestMissRate` in
+tests/test_dedup.py pins the first. b=50 bands of r=2 rows would miss at
+J=0.7 with about 2e-15, but collide half the time already at J ~ 0.14; on
+the benchmark corpora that sends 12 to 1,300 times as many candidates to
+confirmation.
 
 Every candidate is confirmed against exact Jaccard before clustering, so
 reported clusters never contain a pair below the threshold: banding can
@@ -32,25 +49,22 @@ so the ratio is an upper bound on Jaccard, and skipping on it loses no pair.
 The bound stays a division, like Jaccard itself: correctly rounded division
 is monotone, so a pair whose Jaccard lands exactly on the threshold also has
 a rounded ratio at or above it.
-
-`analyze` imports this module for `DedupCluster`, but only `validate` and
-`dedup` sign texts. numpy is therefore imported inside the two functions
-that use it, and the other subcommands never load it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from hashlib import blake2b
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-if TYPE_CHECKING:
-    import numpy as np
+from operator import eq
+from typing import Iterable, Mapping
 
 _WS_COLLAPSE = re.compile(r"\s+")
+# Larger than every bin value h // n of a 64-bit h.
+_EMPTY = 1 << 64
+
+Signature = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -114,70 +128,82 @@ def exact_jaccard(a: set[str], b: set[str]) -> float:
     return common / (len(a) + len(b) - common)
 
 
-@lru_cache(maxsize=8)
-def _permutations(config: DedupConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (num_permutations, 1) multipliers and offsets for a config."""
-    import numpy as np
-
-    rng = np.random.default_rng(config.seed)
-    n = config.num_permutations
-    draw = lambda: rng.integers(1, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
-    # An odd multiplier keeps each map bijective on the 64-bit ring.
-    a = (draw() | np.uint64(1))[:, None]
-    b = draw()[:, None]
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
-
-
 class MinHasher:
-    """Signature generator with parameters drawn from a fixed seed.
+    """One-permutation hasher with optimal densification, keyed by the
+    config's seed.
 
-    The hasher remembers the blake2b value of every shingle it has signed,
-    so it should live no longer than one batch of texts.
+    The hasher remembers the (value, bin) pair of every shingle it has
+    signed, and the probe order of every empty bin it has filled, so it
+    should live no longer than one batch of texts.
     """
 
     def __init__(self, config: DedupConfig = DedupConfig()):
         self.config = config
-        self._a, self._b = _permutations(config)
-        self._digests: dict[str, bytes] = {}
+        salt = blake2b(str(config.seed).encode(), digest_size=16).digest()
+        self._shingle_hash = blake2b(digest_size=8, salt=salt)
+        self._probe_hash = blake2b(digest_size=8, salt=salt, person=b"probe")
+        self._bins: dict[str, tuple[int, int]] = {}
+        self._probes: dict[int, list[int]] = {}
 
-    def signature(self, text: str) -> np.ndarray:
-        """(num_permutations,) uint64 array; raises on empty texts."""
-        shingle_set = shingles(text, self.config.shingle_size)
+    def signature(self, text: str) -> Signature:
+        """A tuple of num_permutations ints; raises on an empty text."""
+        return self.signature_of_shingles(shingles(text, self.config.shingle_size))
+
+    def signature_of_shingles(self, shingle_set: set[str]) -> Signature:
+        """The signature of a non-empty shingle set."""
         if not shingle_set:
             raise ValueError("cannot sign an empty text")
-        return self.signature_of_shingles(shingle_set)
+        n = self.config.num_permutations
+        bins = self._bins
+        for s in shingle_set.difference(bins):
+            h = self._shingle_hash.copy()
+            h.update(s.encode())
+            bins[s] = divmod(int.from_bytes(h.digest(), "little"), n)
+        mins = [_EMPTY] * n
+        for value, i in map(bins.__getitem__, shingle_set):
+            if value < mins[i]:
+                mins[i] = value
+        if _EMPTY not in mins:
+            return tuple(mins)
+        return tuple(
+            m if m != _EMPTY else next(mins[j] for j in self._probe_order(i) if mins[j] != _EMPTY)
+            for i, m in enumerate(mins)
+        )
 
-    def signature_of_shingles(self, shingle_set: set[str]) -> np.ndarray:
-        import numpy as np
+    def _probe_order(self, i: int) -> list[int]:
+        """Every bin, in an order that depends only on bin i and the seed.
 
-        digests = self._digests
-        for s in shingle_set.difference(digests):
-            digests[s] = blake2b(s.encode("utf-8"), digest_size=8).digest()
-        x = np.frombuffer(b"".join(map(digests.__getitem__, shingle_set)), dtype="<u8")
-        with np.errstate(over="ignore"):
-            h = self._a * x
-            h += self._b
-        return h.min(axis=1)
+        An empty bin copies the first bin in this order that the set
+        filled; the set is not empty, so the scan ends within n steps.
+        """
+        order = self._probes.get(i)
+        if order is None:
+            def key(j: int) -> bytes:
+                h = self._probe_hash.copy()
+                h.update(f"{i} {j}".encode())
+                return h.digest()
+
+            order = self._probes[i] = sorted(range(self.config.num_permutations), key=key)
+        return order
 
     @staticmethod
-    def estimate(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
+    def estimate(sig_a: Signature, sig_b: Signature) -> float:
         """Fraction of agreeing components; estimates exact Jaccard."""
-        if sig_a.shape != sig_b.shape:
-            raise ValueError("signatures have different shapes")
-        return float((sig_a == sig_b).mean())
+        if len(sig_a) != len(sig_b):
+            raise ValueError("signatures have different lengths")
+        return sum(map(eq, sig_a, sig_b)) / len(sig_a)
 
 
 def candidate_pairs(
-    signatures: Mapping[str, np.ndarray], config: DedupConfig = DedupConfig()
+    signatures: Mapping[str, Signature], config: DedupConfig = DedupConfig()
 ) -> set[tuple[str, str]]:
     """Identifier pairs that collide in at least one LSH band."""
     rows = config.rows_per_band
-    buckets: dict[tuple[int, bytes], list[str]] = {}
+    buckets: dict[tuple[int, Signature], list[str]] = {}
     for key in sorted(signatures):
         sig = signatures[key]
         for band in range(config.bands):
-            chunk = sig[band * rows : (band + 1) * rows].tobytes()
+            chunk = sig[band * rows : (band + 1) * rows]
             buckets.setdefault((band, chunk), []).append(key)
     pairs: set[tuple[str, str]] = set()
     for members in buckets.values():

@@ -301,6 +301,21 @@ class TestExitCodes:
         assert code == 1
         load_manifest(tmp_path / "r.json.manifest.json")
 
+    def test_review_takes_out_or_decisions_not_both(self, pipeline, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
+                  "--out", str(other), "--decisions", str(pipeline["skeleton"])])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not other.exists()
+
+    def test_review_needs_out_or_decisions(self, pipeline, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["review", "--queue", f"{pipeline['validated']}.review.jsonl"])
+        assert exc.value.code == 2
+        assert "one of the arguments --out --decisions is required" in capsys.readouterr().err
+
     def test_invalid_split_ratios(self, tmp_path, capsys):
         assert main(["split", "--in", CORPUS, "--out-dir", str(tmp_path / "s"),
                      "--train", "0.5", "--val", "0.1", "--test", "0.1"]) == 2
@@ -769,6 +784,13 @@ class TestEntryPoint:
         assert own == {"evidencia", "evidencia.cli", "evidencia.records"}
         for heavy in ("numpy", "importlib.metadata", "concurrent.futures", "logging"):
             assert heavy in bare or heavy not in loaded, heavy
+
+    def test_validate_and_dedup_leave_numpy_unloaded(self, tmp_path):
+        for subcommand in ("validate", "dedup"):
+            argv = [subcommand, "--in", CORPUS, "--out", str(tmp_path / f"{subcommand}.jsonl")]
+            loaded = self.modules_after(f"from evidencia.cli import main; assert main({argv!r}) == 0")
+            assert "evidencia.dedup" in loaded, subcommand
+            assert "numpy" not in loaded, subcommand
 
     def test_split_loads_only_its_modules(self, tmp_path):
         argv = ["split", "--in", CORPUS, "--out-dir", str(tmp_path / "s")]

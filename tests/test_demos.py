@@ -12,7 +12,7 @@ from conftest import ROOT
 
 DEMO_DIGESTS = {
     "01_queries.py": "f4ffce8cea8618bec5950ef10ad8fcc2ae30e78db63f83b0f40a2b9a1b509eda",
-    "02_dedup.py": "74a03b8a06c23b26aa6c9a4cf1e97d25aefe483dccf4e33d896ac55eac45f644",
+    "02_dedup.py": "d21042a62b82dad06e6bbcb927013ddc0e9c81eab9e2af700a856d5a4815058a",
     "03_validation.py": "2abade2b5a442ea00325da7ab00bc6fa9fd327d950424122344d447af81dab23",
     "04_enrichment.py": "d560bfdfa1568620e0f9e3809f6d3b03c8e88ba2107cd633561b0f52b0007a83",
     "05_analytics.py": "0b815b1d587759c856166edf73f3f83ee5fd74490924cce984ea7b3420024a20",

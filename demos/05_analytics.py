@@ -6,9 +6,10 @@ import sys
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from evidencia import analytics
+from evidencia.clocks import FrozenClock
 from evidencia.enrichment import enrich_one
 from evidencia.langid import TrigramDetector
-from evidencia.providers import FixtureBackend, FrozenClock
+from evidencia.providers import FixtureBackend
 from evidencia.records import read_news
 from evidencia.validation import run_validation
 

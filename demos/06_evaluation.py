@@ -19,7 +19,7 @@ from evidencia.evalkit import (
     split,
 )
 from evidencia.langid import TrigramDetector
-from evidencia.providers import FixtureBackend, FrozenClock, LlmRequest, llm_generate
+from evidencia.providers import FixtureBackend, LlmRequest, llm_generate
 from evidencia.records import read_news
 from evidencia.validation import run_validation
 

@@ -6,9 +6,8 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .dedup import DedupCluster
 from .domains import aggregate_domain
-from .records import EnrichedRecord, NewsItem
+from .records import EnrichedRecord, FunnelStats, NewsItem
 from .textprep import find_urls, split_sentences, word_tokens
 
 
@@ -77,11 +76,7 @@ def rating_distribution(records: Sequence[EnrichedRecord]) -> dict[str, object]:
 
 
 def match_index_histogram(records: Sequence[EnrichedRecord]) -> dict[int, int]:
-    counts: Counter[int] = Counter()
-    for rec in records:
-        if rec.match_index is not None:
-            counts[rec.match_index] += 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(FunnelStats.from_records(records).match_index_histogram.items()))
 
 
 def review_year_histogram(records: Sequence[EnrichedRecord]) -> tuple[dict[int, int], int]:
@@ -105,8 +100,6 @@ def _year_of(date_text: str | None) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def cluster_size_histogram(clusters: Iterable[DedupCluster]) -> dict[int, int]:
-    counts: Counter[int] = Counter()
-    for cluster in clusters:
-        counts[len(cluster.members)] += 1
-    return dict(sorted(counts.items()))
+def cluster_size_histogram(clusters: Iterable[Sequence[str]]) -> dict[int, int]:
+    """Clusters per member count; each cluster is its list of member ids."""
+    return dict(sorted(Counter(len(members) for members in clusters).items()))

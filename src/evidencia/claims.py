@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import resources
-from .providers import ProviderFailure
-from .records import MAX_CLAIM_WORDS, PROMPT_PATTERNS, ErrorEvent
+from .records import MAX_CLAIM_WORDS, PROMPT_PATTERNS, ErrorEvent, ProviderFailure
 from .textprep import llm_input, word_tokens
 
 PLACEHOLDER = "{TEXTO DE ENTRADA}"

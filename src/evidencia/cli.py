@@ -138,19 +138,18 @@ def _write_manifest(subcommand: str, conf: dict[str, Any], run: Run, started_at:
     _write_json(run.manifest, payload)
 
 
-def _provider(conf: dict[str, Any], required: bool = False) -> tuple[Backend | None, Clock]:
+def _provider(conf: dict[str, Any]) -> tuple[Backend | None, Clock]:
     """The backend the provider options describe, or None when --provider is
-    unset and not ``required``, with the clock it stamps records with."""
+    unset, with the clock it stamps records with."""
     from .clocks import FrozenClock, SystemClock
-    from .providers import CachingBackend, FixtureBackend, LiveBackend
 
     provider = conf.get("provider")
     # Frozen under fixtures so replayed runs are byte-identical.
     clock: Clock = FrozenClock() if provider == "fixture" else SystemClock()
     if provider is None:
-        if required:
-            raise ConfigError("this subcommand needs --provider live|fixture")
         return None, clock
+    from .providers import CachingBackend, FixtureBackend, LiveBackend
+
     if provider == "fixture":
         if not conf.get("fixtures"):
             raise ConfigError("--provider fixture needs --fixtures <dir>")
@@ -270,7 +269,7 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
 def _cmd_enrich(conf: dict[str, Any]) -> Run:
     from .claims import load_template
 
-    backend, clock = _provider(conf, required=True)
+    backend, clock = _provider(conf)
     items = read_news(conf["in"])
     template = load_template(conf["claim_template"])
 
@@ -313,7 +312,6 @@ def _render_section(lines: list[str], title: str, table: dict[Any, Any]) -> None
 
 def _cmd_analyze(conf: dict[str, Any]) -> Run:
     from . import analytics
-    from .dedup import DedupCluster
 
     report: dict[str, Any] = {}
     if _is_enriched_file(conf["in"]):
@@ -331,7 +329,7 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
         items = read_news(conf["in"])
         report["text_stats"] = analytics.text_stats(items)
     if conf.get("clusters"):
-        clusters = list(read_jsonl(conf["clusters"], lambda raw: DedupCluster(members=tuple(raw["members"]))))
+        clusters = list(read_jsonl(conf["clusters"], lambda raw: list(raw["members"])))
         report["cluster_sizes"] = {
             str(k): v for k, v in sorted(analytics.cluster_size_histogram(clusters).items())
         }
@@ -401,7 +399,7 @@ def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     from .evalkit import score, select_shots
     from .providers import LlmRequest, llm_generate
 
-    backend, _ = _provider(conf, required=True)
+    backend, _ = _provider(conf)
     instances = _read_instances(conf["in"])
     shot_pool = _read_instances(conf["shots_from"])
     shots = select_shots(shot_pool, seed=conf["seed"])
@@ -463,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     def subcommand(name: str, summary: str) -> Callable[..., Any]:
         return subparsers.add_parser(name, help=summary).add_argument
 
-    def provider_options(opt: Callable[..., Any]) -> None:
-        opt("--provider", choices=("live", "fixture"), help="backend mode")
+    def provider_options(opt: Callable[..., Any], required: bool = True) -> None:
+        opt("--provider", choices=("live", "fixture"), required=required, help="backend mode")
         opt("--fixtures", help="directory of recorded response files (fixture mode)")
         opt("--cache", help="response cache directory")
         opt("--cache-mode", choices=CACHE_MODES, default="read_write",
@@ -482,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="language confidence above which non-Portuguese records are removed")
     opt("--sample-size", type=int, default=0, help="random inspection sample size")
     opt("--seed", type=int, default=0, help="inspection sampling seed")
-    provider_options(opt)
+    provider_options(opt, required=False)
 
     opt = subcommand("dedup", "near-duplicate clusters: one-permutation hashing, LSH banding, exact-Jaccard check")
     opt("--in", required=True, help="input records")

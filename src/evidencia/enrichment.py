@@ -15,17 +15,15 @@ from .claims import ClaimPromptTemplate, extract_claim, load_template
 from .clocks import Clock, SystemClock
 from .matching import first_match
 from .providers import (
-    DEFAULT_MODEL,
     Backend,
     FactCheckRequest,
     LlmRequest,
-    ProviderFailure,
     WebSearchRequest,
     factcheck_search,
     llm_generate,
     web_search,
 )
-from .records import EnrichedRecord, ErrorEvent, FunnelStats, NewsItem  # FunnelStats re-exported for callers
+from .records import DEFAULT_MODEL, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure
 from .textprep import build_query, strip_emoji, strip_quotes
 
 

@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 
 from . import resources
 from .domains import registrable_domain
-from .matching import _MARKER_RE
-from .records import CONFIG_KINDS, EnrichedRecord, ErrorEvent, NewsItem
+from .records import CONFIG_KINDS, MARKER_RE, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure
 
 SHOT_COUNT = 15
 
@@ -96,7 +95,7 @@ class EvalInstance:
 
 
 def _clean_field(text: str) -> str:
-    return _WS_RE.sub(" ", _MARKER_RE.sub("", text)).strip()
+    return _WS_RE.sub(" ", MARKER_RE.sub("", text)).strip()
 
 
 def _pick_result(rec: EnrichedRecord, social: frozenset[str] | None):
@@ -210,8 +209,6 @@ def few_shot_classify(
     A provider failure yields an abstention (None) for that instance and
     an error event, never an exception.
     """
-    from .providers import ProviderFailure  # here, so that split and build-config load no provider code
-
     shot_ids = {shot.id for shot in shots}
     overlap = [inst.id for inst in instances if inst.id in shot_ids]
     if overlap:

@@ -16,11 +16,9 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from . import resources
-from .records import WebResult
-from .textprep import trim_punct, word_tokens
+from .records import MARKER_RE, WebResult
+from .textprep import content_terms, trim_punct
 
-_MARKER_RE = re.compile(r"</?b>")
 _TOKEN_RE = re.compile(r"\S+")
 
 MATCH_THRESHOLD = 0.8
@@ -38,7 +36,7 @@ def _scan(field: str) -> tuple[str, list[tuple[int, int]]]:
     out = 0
     depth = 0
     span_start = 0
-    for m in _MARKER_RE.finditer(field):
+    for m in MARKER_RE.finditer(field):
         seg = field[pos : m.start()]
         parts.append(seg)
         out += len(seg)
@@ -75,13 +73,7 @@ def _highlighted_terms(fields: Iterable[str]) -> set[str]:
 
 def query_terms(query: str) -> set[str]:
     """Unique non-stopword query terms, trimmed and lowercased."""
-    stop = resources.stopwords()
-    terms = set()
-    for token in word_tokens(query):
-        term = trim_punct(token).lower()
-        if term and term not in stop:
-            terms.add(term)
-    return terms
+    return set(content_terms(query))
 
 
 def match_score(query: str, result: WebResult) -> float:

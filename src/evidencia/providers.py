@@ -37,8 +37,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
-from .clocks import Clock, FrozenClock, SystemClock  # FrozenClock re-exported for callers
-from .records import CACHE_MODES, DEFAULT_MODEL, ClaimReviewResult, SchemaError, WebResult, read_jsonl
+from .clocks import Clock, SystemClock
+from .records import (CACHE_MODES, DEFAULT_MODEL, ClaimReviewResult, ProviderFailure, SchemaError, WebResult,
+                      read_jsonl)
 
 KIND_WEB = "web_search"
 KIND_FACTCHECK = "factcheck"
@@ -58,10 +59,6 @@ LOG_NAME = "responses.jsonl"
 MAX_RETRIES = 3
 BACKOFF_INITIAL = 0.5
 BACKOFF_MULTIPLIER = 2.0
-
-
-class ProviderFailure(RuntimeError):
-    """A provider call failed for good after any retries."""
 
 
 # The paper's fixed request settings: five pt-BR results per web search,
@@ -398,8 +395,6 @@ def factcheck_search(request: FactCheckRequest, backend: Backend) -> list[ClaimR
 
 def llm_generate(request: LlmRequest, backend: Backend) -> str:
     body = backend.fetch(KIND_LLM, request.payload())
-    if "text" in body:
-        return str(body["text"])
     candidates = body.get("candidates") or []
     if not candidates:
         raise ProviderFailure("generation response carries no candidates")

@@ -8,6 +8,7 @@ produce byte-identical files. Unknown fields found on disk are preserved in
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
@@ -28,11 +29,19 @@ PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_
 MAX_CLAIM_WORDS = 20
 CONFIG_KINDS = ("original", "validated", "enriched_full", "enriched_filtered")
 
+# The <b>...</b> highlight markers a search response puts in a result's
+# title and snippet around the parts that matched the query.
+MARKER_RE = re.compile(r"</?b>")
+
 T = TypeVar("T")
 
 
 class SchemaError(ValueError):
     """Raised when a record violates the on-disk contract."""
+
+
+class ProviderFailure(RuntimeError):
+    """A provider call failed for good after any retries."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +110,8 @@ class NewsItem:
 
 @dataclass(frozen=True)
 class WebResult:
-    """One web search result; rank is 1-based within the response."""
+    """One web search result; rank is 1-based within the response. Title
+    and snippet keep the response's highlight markers (``MARKER_RE``)."""
 
     rank: int
     title: str

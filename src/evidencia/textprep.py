@@ -165,14 +165,15 @@ def llm_input(text: str) -> str:
     return head[: tokens[LLM_MAX_WORDS - 1].end()]
 
 
+def content_terms(text: str) -> list[str]:
+    """The words of ``text`` with edge punctuation trimmed and lowercased,
+    in order, dropping empty words and stopwords."""
+    stop = resources.stopwords()
+    terms = (trim_punct(token).lower() for token in word_tokens(text))
+    return [term for term in terms if term and term not in stop]
+
+
 def content_token_count(text: str) -> int:
     """Number of content tokens: emoji and URLs removed, then stopwords and
     punctuation-only tokens dropped."""
-    cleaned = strip_urls(strip_emoji(text))
-    stop = resources.stopwords()
-    count = 0
-    for token in word_tokens(cleaned):
-        token = trim_punct(token).lower()
-        if token and token not in stop:
-            count += 1
-    return count
+    return len(content_terms(strip_urls(strip_emoji(text))))

@@ -14,14 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from . import resources
 from .dedup import DedupCluster, cluster, near_duplicates
 from .langid import LanguageDetector, TrigramDetector
-from .providers import Backend, FactCheckRequest, ProviderFailure, factcheck_search
-from .records import LABELS, NewsItem, SchemaError, read_jsonl, write_jsonl
+from .records import LABELS, NewsItem, ProviderFailure, SchemaError, read_jsonl, write_jsonl
 from .textprep import build_query, content_token_count, find_urls, strip_emoji, strip_quotes, strip_urls
+
+if TYPE_CHECKING:
+    from .providers import Backend
 
 STAGES = (
     "initial_filter",
@@ -198,15 +200,13 @@ def filter_language(
 ) -> list[NewsItem]:
     """Remove confident non-Portuguese records; flag borderline ones.
 
-    Detector failures and low-confidence calls only flag, never drop.
+    Low-confidence calls only flag, never drop. An exception the detector
+    raises is a bug and propagates.
     """
     detector = detector or TrigramDetector()
     kept = []
     for item in records:
-        try:
-            language, confidence = detector.detect(item.text)
-        except Exception:
-            language, confidence = "und", 0.0
+        language, confidence = detector.detect(item.text)
         if language != "pt":
             if confidence >= auto_remove_confidence:
                 _remove(report, "language_filter", item.id, f"language:{language}")
@@ -258,6 +258,8 @@ def check_external_labels(
     """Ask the fact-check service about each record; emit a review item when
     a normalized agency rating contradicts the stored label. A record whose
     lookup fails is listed in ``report.external_check_failed``."""
+    from .providers import FactCheckRequest, factcheck_search  # here, so a run without a provider loads none
+
     mapping = resources.rating_map()
     for item in records:
         query, _ = build_query(strip_emoji(strip_quotes(item.text)))

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from evidencia.clocks import FrozenClock
 from evidencia.langid import TrigramDetector
-from evidencia.providers import FixtureBackend, FrozenClock
+from evidencia.providers import FixtureBackend
 from evidencia.records import read_news
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -17,13 +17,14 @@ import pytest
 from evidencia.analytics import rating_distribution
 from evidencia.claims import extract_claim
 from evidencia.cli import main
+from evidencia.clocks import FrozenClock
 from evidencia.dedup import DedupConfig, MinHasher, near_duplicates
-from evidencia.enrichment import FunnelStats, enrich_one
+from evidencia.enrichment import enrich_one
 from evidencia.evalkit import SplitSpec, score, split
-from evidencia.providers import FrozenClock
 from evidencia.records import (
     ClaimReviewResult,
     EnrichedRecord,
+    FunnelStats,
     NewsItem,
     read_enriched,
     read_news,

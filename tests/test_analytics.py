@@ -10,7 +10,6 @@ from evidencia.analytics import (
     review_year_histogram,
     text_stats,
 )
-from evidencia.dedup import DedupCluster
 from evidencia.records import ClaimReviewResult, EnrichedRecord, NewsItem, WebResult
 
 
@@ -135,7 +134,5 @@ class TestHistograms:
         assert undated == 2
 
     def test_cluster_size_histogram(self):
-        clusters = [DedupCluster(members=["a", "b"]),
-                    DedupCluster(members=["c", "d", "e"]),
-                    DedupCluster(members=["f", "g"])]
+        clusters = [["a", "b"], ["c", "d", "e"], ["f", "g"]]
         assert cluster_size_histogram(clusters) == {2: 2, 3: 1}

@@ -16,10 +16,9 @@ import pytest
 import evidencia
 from evidencia import cli
 from evidencia.cli import main
-from evidencia.enrichment import FunnelStats
 from evidencia.providers import LOG_NAME, FixtureBackend
 from evidencia.evalkit import SplitSpec
-from evidencia.records import read_enriched, read_news
+from evidencia.records import FunnelStats, read_enriched, read_news
 from evidencia.validation import run_validation
 
 from conftest import CASSETTES, FIXTURES, ROOT
@@ -271,8 +270,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out.jsonl")]) == 2
 
     def test_enrich_requires_provider(self, tmp_path, capsys):
-        assert main(["enrich", "--in", CORPUS, "--out", str(tmp_path / "e.jsonl")]) == 2
-        assert "needs --provider" in capsys.readouterr().err
+        # evaluate, the other subcommand that calls a provider, too
+        for argv in (["enrich", "--in", CORPUS], ["evaluate", "--in", CORPUS, "--shots-from", CORPUS]):
+            out = tmp_path / f"{argv[0]}.out"
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--out", str(out)])
+            assert exc.value.code == 2
+            assert "the following arguments are required: --provider" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_fixture_provider_requires_directory(self, tmp_path, capsys):
         assert main(["enrich", "--in", CORPUS, "--out", str(tmp_path / "e.jsonl"),
@@ -745,6 +750,31 @@ class TestReadme:
         assert rejected == [], capsys.readouterr().err
 
 
+# The evidencia modules, besides the package itself, that each run loads.
+SUBCOMMAND_MODULES = {
+    "validate": "cli clocks dedup langid records resources textprep validation",
+    "validate --provider": "cli clocks dedup langid providers records resources textprep validation",
+    "review": "cli clocks dedup langid records resources textprep validation",
+    "dedup": "cli clocks dedup records resources",
+    "enrich": "claims cli clocks enrichment matching providers records resources textprep",
+    "analyze": "analytics cli clocks domains records resources textprep",
+    "split": "cli clocks domains evalkit records resources",
+    "build-config": "cli clocks domains evalkit records resources",
+    "evaluate": "cli clocks domains evalkit providers records resources",
+}
+
+
+def _module_argv(run, paths, out):
+    """Arguments for one run of ``SUBCOMMAND_MODULES`` on the fixture chain's files."""
+    fixtures = ["--provider", "fixture", "--fixtures", str(CASSETTES)]
+    return {
+        "validate --provider": ["validate", "--in", CORPUS, "--out", str(out / "v.jsonl"), *fixtures],
+        "review": ["review", "--queue", f"{paths['validated']}.review.jsonl", "--out", str(out / "d.jsonl")],
+        "analyze": ["analyze", "--in", str(paths["enriched"]), "--clusters", str(paths["clusters"]),
+                    "--out", str(out / "a.json")],
+    }.get(run) or _seam_argv(run, paths, out)
+
+
 class TestEntryPoint:
     @pytest.mark.skipif(shutil.which("evidencia") is None, reason="console script not on PATH")
     def test_version_flag(self):
@@ -798,6 +828,13 @@ class TestEntryPoint:
         assert "evidencia.evalkit" in loaded
         for name in ("dedup", "validation", "langid", "enrichment", "claims", "analytics", "providers"):
             assert f"evidencia.{name}" not in loaded, name
+
+    @pytest.mark.parametrize("run", sorted(SUBCOMMAND_MODULES))
+    def test_subcommand_loads_exactly_its_modules(self, pipeline, tmp_path, run):
+        argv = _module_argv(run, pipeline, tmp_path)
+        loaded = self.modules_after(f"from evidencia.cli import main; assert main({argv!r}) == 0")
+        own = {name.removeprefix("evidencia.") for name in loaded if name.startswith("evidencia.")}
+        assert own == set(SUBCOMMAND_MODULES[run].split())
 
     def test_analyze_loads_none_of_the_enrichment_stack(self, pipeline, tmp_path):
         argv = ["analyze", "--in", str(pipeline["enriched"]), "--clusters", str(pipeline["clusters"]),

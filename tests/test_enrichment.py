@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from evidencia.enrichment import FunnelStats, enrich_one
-from evidencia.providers import KIND_FACTCHECK, KIND_WEB, FrozenClock, ProviderFailure
-from evidencia.records import ErrorEvent
+from evidencia.clocks import FrozenClock
+from evidencia.enrichment import enrich_one
+from evidencia.providers import KIND_FACTCHECK, KIND_WEB, ProviderFailure
+from evidencia.records import ErrorEvent, FunnelStats
 from evidencia.validation import run_validation
 
 

@@ -11,19 +11,18 @@ from pathlib import Path
 
 import pytest
 
+from evidencia.clocks import FrozenClock, SystemClock
 from evidencia.providers import (
     LOG_NAME,
     CachingBackend,
     FactCheckRequest,
     FixtureBackend,
-    FrozenClock,
     KIND_FACTCHECK,
     KIND_LLM,
     KIND_WEB,
     LiveBackend,
     LlmRequest,
     ProviderFailure,
-    SystemClock,
     WebSearchRequest,
     credentials_from_env,
     factcheck_search,
@@ -585,10 +584,12 @@ class TestParsers:
         write_cassette(tmp_path, KIND_LLM, request.payload(), body)
         assert llm_generate(request, FixtureBackend(tmp_path)) == "uma resposta"
 
-    def test_llm_text_shortcut(self, tmp_path):
+    def test_llm_text_body_fails(self, tmp_path):
+        # A bare {"text": ...} body is not a generation response.
         request = LlmRequest(prompt="pergunta 2")
         write_cassette(tmp_path, KIND_LLM, request.payload(), {"text": "direto"})
-        assert llm_generate(request, FixtureBackend(tmp_path)) == "direto"
+        with pytest.raises(ProviderFailure, match="no candidates"):
+            llm_generate(request, FixtureBackend(tmp_path))
 
     def test_llm_no_candidates_fails(self, tmp_path):
         request = LlmRequest(prompt="pergunta 3")

@@ -80,15 +80,14 @@ class TestLanguageFilter:
         assert [i.id for i in kept] == ["a"]
         assert report.flagged_language == ["a"]
 
-    def test_detector_failure_flags_instead_of_dropping(self):
+    def test_detector_failure_propagates(self):
         class Boom:
             def detect(self, text):
                 raise RuntimeError("no model")
 
         report = ValidationReport(input_count=1)
-        kept = filter_language([item("a")], report, Boom())
-        assert [i.id for i in kept] == ["a"]
-        assert report.flagged_language == ["a"]
+        with pytest.raises(RuntimeError, match="no model"):
+            filter_language([item("a")], report, Boom())
 
 
 class TestContradictions:

@@ -24,14 +24,14 @@ CAPTURED_AT = "2024-07-09T00:00:00Z"
 sys.path.insert(0, str(ROOT / "src"))
 
 from evidencia.claims import extract_claim, load_template  # noqa: E402
-from evidencia.enrichment import FunnelStats, enrich_one  # noqa: E402
+from evidencia.clocks import FrozenClock  # noqa: E402
+from evidencia.enrichment import enrich_one  # noqa: E402
 from evidencia.evalkit import EvalInstance, SplitSpec, classification_prompt, select_shots, split  # noqa: E402
 from evidencia.langid import TrigramDetector  # noqa: E402
 from evidencia.matching import first_match  # noqa: E402
 from evidencia.providers import (  # noqa: E402
     LOG_NAME,
     FixtureBackend,
-    FrozenClock,
     KIND_FACTCHECK,
     KIND_LLM,
     KIND_WEB,
@@ -41,7 +41,7 @@ from evidencia.providers import (  # noqa: E402
     request_hash,
     write_cassette,
 )
-from evidencia.records import NewsItem, WebResult, read_jsonl, write_news  # noqa: E402
+from evidencia.records import FunnelStats, NewsItem, WebResult, read_jsonl, write_news  # noqa: E402
 from evidencia.textprep import build_query, llm_input, strip_emoji, strip_quotes  # noqa: E402
 from evidencia.validation import run_validation  # noqa: E402
 

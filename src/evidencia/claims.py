@@ -1,11 +1,11 @@
 """Claim extraction: prompt assembly, output cleanup and the length cap.
 
 The model sees only the head of the text (first paragraphs, word-capped) and
-must answer with a claim of at most ``max_claim_words`` words
-(``MAX_CLAIM_WORDS``, 20, unless the caller sets it). A too-long answer earns
-one retry (``MAX_ATTEMPTS`` is 2 calls); if the retry is still too long the
-answer is hard-truncated and the record says so (``enforced``). An empty answer after the retry is a
-constraint violation reported as an error event, never an exception.
+must answer with a claim of at most ``MAX_CLAIM_WORDS`` (20) words. A
+too-long answer earns one retry (``MAX_ATTEMPTS`` is 2 calls); if the retry
+is still too long the answer is hard-truncated and the record says so
+(``enforced``). An empty answer after the retry is a constraint violation
+reported as an error event, never an exception.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import resources
-from .records import MAX_CLAIM_WORDS, PROMPT_PATTERNS, ErrorEvent, ProviderFailure
+from .records import PROMPT_PATTERNS, ErrorEvent, ProviderFailure
 from .textprep import llm_input, word_tokens
 
 PLACEHOLDER = "{TEXTO DE ENTRADA}"
+MAX_CLAIM_WORDS = 20
 MAX_ATTEMPTS = 2  # one initial call plus one retry
 
 _LABEL_RE = re.compile(r"^(alega[çc][aã]o|resposta|sa[íi]da|busca|claim)\s*[:\-–]\s*", re.IGNORECASE)
@@ -67,7 +68,6 @@ def extract_claim(
     text: str,
     generate: Callable[[str], str],
     template: ClaimPromptTemplate | None = None,
-    max_claim_words: int = MAX_CLAIM_WORDS,
 ) -> ClaimOutcome:
     """Run the extraction loop for one text.
 
@@ -89,7 +89,7 @@ def extract_claim(
                 error=ErrorEvent("claim_extraction", "provider_failure", str(exc)),
             )
         claim = cleanup(raw)
-        if claim and len(word_tokens(claim)) <= max_claim_words:
+        if claim and len(word_tokens(claim)) <= MAX_CLAIM_WORDS:
             return ClaimOutcome(claim=claim, attempts=attempts)
     if not claim:
         return ClaimOutcome(
@@ -97,5 +97,5 @@ def extract_claim(
             attempts=attempts,
             error=ErrorEvent("claim_extraction", "constraint_violation", "empty completion"),
         )
-    truncated = " ".join(word_tokens(claim)[:max_claim_words])
+    truncated = " ".join(word_tokens(claim)[:MAX_CLAIM_WORDS])
     return ClaimOutcome(claim=truncated, enforced=True, attempts=attempts)

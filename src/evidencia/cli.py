@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from . import __version__ as VERSION
 from .records import (
-    CACHE_MODES,
     CONFIG_KINDS,
     DEFAULT_MODEL,
     PROMPT_PATTERNS,
@@ -144,20 +143,19 @@ def _provider(conf: dict[str, Any]) -> tuple[Backend | None, Clock]:
     from .clocks import FrozenClock, SystemClock
 
     provider = conf.get("provider")
+    if (provider == "fixture") != bool(conf.get("fixtures")):
+        raise ConfigError("--fixtures <dir> goes with --provider fixture, and only with it")
     # Frozen under fixtures so replayed runs are byte-identical.
     clock: Clock = FrozenClock() if provider == "fixture" else SystemClock()
     if provider is None:
+        if conf.get("cache"):
+            raise ConfigError("--cache needs --provider")
         return None, clock
     from .providers import CachingBackend, FixtureBackend, LiveBackend
 
-    if provider == "fixture":
-        if not conf.get("fixtures"):
-            raise ConfigError("--provider fixture needs --fixtures <dir>")
-        backend: Backend = FixtureBackend(conf["fixtures"])
-    else:
-        backend = LiveBackend(clock=clock)
+    backend: Backend = FixtureBackend(conf["fixtures"]) if provider == "fixture" else LiveBackend(clock=clock)
     if conf.get("cache"):
-        backend = CachingBackend(backend, conf["cache"], conf["cache_mode"], clock)
+        backend = CachingBackend(backend, conf["cache"], clock)
     return backend, clock
 
 
@@ -269,6 +267,9 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
 def _cmd_enrich(conf: dict[str, Any]) -> Run:
     from .claims import load_template
 
+    workers = conf["parallelism"]
+    if workers < 1:
+        raise ConfigError("--parallelism must be at least 1")
     backend, clock = _provider(conf)
     items = read_news(conf["in"])
     template = load_template(conf["claim_template"])
@@ -276,7 +277,6 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     def enrich(item: NewsItem) -> EnrichedRecord:
         return enrich_one(item, backend, clock, template, conf["model"])
 
-    workers = max(1, conf["parallelism"])
     if workers == 1:
         records = [enrich(item) for item in items]
     else:
@@ -310,6 +310,12 @@ def _render_section(lines: list[str], title: str, table: dict[Any, Any]) -> None
     lines.append("")
 
 
+def _members(raw: dict[str, Any]) -> list[Any]:
+    if not isinstance(raw["members"], list):
+        raise TypeError("a cluster's members must be a list")
+    return raw["members"]
+
+
 def _cmd_analyze(conf: dict[str, Any]) -> Run:
     from . import analytics
 
@@ -329,7 +335,7 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
         items = read_news(conf["in"])
         report["text_stats"] = analytics.text_stats(items)
     if conf.get("clusters"):
-        clusters = list(read_jsonl(conf["clusters"], lambda raw: list(raw["members"])))
+        clusters = list(read_jsonl(conf["clusters"], _members))
         report["cluster_sizes"] = {
             str(k): v for k, v in sorted(analytics.cluster_size_histogram(clusters).items())
         }
@@ -464,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     def provider_options(opt: Callable[..., Any], required: bool = True) -> None:
         opt("--provider", choices=("live", "fixture"), required=required, help="backend mode")
         opt("--fixtures", help="directory of recorded response files (fixture mode)")
-        opt("--cache", help="response cache directory")
-        opt("--cache-mode", choices=CACHE_MODES, default="read_write",
-            help="read_write appends each fetched response to the cache log; read_only never writes it")
+        opt("--cache", help="response cache directory; each response it had to fetch is appended to its log")
 
     opt = subcommand("validate", "filter and adjudicate a corpus; emits validated records, a review queue and a report")
     opt("--in", required=True, help="input records, one JSON object per line")

@@ -11,12 +11,14 @@ hashed once:
   exponential backoff; any other exception is a bug and propagates;
 * ``FixtureBackend`` replays recorded response bodies, for deterministic
   offline runs;
-* ``CachingBackend`` wraps another backend with a persistent response cache.
+* ``CachingBackend`` wraps another backend with a persistent response cache
+  that appends each response it had to fetch.
 
 Fixtures and cache share one on-disk format: the append-only log
 ``<dir>/responses.jsonl``, one compact JSON line per response holding
 ``request_hash``, ``kind``, ``captured_at``, ``request`` and ``body``.
-``write_cassette`` and the cache append to it with the same line encoder.
+``write_cassette`` and the cache append to it with the same appender,
+``_append``, and the same line encoder.
 The fixture reader is strict (a broken line is a broken recording) and the
 cache reader lenient (a cut last line is what a crash leaves). Directories in
 the older one-``<hash>.json``-per-response layout are not read.
@@ -32,14 +34,12 @@ import hashlib
 import json
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from .clocks import Clock, SystemClock
-from .records import (CACHE_MODES, DEFAULT_MODEL, ClaimReviewResult, ProviderFailure, SchemaError, WebResult,
-                      read_jsonl)
+from .records import DEFAULT_MODEL, ClaimReviewResult, ProviderFailure, SchemaError, WebResult, read_jsonl
 
 KIND_WEB = "web_search"
 KIND_FACTCHECK = "factcheck"
@@ -253,9 +253,15 @@ def _log_line(digest: str, kind: str, payload: dict[str, Any], body: dict[str, A
     return (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    while data:  # one write unless the kernel takes only part of it
-        data = data[os.write(fd, data):]
+def _append(log: Path, line: bytes) -> None:
+    """Append ``line`` to ``log`` in a single write on an append-only
+    descriptor, so concurrent writers never interleave."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        while line:  # one write unless the kernel takes only part of it
+            line = line[os.write(fd, line):]
+    finally:
+        os.close(fd)
 
 
 def write_cassette(
@@ -265,20 +271,12 @@ def write_cassette(
     body: dict[str, Any],
     captured_at: str = "",
 ) -> Path:
-    """Record one response body as a line of ``<directory>/responses.jsonl``.
-
-    The line goes out in a single write on an append-only descriptor, so
-    concurrent writers never interleave. Returns the log's path.
-    """
+    """Record one response body as a line of ``<directory>/responses.jsonl``
+    with ``_append``. Returns the log's path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     log = directory / LOG_NAME
-    line = _log_line(request_hash(kind, payload), kind, payload, body, captured_at)
-    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        _write_all(fd, line)
-    finally:
-        os.close(fd)
+    _append(log, _log_line(request_hash(kind, payload), kind, payload, body, captured_at))
     return log
 
 
@@ -286,28 +284,22 @@ class CachingBackend:
     """Persistent response cache in front of another backend.
 
     The cache is the log ``<directory>/responses.jsonl``, read once when the
-    backend is built. Each miss in ``read_write`` mode appends one line, as
-    ``write_cassette`` does, in a single write on an append-only file
-    descriptor, so concurrent appends never interleave. A line that does not
-    parse, or holds no body object (say, the last line of a run that was
-    killed mid-write), is skipped: its request is a miss, answered again by
-    the inner backend and, in ``read_write`` mode, appended whole. The log's
-    descriptor opens at the first append and closes when the backend is
-    garbage-collected.
+    backend is built; the directory is created then too. Each miss appends
+    one line with the same appender as ``write_cassette``, which opens the
+    log, writes the line and closes it, so no descriptor is held between
+    appends. A line that does not parse, or holds no body object (say, the
+    last line of a run that was killed mid-write), is skipped: its request
+    is a miss, answered again by the inner backend and appended whole.
     """
 
-    def __init__(self, inner: Backend, directory: str | Path, mode: str = "read_write", clock: Clock | None = None):
-        if mode not in CACHE_MODES:
-            raise ValueError(f"cache mode must be one of {CACHE_MODES}")
+    def __init__(self, inner: Backend, directory: str | Path, clock: Clock | None = None):
         self.inner = inner
-        self.directory = Path(directory)
-        self.log = self.directory / LOG_NAME
-        self.mode = mode
+        self.log = Path(directory) / LOG_NAME
+        self.log.parent.mkdir(parents=True, exist_ok=True)
         self.clock = clock or SystemClock()
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()  # guards the entries, the counters and the log descriptor
-        self._fd: int | None = None
+        self._lock = threading.Lock()  # guards the entries, the counters and the appends
         self._entries: dict[str, dict[str, Any]] = {}
         self._needs_newline = False
         self._load()
@@ -336,21 +328,14 @@ class CachingBackend:
                 return body
             self.misses += 1
         body = self.inner.fetch(kind, payload, digest)
-        if self.mode == "read_write":
-            self._append(digest, body, _log_line(digest, kind, payload, body, self.clock.utc_instant()))
-        return body
-
-    def _append(self, digest: str, body: dict[str, Any], line: bytes) -> None:
+        line = _log_line(digest, kind, payload, body, self.clock.utc_instant())
         with self._lock:
-            if self._fd is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._fd = os.open(self.log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-                weakref.finalize(self, os.close, self._fd)
             if self._needs_newline:  # a cut last line must not swallow this one
                 line = b"\n" + line
                 self._needs_newline = False
-            _write_all(self._fd, line)
+            _append(self.log, line)
             self._entries[digest] = body
+        return body
 
 
 def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:

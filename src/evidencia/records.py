@@ -23,10 +23,8 @@ FACTCHECK_QUERY_USED = ("original", "claim", "none")
 # Option vocabularies the CLI parser offers. They live here, with the other
 # vocabularies, so that building the parser loads no module that acts on
 # them; providers, claims and evalkit re-export the ones they use.
-CACHE_MODES = ("read_write", "read_only")
 DEFAULT_MODEL = "gemini-1.5-flash"
 PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_shot")
-MAX_CLAIM_WORDS = 20
 CONFIG_KINDS = ("original", "validated", "enriched_full", "enriched_filtered")
 
 # The <b>...</b> highlight markers a search response puts in a result's

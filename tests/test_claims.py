@@ -122,11 +122,6 @@ class TestExtractClaim:
         with pytest.raises(TypeError):
             extract_claim("texto", generate)
 
-    def test_custom_cap(self):
-        outcome = extract_claim("texto", lambda p: "um dois tres quatro", max_claim_words=3)
-        assert outcome.enforced
-        assert outcome.claim == "um dois tres"
-
     def test_adversarial_generator_never_breaks_the_cap(self):
         rng = random.Random(13)
         saboteur_outputs = [

@@ -60,11 +60,11 @@ MANIFEST_DIGESTS = {
     "analysis.json.manifest.json": "277a958369c0b925e565ad15142788033aef7c7892ce8879cd92e5f1d240be0e",
     "clusters.jsonl.manifest.json": "ac1300f3d278587bd9080145d2fd857ca40b9d2eef163fd61e7107636d8745f1",
     "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
-    "enriched.jsonl.manifest.json": "e48d80f67d962cd7e38cf64fc249c5630fcfe4fbc74b38d72a21129ab8bb7126",
-    "evaluation.json.manifest.json": "4cb02649dbc270d1093a73a9881ab4de9a147bb6d809aa3e9a95d3475cd33936",
+    "enriched.jsonl.manifest.json": "32991e5d7452abc12396728f5c7539be2d39bf1951aeea350762e5eba1139e6f",
+    "evaluation.json.manifest.json": "6208c5f44c1aa2da85eddc6eca422fbae631ea4e4fa49edc44719cf49ec1096f",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
     "splits/manifest.json": "ae1cc68ddeaabacfe267c567d88acf83e2a85d941fb2176e3aea8f1b19bd039f",
-    "validated.jsonl.manifest.json": "7509231265e8b7fbcfda37454fb54eb347fa74b59afa11365d2421f7d713a67f",
+    "validated.jsonl.manifest.json": "5f92bbae846d6cd77e72f5f8ac68377042d4a4fe8c770036a318325110567d7c",
 }
 
 
@@ -284,6 +284,28 @@ class TestExitCodes:
                      "--provider", "fixture"]) == 2
         assert "--fixtures" in capsys.readouterr().err
 
+    # A provider option the run would ignore is an error, not a no-op.
+    @pytest.mark.parametrize("argv,flag", [
+        (["validate", "--in", CORPUS, "--cache", "{dir}"], "--cache"),
+        (["validate", "--in", CORPUS, "--fixtures", "{dir}"], "--fixtures"),
+        (["enrich", "--in", CORPUS, "--provider", "live", "--fixtures", "{dir}"], "--fixtures"),
+        (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "live", "--fixtures", "{dir}"],
+         "--fixtures"),
+    ], ids=["validate-cache", "validate-fixtures", "enrich-live-fixtures", "evaluate-live-fixtures"])
+    def test_ignored_provider_option_exits_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out" / "o.jsonl"
+        assert main([arg.format(dir=tmp_path / "d") for arg in argv] + ["--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_parallelism_below_1_exits_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "e.jsonl"
+        assert main(["enrich", "--in", CORPUS, "--out", str(out), "--provider", "fixture",
+                     "--fixtures", str(CASSETTES), "--parallelism", workers]) == 2
+        assert "--parallelism must be at least 1" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_enrich_error_rate_gate(self, pipeline, tmp_path, capsys):
         out = tmp_path / "e.jsonl"
         code = main(["enrich", "--in", str(pipeline["validated"]), "--out", str(out),
@@ -342,6 +364,7 @@ class TestExitCodes:
         (None, ["validate", "--in", "{bad}", "--out", "{out}"]),
         ("", ["split", "--in", CORPUS, "--out-dir", "{bad}"]),
         ('{"members": 5}\n', ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
+        ('{"members": "abc"}\n', ["analyze", "--in", "{enriched}", "--out", "{out}", "--clusters", "{bad}"]),
         ('{"id": "x", "corpus": "fakebr", "label": "fake", "text": "t", "extra": 5}\n',
          ["validate", "--in", "{bad}", "--out", "{out}"]),
         ('{"id": "rev-0001", "kind": "near_duplicate", "record_ids": 3}\n',
@@ -350,8 +373,8 @@ class TestExitCodes:
                  "--provider", "fixture", "--fixtures", str(CASSETTES)]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
-            "validate-in-directory", "split-out-dir-file", "clusters-members-int", "validate-extra-int",
-            "review-record-ids-int", "evaluate-shots-from-missing"])
+            "validate-in-directory", "split-out-dir-file", "clusters-members-int",
+            "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
         bad = tmp_path / "bad.jsonl"
         if content is None:
@@ -633,19 +656,17 @@ class TestConfigFile:
         (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--max-claim-words", "5"]),
         (["split", "--in", CORPUS], ["--no-pair-preserving"]),
-    ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving"])
+        (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         ["--cache-mode", "read_only"]),
+        (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         ["--cache-mode", "bypass"]),
+    ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving",
+            "cache-mode-read-only", "cache-mode-bypass"])
     def test_removed_setting_exits_2(self, tmp_path, argv, flag):
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
         assert self.exits_2([*argv, *out, *flag])
         assert self.exits_2([*argv, *out, self.option_file(tmp_path, *flag)])
         assert not (tmp_path / "out").exists()
-
-    def test_bypass_cache_mode_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--out", str(tmp_path / "r.json"),
-                  "--provider", "fixture", "--fixtures", str(CASSETTES),
-                  "--cache", str(tmp_path / "cache"), "--cache-mode", "bypass"])
-        assert exc.value.code == 2
 
     def test_bad_config_value(self, tmp_path, capsys):
         args = self.option_file(tmp_path, "--min-content-tokens=muitos")

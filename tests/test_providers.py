@@ -255,23 +255,13 @@ class TestCachingBackend:
         assert inner.calls == 1
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_read_only_never_writes(self, tmp_path):
-        inner = CountingBackend()
-        cache = CachingBackend(inner, tmp_path, mode="read_only")
-        cache.fetch(KIND_WEB, {"query": "x"})
-        cache.fetch(KIND_WEB, {"query": "x"})
-        assert inner.calls == 2
-        assert list(tmp_path.iterdir()) == []
-
-    def test_read_only_serves_existing_entries(self, tmp_path):
-        log = cache_log(tmp_path)
-        log.write_text(log_line(KIND_WEB, X_PAYLOAD, {"items": [{"title": "cached"}]}), encoding="utf-8")
-        before = log.read_bytes()
-        inner = CountingBackend()
-        cache = CachingBackend(inner, tmp_path, mode="read_only")
-        assert cache.fetch(KIND_WEB, X_PAYLOAD)["items"][0]["title"] == "cached"
-        assert inner.calls == 0
-        assert log.read_bytes() == before
+    def test_directory_is_made_when_built(self, tmp_path):
+        CachingBackend(CountingBackend(), tmp_path / "cache")
+        assert (tmp_path / "cache").is_dir()
+        blocker = tmp_path / "file"
+        blocker.touch()
+        with pytest.raises(OSError):
+            CachingBackend(CountingBackend(), blocker / "cache")
 
     @pytest.mark.parametrize("entry", BROKEN_ENTRIES)
     def test_unreadable_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
@@ -292,16 +282,6 @@ class TestCachingBackend:
         reopened = CachingBackend(again, tmp_path, clock=FrozenClock())
         assert reopened.fetch(KIND_WEB, X_PAYLOAD) == inner.body
         assert (reopened.hits, reopened.misses, again.calls) == (1, 0, 0)
-
-    def test_read_only_leaves_an_unreadable_entry_alone(self, tmp_path):
-        text = BROKEN_LINES[BROKEN_ENTRIES[0]]
-        log = cache_log(tmp_path)
-        log.write_text(text, encoding="utf-8")
-        inner = CountingBackend()
-        cache = CachingBackend(inner, tmp_path, mode="read_only")
-        assert cache.fetch(KIND_WEB, X_PAYLOAD) == inner.body
-        assert (cache.misses, inner.calls) == (1, 1)
-        assert log.read_text(encoding="utf-8") == text
 
     def test_cut_entry_is_how_a_real_line_begins(self):
         assert log_line(KIND_WEB, X_PAYLOAD, {"items": [{"title": "t"}]}).startswith(BROKEN_ENTRIES[0])
@@ -352,11 +332,6 @@ class TestCachingBackend:
         assert len(lines) == cache.misses
         logged = {json.loads(line)["request_hash"] for line in lines}
         assert logged == {request_hash(KIND_WEB, p) for p in payloads}
-
-    def test_unknown_mode_rejected(self, tmp_path):
-        for mode in ("write_only", "bypass"):
-            with pytest.raises(ValueError):
-                CachingBackend(CountingBackend(), tmp_path, mode=mode)
 
 
 class TestCassetteWriters:

@@ -181,7 +181,7 @@ def _read_instances(path: str) -> list[EvalInstance]:
 
 def _cmd_validate(conf: dict[str, Any]) -> Run:
     from .langid import TrigramDetector
-    from .validation import read_review_items
+    from .validation import STAGES, read_review_items
 
     records = read_news(conf["in"])
     decisions = read_review_items(conf["decisions"]) if conf.get("decisions") else []
@@ -207,15 +207,20 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
     write_review_items(review_out, report.review_items)
     _write_json(report_out, report.to_dict())
 
-    print(f"input records      {report.input_count}")
+    width = max(map(len, STAGES)) + 2
+    print(f"{'input records':<{width}}{report.input_count}")
     for stage, count in report.stage_counts().items():
-        print(f"{stage:<19}{count}")
-    print(f"output records     {report.output_count}")
-    print(f"review queue       {len(report.review_items)} item(s) -> {review_out}")
+        print(f"{stage:<{width}}{count}")
+    print(f"{'output records':<{width}}{report.output_count}")
+    print(f"{'review queue':<{width}}{len(report.review_items)} item(s) -> {review_out}")
     if report.flagged_language:
-        print(f"flagged language   {len(report.flagged_language)} record(s) kept, see report")
+        print(f"{'flagged language':<{width}}{len(report.flagged_language)} record(s) kept, see report")
     if report.external_check_failed:
-        print(f"fact-check failed  {len(report.external_check_failed)} record(s) not cross-checked, see report")
+        print(f"{'fact-check failed':<{width}}{len(report.external_check_failed)} record(s) not cross-checked, "
+              "see report")
+    if report.unmatched_decisions:
+        print(f"{'unmatched decisions':<{width}}{len(report.unmatched_decisions)} decision(s) matched no input "
+              "record, see report")
     return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("decisions"), conf.get("incomplete_ids")],
                [str(out), str(report_out), str(review_out)])
 
@@ -242,10 +247,16 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
     if conf["decisions"] is not None:
         decisions = {item.id: item for item in read_review_items(conf["decisions"])}
         missing = [item.id for item in queue if item.id not in decisions]
+        mismatched = [item for item in queue if item.id in decisions and (item.kind, item.record_ids)
+                      != (decisions[item.id].kind, decisions[item.id].record_ids)]
         undecided = [i for i, item in decisions.items() if item.decision is None]
-        if missing or undecided:
+        if missing or mismatched or undecided:
             for rid in missing:
                 print(f"no decision for queue item {rid}", file=sys.stderr)
+            for item in mismatched:
+                got = decisions[item.id]
+                print(f"decision {item.id} is a {got.kind} on {got.record_ids}, but queue item {item.id} "
+                      f"is a {item.kind} on {item.record_ids}", file=sys.stderr)
             for rid in undecided:
                 print(f"decision field still empty on {rid}", file=sys.stderr)
             return Run(None, [], [], code=2)

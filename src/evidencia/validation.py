@@ -73,7 +73,7 @@ class ReviewItem:
         action = decision.get("action")
         if action not in DECISION_ACTIONS:
             raise SchemaError(f"review {self.id}: unknown action {action!r}")
-        unknown = [i for i in decision.get("ids", self.record_ids) if i not in self.record_ids]
+        unknown = [i for i in self.targets if i not in self.record_ids]
         if unknown:
             raise SchemaError(f"review {self.id}: decision targets unknown records {unknown}")
         if action == "relabel" and decision.get("label") not in LABELS:
@@ -82,6 +82,11 @@ class ReviewItem:
     @property
     def stage(self) -> str:
         return _KIND_STAGE[self.kind]
+
+    @property
+    def targets(self) -> list[str]:
+        """The records a decision acts on: its ``ids``, else all the item's records."""
+        return self.decision.get("ids", self.record_ids) if self.decision is not None else []
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -130,6 +135,7 @@ class ValidationReport:
     corrected: dict[str, list[dict[str, Any]]] = field(default_factory=lambda: {s: [] for s in STAGES})
     flagged_language: list[str] = field(default_factory=list)
     external_check_failed: list[str] = field(default_factory=list)
+    unmatched_decisions: list[str] = field(default_factory=list)
     review_items: list[ReviewItem] = field(default_factory=list)
     urls_stripped: int = 0
 
@@ -162,6 +168,8 @@ class ValidationReport:
         }
         if self.external_check_failed:
             out["external_check_failed"] = self.external_check_failed
+        if self.unmatched_decisions:
+            out["unmatched_decisions"] = self.unmatched_decisions
         return out
 
 
@@ -309,10 +317,9 @@ def apply_decisions(
         if item.decision is None:
             continue
         action = item.decision["action"]
-        ids = item.decision.get("ids", item.record_ids)
         if action == "keep":
             continue
-        for record_id in ids:
+        for record_id in item.targets:
             record = by_id.get(record_id)
             if record is None:
                 continue  # already removed by an earlier stage or decision
@@ -427,6 +434,10 @@ def run_validation(
         check_external_labels(current, factcheck_backend, report)
     random_inspection(current, report, sample_size, seed)
     if decisions:
+        present = {item.id for item in records}
+        report.unmatched_decisions = [
+            item.id for item in decisions if item.decision is not None and present.isdisjoint(item.targets)
+        ]
         current = apply_decisions(current, decisions, report)
     current = fakebr_rules(current, report, clusters, incomplete_ids)
     current = strip_record_urls(current, report)

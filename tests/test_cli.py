@@ -444,6 +444,44 @@ class TestValidateInputs:
         ]
         assert {item.id: item.label for item in read_news(out)}["cv_0007"] == "fake"
 
+    def test_decision_about_other_records_exits_2_and_names_the_item(self, tmp_path, capsys):
+        queue = tmp_path / "queue.jsonl"
+        queue.write_text(json.dumps({
+            "id": "rev-0001", "kind": "near_dup_conflict", "record_ids": ["a1", "a2"], "suggestion": "remove",
+        }) + "\n", encoding="utf-8")
+        decisions = tmp_path / "decisions.jsonl"
+        decisions.write_text(json.dumps({
+            "id": "rev-0001", "kind": "random_inspection", "record_ids": ["zz9"],
+            "decision": {"action": "remove"},
+        }) + "\n", encoding="utf-8")
+        assert main(["review", "--queue", str(queue), "--decisions", str(decisions)]) == 2
+        captured = capsys.readouterr()
+        assert "check out" not in captured.out
+        assert ("decision rev-0001 is a random_inspection on ['zz9'], "
+                "but queue item rev-0001 is a near_dup_conflict on ['a1', 'a2']") in captured.err
+
+    def test_decision_matching_no_input_record_is_reported(self, tmp_path, capsys):
+        decisions = tmp_path / "decisions.jsonl"
+        decisions.write_text("".join(json.dumps({
+            "id": rid, "kind": "random_inspection", "record_ids": [record_id], "decision": {"action": "remove"},
+        }) + "\n" for rid, record_id in [("rev-0001", "no_such_record"), ("rev-0002", "cv_0003")]),
+            encoding="utf-8")
+        out = tmp_path / "v.jsonl"
+        assert main(["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(decisions)]) == 0
+        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
+        # cv_0003 is in the input; the initial filter removed it before the decision applied.
+        assert report["removal_reasons"]["cv_0003"] != "decision:random_inspection"
+        assert report["unmatched_decisions"] == ["rev-0001"]
+        assert "unmatched decisions" in capsys.readouterr().out
+
+    def test_stage_table_is_aligned(self, tmp_path, capsys):
+        from evidencia.validation import STAGES
+
+        assert main(["validate", "--in", CORPUS, "--out", str(tmp_path / "v.jsonl")]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        for stage in STAGES:
+            assert re.fullmatch(r"\S+\s+\d+", lines.get(stage, "")), stage
+
     def test_missing_incomplete_ids_file_exits_2_and_names_it(self, tmp_path, capsys):
         missing = tmp_path / "incomplete.txt"
         out = tmp_path / "v.jsonl"

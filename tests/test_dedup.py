@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import string
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -406,6 +408,58 @@ class TestPipeline:
 
     def test_empty_corpus(self):
         assert near_duplicates({}) == []
+
+
+def phrase_corpus(rng, n_texts=400, n_phrases=200):
+    """Texts of 80 random words, drawn as ten phrases of eight from a shared
+    pool, so that words and shingles recur across texts while few texts are
+    near-duplicates of each other. The hasher keeps an entry per distinct
+    shingle, so near_duplicates' peak relative to the sets grows with the
+    share of shingles that occur once: 0.08 here, 0.09-0.17 on the
+    benchmark corpora."""
+    vocab = ["".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(2, 9))) for _ in range(2000)]
+    phrases = [" ".join(rng.choice(vocab) for _ in range(8)) for _ in range(n_phrases)]
+    return {f"t{i:03d}": " ".join(rng.choice(phrases) for _ in range(10)) for i in range(n_texts)}
+
+
+class TestMemory:
+    """near_duplicates keeps one string per distinct shingle and a tuple of
+    references per record; shingle sets exist only while a record is signed
+    and, after banding, for candidate members."""
+
+    def test_peak_is_under_half_of_holding_every_shingle_set(self):
+        texts = phrase_corpus(random.Random(21))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            held = [shingles(text) for text in texts.values()]
+            held_size = tracemalloc.get_traced_memory()[0] - base
+            del held
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            near_duplicates(texts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < held_size / 2, (peak, held_size)
+
+    def test_confirmation_gets_sets_of_candidate_members_only(self, monkeypatch):
+        rng = random.Random(3)
+        texts = {**planted_corpus(rng, n_base=10), **phrase_corpus(rng, n_texts=40)}
+        seen = {}
+
+        def spy(pairs, shingle_sets, config):
+            pairs = list(pairs)
+            seen["members"] = {key for pair in pairs for key in pair}
+            seen["sets"] = dict(shingle_sets)
+            return confirm_pairs(pairs, shingle_sets, config)
+
+        monkeypatch.setattr(dedup, "confirm_pairs", spy)
+        near_duplicates(texts)
+        assert seen["members"] and len(seen["members"]) < len(texts)
+        assert set(seen["sets"]) == seen["members"]
+        for key, shingle_set in seen["sets"].items():
+            assert type(shingle_set) is set and shingle_set == shingles(texts[key])
 
 
 class TestSubsetReuse:

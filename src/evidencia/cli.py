@@ -5,9 +5,13 @@ validate, dedup, review, enrich, analyze, split, build-config, evaluate.
 argparse reads every option. ``@FILE`` after the subcommand reads further
 arguments from FILE, one per line (``--seed=1``): a later flag wins, and an
 option the subcommand lacks exits 2 as it does on the command line. Each
-handler returns a ``Run`` naming what it wrote; ``main`` then writes exactly
-one manifest (resource hashes, input hashes, provider mode, config snapshot)
-next to the primary output and applies the error-rate gate.
+handler returns a ``Run`` naming what it wrote; ``main`` then writes one
+manifest (resource hashes, input hashes, provider mode, config snapshot) at
+``<out>.manifest.json``, or ``<out-dir>/manifest.json`` for split, and
+applies the error-rate gate. A run with neither option, such as
+``review --decisions``, writes no manifest. Every output file, the manifest
+included, goes through ``records.write_text``; only the response log is
+written otherwise, appended to by ``providers._append``.
 
 Exit codes: 0 success, 1 per-record error rate above --max-error-rate,
 2 configuration or usage errors, malformed input lines and unreadable paths.
@@ -19,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
@@ -36,6 +41,7 @@ from .records import (
     read_news,
     write_enriched,
     write_news,
+    write_text,
 )
 from .records import write_jsonl as _write_jsonl  # bench/tracer.py wraps it under this name
 
@@ -98,17 +104,13 @@ def _log_hash(directory: str | None) -> str | None:
 
 def _write_json(path: Path, payload: Any, sort_keys: bool = False) -> None:
     """The one writer of JSON sidecars: reports, statistics, results, manifests."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=sort_keys) + "\n",
-                    encoding="utf-8")
+    write_text(path, [json.dumps(payload, ensure_ascii=False, indent=1, sort_keys=sort_keys) + "\n"])
 
 
 class Run(NamedTuple):
-    """What a handler wrote. ``main`` stamps the manifest (none when
-    ``manifest`` is None), then exits 1 if ``error_rate`` is above
-    --max-error-rate and with ``code`` otherwise."""
+    """What a handler wrote. ``main`` stamps the manifest, then exits 1 if
+    ``error_rate`` is above --max-error-rate and with ``code`` otherwise."""
 
-    manifest: Path | None
     inputs: list[str | None]
     outputs: list[str]
     notes: dict[str, Any] | None = None
@@ -116,7 +118,19 @@ class Run(NamedTuple):
     code: int = 0
 
 
-def _write_manifest(subcommand: str, conf: dict[str, Any], run: Run, started_at: str, finished_at: str) -> None:
+def _manifest_path(conf: dict[str, Any]) -> Path | None:
+    """``<out>.manifest.json``, or ``<out-dir>/manifest.json``; None when the
+    run has neither option."""
+    if conf.get("out"):
+        return Path(f"{Path(conf['out'])}.manifest.json")
+    if conf.get("out_dir"):
+        return Path(conf["out_dir"], "manifest.json")
+    return None
+
+
+def _write_manifest(
+    path: Path, subcommand: str, conf: dict[str, Any], run: Run, started_at: str, finished_at: str
+) -> None:
     from . import resources
 
     payload = {
@@ -134,7 +148,7 @@ def _write_manifest(subcommand: str, conf: dict[str, Any], run: Run, started_at:
     }
     if run.notes:
         payload["notes"] = run.notes
-    _write_json(run.manifest, payload)
+    _write_json(path, payload)
 
 
 def _provider(conf: dict[str, Any]) -> tuple[Backend | None, Clock]:
@@ -221,7 +235,7 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
     if report.unmatched_decisions:
         print(f"{'unmatched decisions':<{width}}{len(report.unmatched_decisions)} decision(s) matched no input "
               "record, see report")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("decisions"), conf.get("incomplete_ids")],
+    return Run([conf["in"], conf.get("decisions"), conf.get("incomplete_ids")],
                [str(out), str(report_out), str(review_out)])
 
 
@@ -237,7 +251,7 @@ def _cmd_dedup(conf: dict[str, Any]) -> Run:
     _write_jsonl(out, payloads)
     involved = sum(len(c.members) for c in clusters)
     print(f"{len(clusters)} cluster(s) covering {involved} of {len(records)} records -> {out}")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"]], [str(out)])
+    return Run([conf["in"]], [str(out)])
 
 
 def _cmd_review(conf: dict[str, Any]) -> Run:
@@ -245,23 +259,32 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
 
     queue = read_review_items(conf["queue"])
     if conf["decisions"] is not None:
-        decisions = {item.id: item for item in read_review_items(conf["decisions"])}
+        decided = read_review_items(conf["decisions"])
+        counts = Counter(item.id for item in decided)
+        decisions = {item.id: item for item in decided}
+        queued = {item.id for item in queue}
         missing = [item.id for item in queue if item.id not in decisions]
+        unqueued = [i for i in decisions if i not in queued]
+        repeated = [(i, n) for i, n in counts.items() if n > 1]
         mismatched = [item for item in queue if item.id in decisions and (item.kind, item.record_ids)
                       != (decisions[item.id].kind, decisions[item.id].record_ids)]
         undecided = [i for i, item in decisions.items() if item.decision is None]
-        if missing or mismatched or undecided:
+        if missing or unqueued or repeated or mismatched or undecided:
             for rid in missing:
                 print(f"no decision for queue item {rid}", file=sys.stderr)
+            for rid in unqueued:
+                print(f"no queue item for decision {rid}", file=sys.stderr)
+            for rid, n in repeated:
+                print(f"decision {rid} given {n} times", file=sys.stderr)
             for item in mismatched:
                 got = decisions[item.id]
                 print(f"decision {item.id} is a {got.kind} on {got.record_ids}, but queue item {item.id} "
                       f"is a {item.kind} on {item.record_ids}", file=sys.stderr)
             for rid in undecided:
                 print(f"decision field still empty on {rid}", file=sys.stderr)
-            return Run(None, [], [], code=2)
+            return Run([], [], code=2)
         print(f"{len(queue)} decision(s) check out")
-        return Run(None, [], [])
+        return Run([], [])
     out = Path(conf["out"])
     skeleton = []
     for item in queue:
@@ -272,7 +295,7 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
         skeleton.append(copy)
     write_review_items(out, skeleton)
     print(f"decision skeleton with {len(skeleton)} item(s) -> {out}")
-    return Run(Path(f"{out}.manifest.json"), [conf["queue"]], [str(out)])
+    return Run([conf["queue"]], [str(out)])
 
 
 def _cmd_enrich(conf: dict[str, Any]) -> Run:
@@ -307,7 +330,7 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     print(f"enriched {len(records)} record(s): {stats.matched_direct} matched directly, "
           f"{stats.extraction_needed} via claim extraction, {stats.hard_failed} unmatched")
     print(f"records with errors: {failed} ({rate:.2%})")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"]], [str(out), str(stats_out)], error_rate=rate)
+    return Run([conf["in"]], [str(out), str(stats_out)], error_rate=rate)
 
 
 def _is_enriched_file(path: str) -> bool:
@@ -367,10 +390,9 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
             lines.append(f"{section}: {content}")
             lines.append("")
     text = "\n".join(lines).rstrip() + "\n"
-    text_out.parent.mkdir(parents=True, exist_ok=True)
-    text_out.write_text(text, encoding="utf-8")
+    write_text(text_out, [text])
     print(text, end="")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf.get("clusters")], [str(out), str(text_out)])
+    return Run([conf["in"], conf.get("clusters")], [str(out), str(text_out)])
 
 
 def _cmd_split(conf: dict[str, Any]) -> Run:
@@ -386,7 +408,7 @@ def _cmd_split(conf: dict[str, Any]) -> Run:
         write_news(path, slice_)
         outputs.append(str(path))
     print(f"split {len(records)} record(s) into {len(train)}/{len(val)}/{len(test)} -> {out_dir}")
-    return Run(out_dir / "manifest.json", [conf["in"]], outputs)
+    return Run([conf["in"]], outputs)
 
 
 def _cmd_build_config(conf: dict[str, Any]) -> Run:
@@ -409,7 +431,7 @@ def _cmd_build_config(conf: dict[str, Any]) -> Run:
     _write_jsonl(out, payloads)
     with_context = sum(1 for inst in instances if inst.context)
     print(f"{len(instances)} instance(s) ({with_context} with context) -> {out}")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"]], [str(out)])
+    return Run([conf["in"]], [str(out)])
 
 
 def _cmd_evaluate(conf: dict[str, Any]) -> Run:
@@ -448,7 +470,7 @@ def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     }, sort_keys=True)
     print(f"n={result.n} accuracy={result.accuracy:.4f} macro_f1={result.macro_f1:.4f} "
           f"abstentions={result.abstentions}")
-    return Run(Path(f"{out}.manifest.json"), [conf["in"], conf["shots_from"]],
+    return Run([conf["in"], conf["shots_from"]],
                [str(out), str(predictions_out)],
                notes={"shot_policy": "drawn from the training slice and excluded from evaluation"},
                error_rate=len(errors) / len(instances))
@@ -559,8 +581,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         started_at = SystemClock().utc_instant()
         run = HANDLERS[subcommand](conf)
-        if run.manifest is not None:
-            _write_manifest(subcommand, conf, run, started_at, SystemClock().utc_instant())
+        manifest = _manifest_path(conf)
+        if manifest is not None:
+            _write_manifest(manifest, subcommand, conf, run, started_at, SystemClock().utc_instant())
         limit = conf.get("max_error_rate")
         if limit is not None and run.error_rate > limit:
             print(f"error rate {run.error_rate:.2%} above --max-error-rate {limit:.2%}", file=sys.stderr)

@@ -211,19 +211,19 @@ class MinHasher:
 def candidate_pairs(
     signatures: Mapping[str, Signature], config: DedupConfig = DedupConfig()
 ) -> set[tuple[str, str]]:
-    """Identifier pairs that collide in at least one LSH band."""
+    """Identifier pairs, each in sorted order, that collide in at least one
+    LSH band. Bands are bucketed one at a time, so only one band's buckets
+    are held at once."""
     rows = config.rows_per_band
-    buckets: dict[tuple[int, Signature], list[str]] = {}
-    for key in sorted(signatures):
-        sig = signatures[key]
-        for band in range(config.bands):
-            chunk = sig[band * rows : (band + 1) * rows]
-            buckets.setdefault((band, chunk), []).append(key)
+    keys = sorted(signatures)
     pairs: set[tuple[str, str]] = set()
-    for members in buckets.values():
-        if len(members) > 1:
-            for a, b in combinations(members, 2):
-                pairs.add((a, b) if a <= b else (b, a))
+    for start in range(0, config.bands * rows, rows):
+        buckets: dict[Signature, list[str]] = {}
+        for key in keys:
+            buckets.setdefault(signatures[key][start : start + rows], []).append(key)
+        for members in buckets.values():
+            if len(members) > 1:
+                pairs.update(combinations(members, 2))  # members are in sorted order
     return pairs
 
 

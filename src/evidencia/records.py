@@ -3,11 +3,16 @@
 One record per line, UTF-8, keys sorted on output so that identical inputs
 produce byte-identical files. Unknown fields found on disk are preserved in
 ``extra`` and written back on serialization.
+
+``write_text`` is the one writer of output files: every record file,
+sidecar, report and manifest goes through it, and it replaces a file whole
+or not at all. ``read_jsonl`` is the one reader of record files.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -340,8 +345,9 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterat
     """Yield ``parse(obj)`` for the JSON object on each non-blank line.
 
     A line that is not a JSON object, or that ``parse`` rejects with a
-    SchemaError, KeyError or TypeError (a field of the wrong type), raises
-    SchemaError naming the file and line.
+    ValueError (SchemaError among them), KeyError or TypeError (a missing
+    field, or one of the wrong type), raises SchemaError naming the file
+    and line.
     """
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -353,7 +359,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterat
                 if not isinstance(raw, dict):
                     raise SchemaError(f"expected an object, got {type(raw).__name__}")
                 parsed = parse(raw)
-            except (json.JSONDecodeError, SchemaError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             yield parsed
 
@@ -376,9 +382,29 @@ def write_enriched(path: str | Path, records: Iterable[EnrichedRecord]) -> None:
 
 def write_jsonl(path: str | Path, payloads: Iterable[dict[str, Any]]) -> None:
     """One canonical JSON object per line (see ``dumps_record``)."""
+    write_text(path, (dumps_record(payload) + "\n" for payload in payloads))
+
+
+def write_text(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order to ``path`` as UTF-8 with ``\n`` line ends,
+    creating the parent directory.
+
+    The chunks go to ``.<name>.<pid>.partial`` beside ``path``, which
+    ``os.replace`` puts in place once the last one is written; on any
+    exception that file is removed. So ``path`` holds the old file or the
+    whole new one, never a prefix, if the process is killed mid-write (a
+    power loss is another matter: nothing is fsynced). The response log is
+    the one file not written here: it is append-only, never rewritten or
+    replaced, and ``providers._append`` adds to it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for payload in payloads:
-            fh.write(dumps_record(payload))
-            fh.write("\n")
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with partial.open("w", encoding="utf-8", newline="\n") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

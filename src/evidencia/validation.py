@@ -45,11 +45,16 @@ _KIND_STAGE = {
 }
 
 
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class ReviewItem:
     """One judgment call for a human, plus the eventual decision.
 
-    Construction rejects an unknown kind and a malformed decision with a
+    Construction rejects an unknown kind, ``record_ids`` or decision ``ids``
+    that are not a list of strings, and a malformed decision with a
     SchemaError, so a decisions file is checked line by line as it is read.
     """
 
@@ -65,6 +70,8 @@ class ReviewItem:
     def __post_init__(self) -> None:
         if self.kind not in REVIEW_KINDS:
             raise SchemaError(f"unknown review kind {self.kind!r}")
+        if not _is_str_list(self.record_ids):
+            raise SchemaError(f"review {self.id}: record_ids must be a list of strings")
         decision = self.decision
         if decision is None:
             return
@@ -73,6 +80,8 @@ class ReviewItem:
         action = decision.get("action")
         if action not in DECISION_ACTIONS:
             raise SchemaError(f"review {self.id}: unknown action {action!r}")
+        if not _is_str_list(decision.get("ids", [])):
+            raise SchemaError(f"review {self.id}: decision ids must be a list of strings")
         unknown = [i for i in self.targets if i not in self.record_ids]
         if unknown:
             raise SchemaError(f"review {self.id}: decision targets unknown records {unknown}")
@@ -109,7 +118,7 @@ class ReviewItem:
         return cls(
             id=raw["id"],
             kind=raw["kind"],
-            record_ids=list(raw["record_ids"]),
+            record_ids=raw["record_ids"],
             suggestion=raw.get("suggestion", "keep"),
             context=dict(raw.get("context", {})),
             decision=raw.get("decision"),

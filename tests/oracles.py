@@ -106,6 +106,17 @@ def ref_near_pairs(texts: dict[str, str], threshold: float, size: int = 5) -> di
     return out
 
 
+def ref_band_pairs(signatures: dict[str, tuple[int, ...]], bands: int) -> set[tuple[str, str]]:
+    """Every pair whose signatures agree on all rows of some band, with the
+    buckets of every band built at once, keyed by (band, chunk)."""
+    buckets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
+    for key, sig in signatures.items():
+        rows = len(sig) // bands
+        for band in range(bands):
+            buckets.setdefault((band, sig[band * rows : (band + 1) * rows]), []).append(key)
+    return {tuple(sorted(pair)) for members in buckets.values() for pair in combinations(members, 2)}
+
+
 # ----------------------------------------------------------------- metrics
 
 def ref_metrics(gold: list[str], predicted: list[str | None]) -> dict:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import evidencia
-from evidencia import cli
+from evidencia import cli, records
 from evidencia.cli import main
 from evidencia.providers import LOG_NAME, FixtureBackend
 from evidencia.evalkit import SplitSpec
@@ -84,10 +84,8 @@ def load_manifest(path):
     return data
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """Run the whole chain once; individual tests inspect the artifacts."""
-    root = tmp_path_factory.mktemp("pipeline")
+def chain(root):
+    """The fixture chain's output paths under ``root``, and each step's arguments."""
     paths = {
         "validated": root / "validated.jsonl",
         "clusters": root / "clusters.jsonl",
@@ -114,6 +112,13 @@ def pipeline(tmp_path_factory):
          "--out", str(paths["evaluation"]),
          "--provider", "fixture", "--fixtures", str(CASSETTES)],
     ]
+    return paths, steps
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Run the whole chain once; individual tests inspect the artifacts."""
+    paths, steps = chain(tmp_path_factory.mktemp("pipeline"))
     for argv in steps:
         assert main(argv) == 0, f"step failed: {argv[0]}"
     return paths
@@ -240,6 +245,26 @@ class TestPipeline:
         assert actual == MANIFEST_DIGESTS
 
 
+class TestOneWriter:
+    def test_every_output_goes_through_write_text(self, tmp_path, monkeypatch):
+        written = []
+        original = records.write_text
+
+        def spy(path, chunks):
+            written.append(Path(path))
+            return original(path, chunks)
+
+        # records' writers look the name up in records; cli holds its own reference.
+        monkeypatch.setattr(records, "write_text", spy)
+        monkeypatch.setattr(cli, "write_text", spy)
+        _, steps = chain(tmp_path)
+        for argv in steps:
+            assert main(argv) == 0, f"step failed: {argv[0]}"
+        files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+        assert len(files) == len(PIPELINE_DIGESTS) + len(MANIFEST_DIGESTS)
+        assert sorted(written) == files
+
+
 class TestBuildConfigEnriched:
     def test_enriched_kind_reads_enriched_file(self, pipeline, tmp_path):
         out = tmp_path / "ctx.jsonl"
@@ -256,6 +281,11 @@ class TestAnalyzePlain:
         assert main(["analyze", "--in", CORPUS, "--out", str(out)]) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         assert set(report) == {"text_stats"}
+
+
+# An enriched record line, complete but for ``{fields}``.
+ENRICHED_LINE = ('{"item": {"id": "x", "corpus": "fakebr", "text": "t", "label": "fake"}, '
+                 '"query": "q", "query_kind": "full_text", {fields}}\n')
 
 
 class TestExitCodes:
@@ -371,10 +401,16 @@ class TestExitCodes:
          ["review", "--queue", "{bad}", "--out", "{out}"]),
         (False, ["evaluate", "--in", "{train}", "--shots-from", "{bad}", "--out", "{out}",
                  "--provider", "fixture", "--fixtures", str(CASSETTES)]),
+        (ENRICHED_LINE.replace("{fields}", '"initial_results": [{"rank": "one"}]'),
+         ["analyze", "--in", "{bad}", "--out", "{out}"]),
+        (ENRICHED_LINE.replace("{fields}", '"match_scores": ["x"]'), ["analyze", "--in", "{bad}", "--out", "{out}"]),
+        ('{"id": "rev-0001", "kind": "random_inspection", "record_ids": "ab"}\n',
+         ["review", "--queue", "{bad}", "--out", "{out}"]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
             "validate-in-directory", "split-out-dir-file", "clusters-members-int",
-            "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing"])
+            "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing",
+            "analyze-rank-string", "analyze-match-score-string", "review-record-ids-string"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
         bad = tmp_path / "bad.jsonl"
         if content is None:
@@ -402,7 +438,9 @@ class TestValidateInputs:
     @pytest.mark.parametrize("decision,message", [
         ({"action": "ban"}, "unknown action 'ban'"),
         ("remove", "decision must be an object"),
-    ], ids=["unknown-action", "not-an-object"])
+        ({"action": "remove", "ids": "cv_0011"}, "decision ids must be a list of strings"),
+        ({"action": "remove", "ids": ""}, "decision ids must be a list of strings"),
+    ], ids=["unknown-action", "not-an-object", "ids-string", "ids-empty-string"])
     def test_bad_decision_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, decision, message):
         first, second = Path(pipeline["skeleton"]).read_text(encoding="utf-8").splitlines()
         bad = tmp_path / "decisions.jsonl"
@@ -459,6 +497,24 @@ class TestValidateInputs:
         assert "check out" not in captured.out
         assert ("decision rev-0001 is a random_inspection on ['zz9'], "
                 "but queue item rev-0001 is a near_dup_conflict on ['a1', 'a2']") in captured.err
+
+    QUEUED = {"id": "rev-0001", "kind": "near_dup_conflict", "record_ids": ["a", "b"], "suggestion": "remove"}
+
+    @pytest.mark.parametrize("extra,message", [
+        ({**QUEUED, "id": "rev-0002", "decision": {"action": "remove", "ids": ["b"]}},
+         "no queue item for decision rev-0002"),
+        ({**QUEUED, "decision": {"action": "keep"}}, "decision rev-0001 given 2 times"),
+    ], ids=["not-in-queue", "given-twice"])
+    def test_decision_beyond_the_queue_exits_2_and_names_it(self, tmp_path, capsys, extra, message):
+        queue = tmp_path / "queue.jsonl"
+        queue.write_text(json.dumps(self.QUEUED) + "\n", encoding="utf-8")
+        decisions = tmp_path / "decisions.jsonl"
+        decided = {**self.QUEUED, "decision": {"action": "remove", "ids": ["a"]}}
+        decisions.write_text(json.dumps(decided) + "\n" + json.dumps(extra) + "\n", encoding="utf-8")
+        assert main(["review", "--queue", str(queue), "--decisions", str(decisions)]) == 2
+        captured = capsys.readouterr()
+        assert "check out" not in captured.out
+        assert message in captured.err
 
     def test_decision_matching_no_input_record_is_reported(self, tmp_path, capsys):
         decisions = tmp_path / "decisions.jsonl"

@@ -22,7 +22,7 @@ from evidencia.dedup import (
     shingles,
 )
 
-from oracles import ref_jaccard, ref_near_pairs, ref_shingles
+from oracles import ref_band_pairs, ref_jaccard, ref_near_pairs, ref_shingles
 
 LEXICON = (
     "governo vacina cidade saúde notícia mensagem grupo família semana país "
@@ -363,6 +363,26 @@ class TestSizeBound:
             if j >= threshold:
                 expected[(a, b)] = j
         assert confirm_pairs(pairs, named, DedupConfig(jaccard_threshold=threshold)) == expected
+
+
+class TestBanding:
+    # Each signature is one of a few bases with up to three components
+    # redrawn, so that bands of every width collide.
+    @pytest.mark.parametrize("bands", [1, 10, 25, 100])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_reference_with_every_band_at_once(self, seed, bands):
+        rng = random.Random(seed)
+        cfg = DedupConfig(bands=bands)
+        bases = [[rng.randrange(3) for _ in range(cfg.num_permutations)] for _ in range(4)]
+        sigs = {}
+        for _ in range(60):
+            sig = list(rng.choice(bases))
+            for _ in range(rng.randrange(4)):
+                sig[rng.randrange(len(sig))] = rng.randrange(3)
+            sigs[f"k{rng.randrange(10**6)}"] = tuple(sig)
+        expected = ref_band_pairs(sigs, bands)
+        assert expected
+        assert candidate_pairs(sigs, cfg) == expected
 
 
 class TestPipeline:

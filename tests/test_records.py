@@ -14,6 +14,7 @@ from evidencia.records import (
     read_enriched,
     read_news,
     write_enriched,
+    write_jsonl,
     write_news,
 )
 
@@ -157,3 +158,28 @@ class TestJsonlIO:
         path = tmp_path / "news.jsonl"
         path.write_text('\n{"id": "a", "corpus": "fakebr", "text": "t", "label": "fake"}\n\n')
         assert len(read_news(path)) == 1
+
+    @staticmethod
+    def failing_after(n):
+        for k in range(n):
+            yield {"k": k}
+        raise RuntimeError("writer stopped")
+
+    @pytest.mark.parametrize("before", [b'{"k": "old"}\n', None], ids=["existing-file", "no-file"])
+    def test_failed_write_leaves_the_old_file_or_none(self, tmp_path, before):
+        path = tmp_path / "out" / "records.jsonl"
+        if before is not None:
+            path.parent.mkdir()
+            path.write_bytes(before)
+        with pytest.raises(RuntimeError, match="writer stopped"):
+            write_jsonl(path, self.failing_after(3))
+        assert sorted(p.name for p in path.parent.iterdir()) == ([path.name] if before else [])
+        if before is not None:
+            assert path.read_bytes() == before
+
+    def test_write_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("old\n" * 10, encoding="utf-8")
+        write_jsonl(path, [{"k": 1}, {"k": "é"}])
+        assert path.read_bytes() == '{"k": 1}\n{"k": "é"}\n'.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -241,6 +241,12 @@ class TestDecisions:
         assert report.removed["contradiction_resolution"] == ["a"]
         assert report.removal_reasons["a"] == "decision:near_dup_conflict"
 
+    # A string would be taken character by character: "a" would target record a.
+    @pytest.mark.parametrize("ids", ["a", ["a", 1]], ids=["string", "non-string-member"])
+    def test_decision_ids_must_be_a_list_of_strings(self, ids):
+        with pytest.raises(SchemaError, match="decision ids must be a list of strings"):
+            self.make_review({"action": "remove", "ids": ids})
+
     def test_relabel_decision(self):
         records = [item("a", label="fake"), item("b", text=LONG + " x")]
         report = ValidationReport(input_count=2)

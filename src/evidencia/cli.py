@@ -5,13 +5,14 @@ validate, dedup, review, enrich, analyze, split, build-config, evaluate.
 argparse reads every option. ``@FILE`` after the subcommand reads further
 arguments from FILE, one per line (``--seed=1``): a later flag wins, and an
 option the subcommand lacks exits 2 as it does on the command line. Each
-handler returns a ``Run`` naming what it wrote; ``main`` then writes one
-manifest (resource hashes, input hashes, provider mode, config snapshot) at
-``<out>.manifest.json``, or ``<out-dir>/manifest.json`` for split, and
-applies the error-rate gate. A run with neither option, such as
-``review --decisions``, writes no manifest. Every output file, the manifest
-included, goes through ``records.write_text``; only the response log is
-written otherwise, appended to by ``providers._append``.
+handler writes its sidecars at fixed names beside ``--out`` (such as
+``<out>.report.json``) and returns a ``Run`` naming what it wrote; ``main``
+then writes one manifest (resource hashes, input hashes, provider mode,
+config snapshot) at ``<out>.manifest.json``, or ``<out-dir>/manifest.json``
+for split, and applies the error-rate gate. A run with neither option, such
+as ``review --decisions``, writes no manifest. Every output file, the
+manifest included, goes through ``records.write_text``; only the response
+log is written otherwise, appended to by ``providers._append``.
 
 Exit codes: 0 success, 1 per-record error rate above --max-error-rate,
 2 configuration or usage errors, malformed input lines and unreadable paths.
@@ -215,8 +216,8 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
     )
 
     out = Path(conf["out"])
-    report_out = Path(conf.get("report_out") or f"{out}.report.json")
-    review_out = Path(conf.get("review_out") or f"{out}.review.jsonl")
+    report_out = Path(f"{out}.report.json")
+    review_out = Path(f"{out}.review.jsonl")
     write_news(out, validated)
     write_review_items(review_out, report.review_items)
     _write_json(report_out, report.to_dict())
@@ -321,7 +322,7 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     stats = FunnelStats.from_records(records)
 
     out = Path(conf["out"])
-    stats_out = Path(conf.get("stats_out") or f"{out}.stats.json")
+    stats_out = Path(f"{out}.stats.json")
     write_enriched(out, records)
     _write_json(stats_out, stats.to_dict())
 
@@ -375,7 +376,7 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
         }
 
     out = Path(conf["out"])
-    text_out = Path(conf.get("text_out") or f"{out}.txt")
+    text_out = Path(f"{out}.txt")
     _write_json(out, report, sort_keys=True)
 
     lines: list[str] = []
@@ -454,7 +455,7 @@ def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     result = score([inst.label for inst in instances], predictions)
 
     out = Path(conf["out"])
-    predictions_out = Path(conf.get("predictions_out") or f"{out}.predictions.jsonl")
+    predictions_out = Path(f"{out}.predictions.jsonl")
     _write_jsonl(
         predictions_out,
         [
@@ -507,9 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = subcommand("validate", "filter and adjudicate a corpus; emits validated records, a review queue and a report")
     opt("--in", required=True, help="input records, one JSON object per line")
-    opt("--out", required=True, help="validated records output")
-    opt("--report-out", help="report JSON (default: <out>.report.json)")
-    opt("--review-out", help="review queue output (default: <out>.review.jsonl)")
+    opt("--out", required=True, help="validated records output; report to <out>.report.json, queue to <out>.review.jsonl")
     opt("--decisions", help="adjudicated review items to apply")
     opt("--incomplete-ids", help="file of known-truncated record ids, one per line")
     opt("--min-content-tokens", type=int, default=15, help="short-text removal threshold")
@@ -532,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = subcommand("enrich", "attach search results, claims and fact-check reviews to each record")
     opt("--in", required=True, help="validated records")
-    opt("--out", required=True, help="enriched records output")
-    opt("--stats-out", help="funnel statistics JSON (default: <out>.stats.json)")
+    opt("--out", required=True, help="enriched records output; funnel statistics go to <out>.stats.json")
     opt("--parallelism", type=int, default=1, help="concurrent records")
     opt("--claim-template", default="main", choices=PROMPT_PATTERNS, help="claim extraction prompt pattern")
     opt("--model", default=DEFAULT_MODEL, help="generation model name")
@@ -543,8 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = subcommand("analyze", "corpus and enrichment statistics in JSON and plain text")
     opt("--in", required=True, help="enriched or plain records")
-    opt("--out", required=True, help="report JSON output")
-    opt("--text-out", help="plain-text report (default: <out>.txt)")
+    opt("--out", required=True, help="report JSON output; the plain-text report goes to <out>.txt")
     opt("--clusters", help="dedup cluster report to include size histogram")
 
     opt = subcommand("split", "deterministic pair-preserving train/val/test split")
@@ -563,8 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = subcommand("evaluate", "few-shot LLM classification with accuracy and macro-F1")
     opt("--in", required=True, help="instances to classify (build-config output)")
     opt("--shots-from", required=True, help="training instances the 15 shots are drawn from")
-    opt("--out", required=True, help="results JSON output")
-    opt("--predictions-out", help="per-instance predictions (default: <out>.predictions.jsonl)")
+    opt("--out", required=True, help="results JSON output; per-instance predictions go to <out>.predictions.jsonl")
     opt("--seed", type=int, default=0, help="shot sampling seed")
     opt("--model", default=DEFAULT_MODEL, help="generation model name")
     opt("--max-error-rate", type=float, default=1.0,

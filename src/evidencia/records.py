@@ -344,18 +344,18 @@ def dumps_record(payload: dict[str, Any]) -> str:
 def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
     """Yield ``parse(obj)`` for the JSON object on each non-blank line.
 
-    A line that is not a JSON object, or that ``parse`` rejects with a
-    ValueError (SchemaError among them), KeyError or TypeError (a missing
-    field, or one of the wrong type), raises SchemaError naming the file
-    and line.
+    A line that is not UTF-8, not a JSON object, or that ``parse`` rejects
+    with a ValueError (SchemaError among them), KeyError or TypeError (a
+    missing field, or one of the wrong type), raises SchemaError naming the
+    file and line. Lines end with ``\n`` or ``\r\n``.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                raw = json.loads(line)
+                raw = json.loads(line.decode("utf-8"))
                 if not isinstance(raw, dict):
                     raise SchemaError(f"expected an object, got {type(raw).__name__}")
                 parsed = parse(raw)

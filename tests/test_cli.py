@@ -1,5 +1,6 @@
 """Command-line behavior: the full pipeline, option resolution, exit codes."""
 
+import argparse
 import hashlib
 import inspect
 import json
@@ -57,14 +58,14 @@ PIPELINE_DIGESTS = {
 # the run's temporary root and the checkout root are masked (see
 # ``masked_manifest``). A change to any of them changes what a manifest says.
 MANIFEST_DIGESTS = {
-    "analysis.json.manifest.json": "277a958369c0b925e565ad15142788033aef7c7892ce8879cd92e5f1d240be0e",
+    "analysis.json.manifest.json": "803b483ca5a9a2e57ca0dbfde14c0fb3ea8808673c7edf197faaae26faceea2e",
     "clusters.jsonl.manifest.json": "ac1300f3d278587bd9080145d2fd857ca40b9d2eef163fd61e7107636d8745f1",
     "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
-    "enriched.jsonl.manifest.json": "32991e5d7452abc12396728f5c7539be2d39bf1951aeea350762e5eba1139e6f",
-    "evaluation.json.manifest.json": "6208c5f44c1aa2da85eddc6eca422fbae631ea4e4fa49edc44719cf49ec1096f",
+    "enriched.jsonl.manifest.json": "2d0faadba2db81a83b9e69c4608bde9386c56df739ca6fdd794c33c7b067d88d",
+    "evaluation.json.manifest.json": "1179a4945f01372aad964325d38650b79ef51d99168d0709baead6e74356111f",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
     "splits/manifest.json": "ae1cc68ddeaabacfe267c567d88acf83e2a85d941fb2176e3aea8f1b19bd039f",
-    "validated.jsonl.manifest.json": "5f92bbae846d6cd77e72f5f8ac68377042d4a4fe8c770036a318325110567d7c",
+    "validated.jsonl.manifest.json": "4a38bae307c5e1e0e5f3ba8881f444ca91ec9db58a546c09ef01b46460362ad4",
 }
 
 
@@ -261,7 +262,8 @@ class TestOneWriter:
         for argv in steps:
             assert main(argv) == 0, f"step failed: {argv[0]}"
         files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
-        assert len(files) == len(PIPELINE_DIGESTS) + len(MANIFEST_DIGESTS)
+        names = {path.relative_to(tmp_path).as_posix() for path in files}
+        assert names == set(PIPELINE_DIGESTS) | set(MANIFEST_DIGESTS)
         assert sorted(written) == files
 
 
@@ -406,17 +408,22 @@ class TestExitCodes:
         (ENRICHED_LINE.replace("{fields}", '"match_scores": ["x"]'), ["analyze", "--in", "{bad}", "--out", "{out}"]),
         ('{"id": "rev-0001", "kind": "random_inspection", "record_ids": "ab"}\n',
          ["review", "--queue", "{bad}", "--out", "{out}"]),
+        (b'{"id": "x", "corpus": "fakebr", "label": "fake", "text": "t\xff"}\n',
+         ["analyze", "--in", "{bad}", "--out", "{out}"]),
+        (b'{"request_hash": "\xff", "body": {}}\n',
+         ["enrich", "--in", CORPUS, "--out", "{out}", "--provider", "fixture", "--fixtures", "{bad.parent}"]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
             "validate-in-directory", "split-out-dir-file", "clusters-members-int",
             "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing",
-            "analyze-rank-string", "analyze-match-score-string", "review-record-ids-string"])
+            "analyze-rank-string", "analyze-match-score-string", "review-record-ids-string",
+            "analyze-not-utf8", "fixture-log-not-utf8"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
-        bad = tmp_path / "bad.jsonl"
+        bad = tmp_path / LOG_NAME  # the name a fixture log has, so ``--fixtures {bad.parent}`` reads it
         if content is None:
             bad.mkdir()
         elif content is not False:
-            bad.write_text(content, encoding="utf-8")
+            bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         paths = {"bad": bad, "out": tmp_path / "out.json", "enriched": pipeline["enriched"],
                  "train": pipeline["splits"] / "train.jsonl",
                  "queue": f"{pipeline['validated']}.review.jsonl"}
@@ -754,13 +761,23 @@ class TestConfigFile:
          ["--cache-mode", "read_only"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--cache-mode", "bypass"]),
+        # Sidecar paths come from --out, as the manifest's does.
+        (["validate", "--in", CORPUS], ["--report-out", "report.json"]),
+        (["validate", "--in", CORPUS], ["--review-out", "review.jsonl"]),
+        (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         ["--stats-out", "stats.json"]),
+        (["analyze", "--in", CORPUS], ["--text-out", "report.txt"]),
+        (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         ["--predictions-out", "predictions.jsonl"]),
     ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving",
-            "cache-mode-read-only", "cache-mode-bypass"])
-    def test_removed_setting_exits_2(self, tmp_path, argv, flag):
+            "cache-mode-read-only", "cache-mode-bypass", "report-out", "review-out", "stats-out", "text-out",
+            "predictions-out"])
+    def test_removed_setting_exits_2(self, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)  # a relative path in ``flag`` lands here
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
         assert self.exits_2([*argv, *out, *flag])
         assert self.exits_2([*argv, *out, self.option_file(tmp_path, *flag)])
-        assert not (tmp_path / "out").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["run.args"]
 
     def test_bad_config_value(self, tmp_path, capsys):
         args = self.option_file(tmp_path, "--min-content-tokens=muitos")
@@ -851,7 +868,22 @@ def readme_commands():
             if line.startswith("evidencia ")]
 
 
+def readme_table_rows():
+    """README's subcommand table: each row's line, keyed by its subcommand."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return {match[1]: match[0] for match in re.finditer(r"^\| `([a-z-]+)` \|.*$", text, re.MULTILINE)}
+
+
 class TestReadme:
+    def test_every_option_is_in_its_subcommands_row(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        defined = {
+            name: {flag for action in sub._actions for flag in action.option_strings if flag not in ("-h", "--help")}
+            for name, sub in subparsers.choices.items()
+        }
+        named = {name: set(re.findall(r"`(--[a-z-]+)`", row)) for name, row in readme_table_rows().items()}
+        assert named == defined
+
     def test_every_command_parses(self, capsys):
         commands = [shlex.split(command, comments=True) for command in readme_commands()]
         assert {argv[1] for argv in commands} == set(cli.HANDLERS)

@@ -159,6 +159,19 @@ class TestJsonlIO:
         path.write_text('\n{"id": "a", "corpus": "fakebr", "text": "t", "label": "fake"}\n\n')
         assert len(read_news(path)) == 1
 
+    def test_crlf_line_ends_read(self, tmp_path):
+        path = tmp_path / "news.jsonl"
+        path.write_bytes('{"id": "a", "corpus": "fakebr", "text": "notícia", "label": "fake"}\r\n\r\n'
+                         '{"id": "b", "corpus": "fakebr", "text": "t", "label": "true"}\r\n'.encode("utf-8"))
+        assert [(item.id, item.text) for item in read_news(path)] == [("a", "notícia"), ("b", "t")]
+
+    def test_undecodable_line_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"id": "a", "corpus": "fakebr", "text": "t", "label": "fake"}\n'
+                         b'{"id": "b", "corpus": "fakebr", "text": "t\xff", "label": "fake"}\n')
+        with pytest.raises(SchemaError, match="bad.jsonl:2: 'utf-8' codec can't decode byte 0xff"):
+            read_news(path)
+
     @staticmethod
     def failing_after(n):
         for k in range(n):

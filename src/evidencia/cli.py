@@ -37,6 +37,7 @@ from .records import (
     EnrichedRecord,
     FunnelStats,
     NewsItem,
+    SchemaError,
     read_enriched,
     read_jsonl,
     read_news,
@@ -78,8 +79,8 @@ build_config = _deferred("evalkit", "build_config")
 
 
 class ConfigError(Exception):
-    """Options that parse but cannot run together, or leave nothing to do;
-    maps to exit code 2."""
+    """Options that parse but cannot run together, leave nothing to do, or
+    name a decisions file that does not check out; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------- plumbing
@@ -110,13 +111,12 @@ def _write_json(path: Path, payload: Any, sort_keys: bool = False) -> None:
 
 class Run(NamedTuple):
     """What a handler wrote. ``main`` stamps the manifest, then exits 1 if
-    ``error_rate`` is above --max-error-rate and with ``code`` otherwise."""
+    ``error_rate`` is above --max-error-rate."""
 
     inputs: list[str | None]
     outputs: list[str]
     notes: dict[str, Any] | None = None
     error_rate: float = 0.0
-    code: int = 0
 
 
 def _manifest_path(conf: dict[str, Any]) -> Path | None:
@@ -175,7 +175,13 @@ def _provider(conf: dict[str, Any]) -> tuple[Backend | None, Clock]:
 
 
 def _read_id_file(path: str) -> list[str]:
-    return [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    ids = []
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            ids.append(line.decode("utf-8").strip())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+    return [i for i in ids if i]
 
 
 def _read_instances(path: str) -> list[EvalInstance]:
@@ -243,13 +249,8 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
 def _cmd_dedup(conf: dict[str, Any]) -> Run:
     records = read_news(conf["in"])
     clusters = near_duplicates({r.id: r.text for r in records})
-    payloads = []
-    for c in clusters:
-        row = c.to_dict()
-        row["min_jaccard"] = min(j for _, _, j in c.pairs)
-        payloads.append(row)
     out = Path(conf["out"])
-    _write_jsonl(out, payloads)
+    _write_jsonl(out, [c.to_dict() for c in clusters])
     involved = sum(len(c.members) for c in clusters)
     print(f"{len(clusters)} cluster(s) covering {involved} of {len(records)} records -> {out}")
     return Run([conf["in"]], [str(out)])
@@ -261,29 +262,21 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
     queue = read_review_items(conf["queue"])
     if conf["decisions"] is not None:
         decided = read_review_items(conf["decisions"])
-        counts = Counter(item.id for item in decided)
         decisions = {item.id: item for item in decided}
         queued = {item.id for item in queue}
-        missing = [item.id for item in queue if item.id not in decisions]
-        unqueued = [i for i in decisions if i not in queued]
-        repeated = [(i, n) for i, n in counts.items() if n > 1]
-        mismatched = [item for item in queue if item.id in decisions and (item.kind, item.record_ids)
-                      != (decisions[item.id].kind, decisions[item.id].record_ids)]
-        undecided = [i for i, item in decisions.items() if item.decision is None]
-        if missing or unqueued or repeated or mismatched or undecided:
-            for rid in missing:
-                print(f"no decision for queue item {rid}", file=sys.stderr)
-            for rid in unqueued:
-                print(f"no queue item for decision {rid}", file=sys.stderr)
-            for rid, n in repeated:
-                print(f"decision {rid} given {n} times", file=sys.stderr)
-            for item in mismatched:
-                got = decisions[item.id]
-                print(f"decision {item.id} is a {got.kind} on {got.record_ids}, but queue item {item.id} "
-                      f"is a {item.kind} on {item.record_ids}", file=sys.stderr)
-            for rid in undecided:
-                print(f"decision field still empty on {rid}", file=sys.stderr)
-            return Run([], [], code=2)
+        problems = [f"no decision for queue item {item.id}" for item in queue if item.id not in decisions]
+        problems += [f"no queue item for decision {i}" for i in decisions if i not in queued]
+        problems += [f"decision {i} given {n} times" for i, n in Counter(item.id for item in decided).items() if n > 1]
+        for item in queue:
+            got = decisions.get(item.id)
+            if got is not None and (got.kind, got.record_ids) != (item.kind, item.record_ids):
+                problems.append(f"decision {item.id} is a {got.kind} on {got.record_ids}, but queue item {item.id} "
+                                f"is a {item.kind} on {item.record_ids}")
+        problems += [f"decision field still empty on {i}" for i, item in decisions.items() if item.decision is None]
+        for line in problems:
+            print(line, file=sys.stderr)
+        if problems:
+            raise ConfigError(f"{conf['decisions']}: {len(problems)} problem(s), listed above")
         print(f"{len(queue)} decision(s) check out")
         return Run([], [])
     out = Path(conf["out"])
@@ -310,7 +303,10 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     template = load_template(conf["claim_template"])
 
     def enrich(item: NewsItem) -> EnrichedRecord:
-        return enrich_one(item, backend, clock, template, conf["model"])
+        try:
+            return enrich_one(item, backend, clock, template, conf["model"])
+        except ValueError as exc:  # such as a text with no words to search for
+            raise SchemaError(f"{conf['in']}: record {item.id}: {exc}") from None
 
     if workers == 1:
         records = [enrich(item) for item in items]
@@ -584,7 +580,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if limit is not None and run.error_rate > limit:
             print(f"error rate {run.error_rate:.2%} above --max-error-rate {limit:.2%}", file=sys.stderr)
             return 1
-        return run.code
+        return 0
     except (ConfigError, OSError, ValueError) as exc:
         # SchemaError, a malformed input line, is a ValueError.
         print(f"error: {exc}", file=sys.stderr)

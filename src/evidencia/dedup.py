@@ -55,10 +55,7 @@ with one string object per distinct shingle; per record, a tuple of
 references to those strings and the signature. Each record's shingle set
 lives only while the record is signed. After banding, sets are rebuilt
 from the tuples for candidate members only, so confirmation computes exact
-Jaccard over the same strings. Per-process peak RSS on the benchmark's
-seed-7 evidence-enrich input (560 records) fell from 51.6 to 32.2 MB for
-`validate` and from 50.8 to 31.4 MB for `dedup`; run alone at ten times
-that size, the call peaked at 94.6 MB instead of 300.4 MB.
+Jaccard over the same strings.
 """
 
 from __future__ import annotations
@@ -110,6 +107,7 @@ class DedupCluster:
         return {
             "members": list(self.members),
             "pairs": [{"a": a, "b": b, "jaccard": j} for a, b, j in self.pairs],
+            "min_jaccard": min(j for _, _, j in self.pairs),
         }
 
 

@@ -76,15 +76,9 @@ def query_terms(query: str) -> set[str]:
     return set(content_terms(query))
 
 
-def match_score(query: str, result: WebResult) -> float:
-    """Fraction of query terms present in the result's highlighted tokens.
-
-    An empty term set scores 0, so stopword-only queries never match.
-    """
-    return _terms_score(query_terms(query), result)
-
-
 def _terms_score(terms: set[str], result: WebResult) -> float:
+    """Fraction of ``terms`` among the result's highlighted tokens; an empty
+    set scores 0, so stopword-only queries never match."""
     if not terms:
         return 0.0
     present = _highlighted_terms((result.title, result.snippet))

@@ -136,7 +136,7 @@ def build_query(text: str) -> tuple[str, str]:
     """
     text = text.strip()
     if not text:
-        raise ValueError("build_query requires a non-empty text")
+        raise ValueError("no words to search for")
     words = word_tokens(text)
     if len(words) <= PASSTHROUGH_MAX_WORDS:
         return text, "full_text"

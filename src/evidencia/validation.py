@@ -273,13 +273,18 @@ def check_external_labels(
     report: ValidationReport,
 ) -> None:
     """Ask the fact-check service about each record; emit a review item when
-    a normalized agency rating contradicts the stored label. A record whose
-    lookup fails is listed in ``report.external_check_failed``."""
+    a normalized agency rating contradicts the stored label. A record with
+    no words to search for, or whose lookup fails, is listed in
+    ``report.external_check_failed``."""
     from .providers import FactCheckRequest, factcheck_search  # here, so a run without a provider loads none
 
     mapping = resources.rating_map()
     for item in records:
-        query, _ = build_query(strip_emoji(strip_quotes(item.text)))
+        try:
+            query, _ = build_query(strip_emoji(strip_quotes(item.text)))
+        except ValueError:  # no words to search for
+            report.external_check_failed.append(item.id)
+            continue
         try:
             reviews = factcheck_search(FactCheckRequest(query=query), backend)
         except ProviderFailure:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import evidencia
-from evidencia import cli, records
+from evidencia import cli, providers, records
 from evidencia.cli import main
 from evidencia.providers import LOG_NAME, FixtureBackend
 from evidencia.evalkit import SplitSpec
@@ -25,6 +25,17 @@ from evidencia.validation import run_validation
 from conftest import CASSETTES, FIXTURES, ROOT
 
 CORPUS = str(FIXTURES / "corpus.jsonl")
+
+# A record with no words to search for once quotes and emoji are stripped.
+WORDLESS = json.dumps({"id": "cv_9999", "corpus": "covid19br", "label": "fake", "text": "“😀” \"🙂\""}) + "\n"
+
+
+def corpus_with_wordless(path):
+    """Write the fixture corpus's first covid19br record, then ``WORDLESS``, to ``path``."""
+    lines = Path(CORPUS).read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(next(line for line in lines if '"covid19br"' in line) + WORDLESS, encoding="utf-8")
+    return path
+
 
 MANIFEST_KEYS = {
     "subcommand", "version", "config", "resource_hashes", "provider_mode",
@@ -175,7 +186,10 @@ class TestPipeline:
         code = main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
                      "--decisions", str(partial)])
         assert code == 2
-        assert "no decision for queue item" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "no decision for queue item rev-0002",
+            f"error: {partial}: 1 problem(s), listed above",
+        ]
         assert manifest_times(pipeline["validated"].parent) == before
         assert manifest_times(tmp_path) == {}
 
@@ -380,6 +394,15 @@ class TestExitCodes:
                      "--train", "0.5", "--val", "0.1", "--test", "0.1"]) == 2
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_enrich_record_with_no_words_exits_2_and_names_it(self, tmp_path, capsys, workers):
+        wordless = corpus_with_wordless(tmp_path / "in.jsonl")
+        out = tmp_path / "out" / "e.jsonl"
+        assert main(["enrich", "--in", str(wordless), "--out", str(out), "--provider", "fixture",
+                     "--fixtures", str(CASSETTES), "--parallelism", workers]) == 2
+        assert f"error: {wordless}: record cv_9999: no words to search for" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     # Each case writes ``content`` to ``bad`` (a directory when None, nothing
     # when False) and runs ``argv``; an unreadable path or a malformed line
     # must exit 2 and name the file.
@@ -412,12 +435,13 @@ class TestExitCodes:
          ["analyze", "--in", "{bad}", "--out", "{out}"]),
         (b'{"request_hash": "\xff", "body": {}}\n',
          ["enrich", "--in", CORPUS, "--out", "{out}", "--provider", "fixture", "--fixtures", "{bad.parent}"]),
+        (b"fake_0001\nab\xff\n", ["validate", "--in", CORPUS, "--out", "{out}", "--incomplete-ids", "{bad}"]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
             "validate-in-directory", "split-out-dir-file", "clusters-members-int",
             "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing",
             "analyze-rank-string", "analyze-match-score-string", "review-record-ids-string",
-            "analyze-not-utf8", "fixture-log-not-utf8"])
+            "analyze-not-utf8", "fixture-log-not-utf8", "incomplete-ids-not-utf8"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
         bad = tmp_path / LOG_NAME  # the name a fixture log has, so ``--fixtures {bad.parent}`` reads it
         if content is None:
@@ -472,6 +496,23 @@ class TestValidateInputs:
         assert len(kept) == 28 and not kept & {"fake_0001", "true_0001"}
         assert str(ids) in load_manifest(f"{out}.manifest.json")["input_hashes"]
 
+    def test_record_with_no_words_is_not_cross_checked(self, tmp_path, monkeypatch):
+        queried = []
+        search = providers.factcheck_search
+
+        def recording(request, backend):
+            queried.append(request.query)
+            return search(request, backend)
+
+        monkeypatch.setattr(providers, "factcheck_search", recording)
+        out = tmp_path / "v.jsonl"
+        assert main(["validate", "--in", str(corpus_with_wordless(tmp_path / "in.jsonl")), "--out", str(out),
+                     "--min-content-tokens", "0", "--provider", "fixture", "--fixtures", str(CASSETTES)]) == 0
+        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
+        assert report["external_check_failed"] == ["cv_9999"]
+        assert [item.id for item in read_news(out)] == ["cv_0001", "cv_9999"]
+        assert len(queried) == 1 and queried[0].startswith("Gente ja tivemos")
+
     def test_external_label_skeleton_relabels_as_written(self, tmp_path):
         queue = tmp_path / "queue.jsonl"
         queue.write_text(json.dumps({
@@ -502,8 +543,11 @@ class TestValidateInputs:
         assert main(["review", "--queue", str(queue), "--decisions", str(decisions)]) == 2
         captured = capsys.readouterr()
         assert "check out" not in captured.out
-        assert ("decision rev-0001 is a random_inspection on ['zz9'], "
-                "but queue item rev-0001 is a near_dup_conflict on ['a1', 'a2']") in captured.err
+        assert captured.err.splitlines() == [
+            "decision rev-0001 is a random_inspection on ['zz9'], "
+            "but queue item rev-0001 is a near_dup_conflict on ['a1', 'a2']",
+            f"error: {decisions}: 1 problem(s), listed above",
+        ]
 
     QUEUED = {"id": "rev-0001", "kind": "near_dup_conflict", "record_ids": ["a", "b"], "suggestion": "remove"}
 
@@ -521,7 +565,7 @@ class TestValidateInputs:
         assert main(["review", "--queue", str(queue), "--decisions", str(decisions)]) == 2
         captured = capsys.readouterr()
         assert "check out" not in captured.out
-        assert message in captured.err
+        assert captured.err.splitlines() == [message, f"error: {decisions}: 1 problem(s), listed above"]
 
     def test_decision_matching_no_input_record_is_reported(self, tmp_path, capsys):
         decisions = tmp_path / "decisions.jsonl"
@@ -930,9 +974,20 @@ class TestEntryPoint:
         assert "evidencia" in proc.stdout
 
     @staticmethod
-    def run_fresh(*args):
-        env = {**os.environ, "PYTHONPATH": "src"}
+    def run_fresh(*args, **env):
+        env = {**os.environ, "PYTHONPATH": "src", **env}
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT, env=env)
+
+    def test_record_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        digests = []
+        for seed in ("1", "2"):
+            root = tmp_path / seed
+            root.mkdir()
+            for argv in chain(root)[1]:
+                proc = self.run_fresh("-m", "evidencia.cli", *argv, PYTHONHASHSEED=seed)
+                assert proc.returncode == 0, proc.stderr
+            digests.append({name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in PIPELINE_DIGESTS})
+        assert digests == [PIPELINE_DIGESTS, PIPELINE_DIGESTS]
 
     def test_module_version_flag(self):
         proc = self.run_fresh("-m", "evidencia.cli", "--version")

@@ -6,7 +6,7 @@ non-stopword query terms, check each against the highlighted tokens, divide.
 
 import pytest
 
-from evidencia.matching import first_match, match_score, query_terms
+from evidencia.matching import first_match, query_terms
 from evidencia.records import WebResult
 
 
@@ -31,52 +31,52 @@ class TestHighlighting:
     def test_fragments_extracted(self):
         # terms: vírus, china, chegou; highlighted: vírus, china -> 2/3
         title = "O <b>vírus</b> chegou à <b>China</b>"
-        assert match_score("vírus chegou China", result(title=title)) == pytest.approx(2 / 3)
+        assert first_match("vírus chegou China", [result(title=title)])[0][0] == pytest.approx(2 / 3)
 
     def test_dangling_open_marker_runs_to_end(self):
         # terms: texto, fim; "até o fim" is highlighted through the end -> 1/2
-        assert match_score("texto fim", result(title="texto <b>até o fim")) == 0.5
+        assert first_match("texto fim", [result(title="texto <b>até o fim")])[0][0] == 0.5
 
     def test_stray_close_marker_ignored(self):
         # the stray </b> highlights nothing and leaves the next <b> working
-        assert match_score("abertura", result(title="sem abertura</b> aqui")) == 0.0
-        assert match_score("abertura aqui", result(title="sem abertura</b> <b>aqui</b>")) == 0.5
+        assert first_match("abertura", [result(title="sem abertura</b> aqui")])[0][0] == 0.0
+        assert first_match("abertura aqui", [result(title="sem abertura</b> <b>aqui</b>")])[0][0] == 0.5
 
     def test_token_split_by_markers_counts_whole(self):
         # "coronavírus" is marked only in part; the whole token must count.
-        score = match_score("coronavírus", result(title="o corona<b>vírus</b> avança"))
+        score = first_match("coronavírus", [result(title="o corona<b>vírus</b> avança")])[0][0]
         assert score == 1.0
 
 
 class TestMatchScore:
     def test_empty_term_set_scores_zero(self):
-        assert match_score("de a o em", result(title="<b>de a o em</b>")) == 0.0
+        assert first_match("de a o em", [result(title="<b>de a o em</b>")])[0][0] == 0.0
 
     def test_full_highlight_scores_one(self):
         # terms: vacina, gripe; both highlighted
         r = result(title="<b>Vacina</b> contra a <b>gripe</b> chega")
-        assert match_score("vacina da gripe", r) == 1.0
+        assert first_match("vacina da gripe", [r])[0][0] == 1.0
 
     def test_partial_highlight_fraction(self):
         # terms: governo, fecha, farmácia, popular; highlighted: governo,
         # farmácia, popular -> 3/4
         r = result(title="<b>Governo</b> mantém <b>farmácia popular</b> aberta")
-        assert match_score("governo fecha farmácia popular", r) == pytest.approx(0.75)
+        assert first_match("governo fecha farmácia popular", [r])[0][0] == pytest.approx(0.75)
 
     def test_title_and_snippet_pool_together(self):
         # terms: vacina, segura; one highlighted in each field
         r = result(title="<b>Vacina</b> aprovada", snippet="considerada <b>segura</b> por todos")
-        assert match_score("vacina segura", r) == 1.0
+        assert first_match("vacina segura", [r])[0][0] == 1.0
 
     def test_highlighted_token_must_equal_the_term(self):
         # "seguramente" is highlighted but is not the term "segura" -> 1/2
         r = result(title="<b>Vacina</b>", snippet="uso <b>seguramente</b> aprovado")
-        assert match_score("vacina segura", r) == pytest.approx(0.5)
+        assert first_match("vacina segura", [r])[0][0] == pytest.approx(0.5)
 
     def test_unhighlighted_presence_does_not_count(self):
         # "gripe" appears in plain text only -> 1/2
         r = result(title="<b>Vacina</b> contra gripe")
-        assert match_score("vacina gripe", r) == pytest.approx(0.5)
+        assert first_match("vacina gripe", [r])[0][0] == pytest.approx(0.5)
 
 
 class TestFirstMatch:

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,16 @@ CREDS = {
 }
 
 
+class SleepLog(FrozenClock):
+    """A frozen clock that records each backoff sleep it is asked for."""
+
+    def __init__(self):
+        self.sleeps = []
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+
+
 class TestLiveBackend:
     def test_retries_on_429_then_succeeds(self):
         transport = make_transport([(429, ""), (200, '{"items": []}')])
@@ -390,13 +401,12 @@ class TestLiveBackend:
 
     def test_gives_up_after_budget(self):
         transport = make_transport([(429, "")])
-        clock = FrozenClock()
+        clock = SleepLog()
         backend = LiveBackend(CREDS, clock=clock, transport=transport)
         with pytest.raises(ProviderFailure, match="giving up after 4 attempts"):
             backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
         assert len(transport.calls) == 4
-        # backoff 0.5, 1.0, 2.0 between the four attempts
-        assert clock.now() == pytest.approx(3.5)
+        assert clock.sleeps == [0.5, 1.0, 2.0]  # one backoff between each two attempts
 
     def test_attempts_count_every_call_under_threads(self):
         transport = make_transport([(200, '{"items": []}')])
@@ -428,12 +438,12 @@ class TestLiveBackend:
             calls.append(url)
             raise ConnectionError("connection reset")
 
-        clock = FrozenClock()
+        clock = SleepLog()
         backend = LiveBackend(CREDS, clock=clock, transport=transport)
         with pytest.raises(ProviderFailure, match=r"giving up after 4 attempts \(transport error: connection reset\)"):
             backend.fetch(KIND_WEB, WebSearchRequest(query="x").payload())
         assert len(calls) == 4 and backend.attempts == 4
-        assert clock.now() == pytest.approx(3.5)
+        assert clock.sleeps == [0.5, 1.0, 2.0]
 
     def test_client_error_fails_immediately(self):
         transport = make_transport([(403, "denied")])
@@ -496,21 +506,18 @@ class TestLiveBackend:
 
 class TestClocks:
     def test_frozen_instant(self):
-        clock = FrozenClock()
-        assert clock.utc_instant() == "2020-01-01T00:00:00Z"
-        clock.sleep(100.0)
-        assert clock.utc_instant() == "2020-01-01T00:00:00Z"
+        assert FrozenClock().utc_instant() == "2020-01-01T00:00:00Z"
 
     def test_system_instant_shape(self):
         instant = SystemClock().utc_instant()
         assert instant.endswith("Z") and "T" in instant
 
-    def test_frozen_clock_advances_on_sleep(self):
+    def test_frozen_sleep_returns_at_once(self):
         clock = FrozenClock()
-        assert clock.now() == 0.0
-        clock.sleep(1.5)
-        clock.sleep(0.25)
-        assert clock.now() == pytest.approx(1.75)
+        started = time.monotonic()
+        clock.sleep(100.0)
+        assert time.monotonic() - started < 1.0
+        assert clock.utc_instant() == "2020-01-01T00:00:00Z"
 
 
 class TestParsers:

@@ -201,7 +201,6 @@ def _read_instances(path: str) -> list[EvalInstance]:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_validate(conf: dict[str, Any]) -> Run:
-    from .langid import TrigramDetector
     from .validation import STAGES, read_review_items
 
     records = read_news(conf["in"])
@@ -211,12 +210,10 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
 
     validated, report = run_validation(
         records,
-        detector=TrigramDetector(),
         factcheck_backend=backend,
         decisions=decisions,
         incomplete_ids=incomplete,
         min_content_tokens=conf["min_content_tokens"],
-        auto_remove_confidence=conf["auto_remove_confidence"],
         sample_size=conf["sample_size"],
         seed=conf["seed"],
     )
@@ -393,11 +390,8 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
 
 
 def _cmd_split(conf: dict[str, Any]) -> Run:
-    from .evalkit import SplitSpec
-
     records = read_news(conf["in"])
-    spec = SplitSpec(train=conf["train"], val=conf["val"], test=conf["test"], seed=conf["seed"])
-    train, val, test = split(records, spec)
+    train, val, test = split(records, seed=conf["seed"])
     out_dir = Path(conf["out_dir"])
     outputs = []
     for name, slice_ in (("train", train), ("val", val), ("test", test)):
@@ -508,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--decisions", help="adjudicated review items to apply")
     opt("--incomplete-ids", help="file of known-truncated record ids, one per line")
     opt("--min-content-tokens", type=int, default=15, help="short-text removal threshold")
-    opt("--auto-remove-confidence", type=float, default=0.95,
-        help="language confidence above which non-Portuguese records are removed")
     opt("--sample-size", type=int, default=0, help="random inspection sample size")
     opt("--seed", type=int, default=0, help="inspection sampling seed")
     provider_options(opt, required=False)
@@ -543,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt = subcommand("split", "deterministic pair-preserving train/val/test split")
     opt("--in", required=True, help="records to split")
     opt("--out-dir", required=True, help="directory for train/val/test files")
-    opt("--train", type=float, default=0.8, help="train ratio")
-    opt("--val", type=float, default=0.1, help="validation ratio")
-    opt("--test", type=float, default=0.1, help="test ratio")
     opt("--seed", type=int, default=0, help="shuffle seed")
 
     opt = subcommand("build-config", "materialize a data configuration as classification instances")

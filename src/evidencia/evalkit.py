@@ -15,9 +15,11 @@ from typing import Callable, Sequence
 
 from . import resources
 from .domains import registrable_domain
-from .records import CONFIG_KINDS, MARKER_RE, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure
+from .records import CONFIG_KINDS, MARKER_RE, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure, SchemaError
 
 SHOT_COUNT = 15
+
+VAL_SHARE = TEST_SHARE = 0.1  # of the split's units; train keeps the rest
 
 PLAIN_KINDS = ("original", "validated")  # the data configurations that attach no context
 
@@ -37,43 +39,28 @@ ANSWER_INSTRUCTION = 'Responda apenas com uma das seguintes tags: "FAKE NEWS" ou
 _WS_RE = re.compile(r"\s+")
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train: float = 0.8
-    val: float = 0.1
-    test: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.train, self.val, self.test) < 0:
-            raise ValueError("split ratios must be non-negative")
-        if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
-
-
-def split(
-    items: Sequence[NewsItem], spec: SplitSpec = SplitSpec()
-) -> tuple[list[NewsItem], list[NewsItem], list[NewsItem]]:
+def split(items: Sequence[NewsItem], seed: int = 0) -> tuple[list[NewsItem], list[NewsItem], list[NewsItem]]:
     """Deterministic (train, val, test) split over pair-preserving units.
 
-    Slice sizes match the ratios to within one unit. The unit order is
-    canonicalized before shuffling, so the outcome depends only on the
-    record set and the seed, not on input file order.
+    Validation and test each get ``VAL_SHARE``/``TEST_SHARE`` of the units,
+    rounded; train keeps the rest. The unit order is canonicalized before
+    shuffling, so the outcome depends only on the record set and the seed,
+    not on input file order.
     """
     units: dict[str, list[NewsItem]] = {}
     for item in items:
         if item.corpus == "fakebr" and not item.pair_id:
-            raise ValueError(f"record {item.id}: fakebr record without pair_id")
+            raise SchemaError(f"record {item.id}: fakebr record without pair_id")
         key = f"pair:{item.pair_id}" if item.pair_id else f"solo:{item.id}"
         units.setdefault(key, []).append(item)
 
     unit_keys = sorted(units)
-    rng = random.Random(spec.seed)
+    rng = random.Random(seed)
     rng.shuffle(unit_keys)
 
     n = len(unit_keys)
-    n_val = round(spec.val * n)
-    n_test = round(spec.test * n)
+    n_val = round(VAL_SHARE * n)
+    n_test = round(TEST_SHARE * n)
     n_train = n - n_val - n_test
     bounds = (unit_keys[:n_train], unit_keys[n_train : n_train + n_val], unit_keys[n_train + n_val :])
     slices = []
@@ -157,7 +144,7 @@ def build_config(records: Sequence[NewsItem] | Sequence[EnrichedRecord], kind: s
 def select_shots(train: Sequence[EvalInstance], seed: int = 0) -> list[EvalInstance]:
     """Seeded draw of the fixed ``SHOT_COUNT`` shots from the training slice."""
     if len(train) < SHOT_COUNT:
-        raise ValueError(f"need at least {SHOT_COUNT} training instances, got {len(train)}")
+        raise SchemaError(f"need at least {SHOT_COUNT} training instances, got {len(train)}")
     rng = random.Random(seed)
     pool = sorted(train, key=lambda inst: inst.id)
     return rng.sample(pool, SHOT_COUNT)

@@ -37,6 +37,8 @@ STAGES = (
 REVIEW_KINDS = ("near_dup_conflict", "shared_url_conflict", "external_label_conflict", "random_inspection")
 DECISION_ACTIONS = ("keep", "remove", "relabel")
 
+AUTO_REMOVE_CONFIDENCE = 0.95  # a non-Portuguese call at or above this is removed, one below it flagged
+
 _KIND_STAGE = {
     "near_dup_conflict": "contradiction_resolution",
     "shared_url_conflict": "contradiction_resolution",
@@ -213,7 +215,6 @@ def filter_language(
     records: Sequence[NewsItem],
     report: ValidationReport,
     detector: LanguageDetector | None = None,
-    auto_remove_confidence: float = 0.95,
 ) -> list[NewsItem]:
     """Remove confident non-Portuguese records; flag borderline ones.
 
@@ -225,7 +226,7 @@ def filter_language(
     for item in records:
         language, confidence = detector.detect(item.text)
         if language != "pt":
-            if confidence >= auto_remove_confidence:
+            if confidence >= AUTO_REMOVE_CONFIDENCE:
                 _remove(report, "language_filter", item.id, f"language:{language}")
                 continue
             report.flagged_language.append(item.id)
@@ -434,14 +435,13 @@ def run_validation(
     decisions: Sequence[ReviewItem] = (),
     incomplete_ids: Iterable[str] = (),
     min_content_tokens: int = 15,
-    auto_remove_confidence: float = 0.95,
     sample_size: int = 0,
     seed: int = 0,
 ) -> tuple[list[NewsItem], ValidationReport]:
     """Run the full pipeline in its fixed stage order."""
     report = ValidationReport(input_count=len(records))
     current = filter_initial(records, report, min_content_tokens)
-    current = filter_language(current, report, detector, auto_remove_confidence)
+    current = filter_language(current, report, detector)
     clusters = near_duplicates({item.id: item.text for item in current})
     flag_contradictions(current, report, clusters)
     if factcheck_backend is not None:

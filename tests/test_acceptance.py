@@ -20,7 +20,7 @@ from evidencia.cli import main
 from evidencia.clocks import FrozenClock
 from evidencia.dedup import DedupConfig, MinHasher, near_duplicates
 from evidencia.enrichment import enrich_one
-from evidencia.evalkit import SplitSpec, score, split
+from evidencia.evalkit import score, split
 from evidencia.records import (
     ClaimReviewResult,
     EnrichedRecord,
@@ -231,7 +231,7 @@ def test_c06_pairs_never_orphaned_or_split():
         members = Counter(i.pair_id for i in kept if i.corpus == "fakebr")
         assert all(count == 2 for count in members.values()), f"trial {trial}"
 
-        train, val, test = split(kept, SplitSpec(seed=trial % 97))
+        train, val, test = split(kept, seed=trial % 97)
         assert sorted(i.id for i in train + val + test) == sorted(i.id for i in kept)
         home = {}
         for name, part in (("train", train), ("val", val), ("test", test)):

@@ -18,7 +18,6 @@ import evidencia
 from evidencia import cli, providers, records
 from evidencia.cli import main
 from evidencia.providers import LOG_NAME, FixtureBackend
-from evidencia.evalkit import SplitSpec
 from evidencia.records import FunnelStats, read_enriched, read_news
 from evidencia.validation import run_validation
 
@@ -75,8 +74,8 @@ MANIFEST_DIGESTS = {
     "enriched.jsonl.manifest.json": "2d0faadba2db81a83b9e69c4608bde9386c56df739ca6fdd794c33c7b067d88d",
     "evaluation.json.manifest.json": "1179a4945f01372aad964325d38650b79ef51d99168d0709baead6e74356111f",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
-    "splits/manifest.json": "ae1cc68ddeaabacfe267c567d88acf83e2a85d941fb2176e3aea8f1b19bd039f",
-    "validated.jsonl.manifest.json": "4a38bae307c5e1e0e5f3ba8881f444ca91ec9db58a546c09ef01b46460362ad4",
+    "splits/manifest.json": "25f78fae1a68478834e9bc25ab30645ec0b6c5fbe84785ebfdff379822939572",
+    "validated.jsonl.manifest.json": "56aa4d435db6dd454c74b685939ef33955a133c7728ddcdf350a669bb6cdc53f",
 }
 
 
@@ -259,6 +258,12 @@ class TestPipeline:
         }
         assert actual == MANIFEST_DIGESTS
 
+    def test_constant_settings_are_not_in_the_config(self, pipeline):
+        validate = load_manifest(f"{pipeline['validated']}.manifest.json")["config"]
+        split = load_manifest(pipeline["splits"] / "manifest.json")["config"]
+        assert "auto_remove_confidence" not in validate
+        assert {"train", "val", "test"}.isdisjoint(split)
+
 
 class TestOneWriter:
     def test_every_output_goes_through_write_text(self, tmp_path, monkeypatch):
@@ -389,10 +394,23 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "one of the arguments --out --decisions is required" in capsys.readouterr().err
 
-    def test_invalid_split_ratios(self, tmp_path, capsys):
-        assert main(["split", "--in", CORPUS, "--out-dir", str(tmp_path / "s"),
-                     "--train", "0.5", "--val", "0.1", "--test", "0.1"]) == 2
-        assert "sum to 1" in capsys.readouterr().err
+    # Bad input that only the evaluation kit sees: a Fake.br record with no
+    # pair to keep it with, and a training slice too small for the shots.
+    @pytest.mark.parametrize("content,argv,message", [
+        ('{"id": "x", "corpus": "fakebr", "label": "fake", "text": "t"}\n',
+         ["split", "--in", "{bad}", "--out-dir", "{out}"], "record x: fakebr record without pair_id"),
+        ('{"id": "x", "text": "t", "label": "fake"}\n',
+         ["evaluate", "--in", "{train}", "--shots-from", "{bad}", "--out", "{out}/r.json",
+          "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         "need at least 15 training instances, got 1"),
+    ], ids=["split-fakebr-without-pair", "evaluate-too-few-shots"])
+    def test_evalkit_input_fault_exits_2(self, pipeline, tmp_path, capsys, content, argv, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content, encoding="utf-8")
+        paths = {"bad": bad, "out": tmp_path / "out", "train": pipeline["splits"] / "train.jsonl"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_enrich_record_with_no_words_exits_2_and_names_it(self, tmp_path, capsys, workers):
@@ -658,10 +676,7 @@ class TestDefaults:
     @pytest.mark.parametrize("subcommand,stand_in,pick,library_default", [
         ("validate", "run_validation", lambda args, kwargs: kwargs["min_content_tokens"],
          VALIDATION_DEFAULTS["min_content_tokens"]),
-        ("validate", "run_validation", lambda args, kwargs: kwargs["auto_remove_confidence"],
-         VALIDATION_DEFAULTS["auto_remove_confidence"]),
-        ("split", "split", lambda args, kwargs: args[1], SplitSpec()),
-    ], ids=["min-content-tokens", "auto-remove-confidence", "split-spec"])
+    ], ids=["min-content-tokens"])
     def test_cli_default_is_the_library_default(self, pipeline, tmp_path, monkeypatch, subcommand, stand_in,
                                                 pick, library_default):
         original = getattr(cli, stand_in)
@@ -786,9 +801,9 @@ class TestConfigFile:
 
     def test_other_subcommands_option_exits_2(self, tmp_path, capsys):
         # A file written for split is not silently half-read by validate.
-        args = self.option_file(tmp_path, "--seed=1", "--train=0.7")
+        args = self.option_file(tmp_path, "--seed=1", "--out-dir=splits")
         assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
-        assert "unrecognized arguments: --train=0.7" in capsys.readouterr().err
+        assert "unrecognized arguments: --out-dir=splits" in capsys.readouterr().err
         assert not (tmp_path / "o.jsonl").exists()
 
     # Settings removed because they only let a run contradict the procedure
@@ -801,6 +816,11 @@ class TestConfigFile:
         (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--max-claim-words", "5"]),
         (["split", "--in", CORPUS], ["--no-pair-preserving"]),
+        # The split's shares and the language filter's confidence are constants.
+        (["split", "--in", CORPUS], ["--train", "0.7"]),
+        (["split", "--in", CORPUS], ["--val", "0.2"]),
+        (["split", "--in", CORPUS], ["--test", "0.2"]),
+        (["validate", "--in", CORPUS], ["--auto-remove-confidence", "0.9"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--cache-mode", "read_only"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
@@ -814,13 +834,15 @@ class TestConfigFile:
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--predictions-out", "predictions.jsonl"]),
     ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving",
-            "cache-mode-read-only", "cache-mode-bypass", "report-out", "review-out", "stats-out", "text-out",
-            "predictions-out"])
-    def test_removed_setting_exits_2(self, tmp_path, monkeypatch, argv, flag):
+            "train", "val", "test", "auto-remove-confidence", "cache-mode-read-only", "cache-mode-bypass",
+            "report-out", "review-out", "stats-out", "text-out", "predictions-out"])
+    def test_removed_setting_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)  # a relative path in ``flag`` lands here
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
         assert self.exits_2([*argv, *out, *flag])
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert self.exits_2([*argv, *out, self.option_file(tmp_path, *flag)])
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["run.args"]
 
     def test_bad_config_value(self, tmp_path, capsys):

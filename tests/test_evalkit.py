@@ -12,7 +12,6 @@ from evidencia.evalkit import (
     CONTEXT_CLAUSE,
     SHOT_COUNT,
     EvalInstance,
-    SplitSpec,
     build_config,
     classification_prompt,
     few_shot_classify,
@@ -22,7 +21,7 @@ from evidencia.evalkit import (
     split,
 )
 from evidencia.providers import ProviderFailure
-from evidencia.records import ClaimReviewResult, EnrichedRecord, NewsItem, WebResult
+from evidencia.records import ClaimReviewResult, EnrichedRecord, NewsItem, SchemaError, WebResult
 
 from oracles import ref_metrics
 
@@ -38,16 +37,6 @@ def inst(id, label="fake", context=""):
 
 def make_shots(n=SHOT_COUNT):
     return [inst(f"shot{i:02d}", label="fake" if i % 2 else "true") for i in range(n)]
-
-
-class TestSplitSpec:
-    def test_ratios_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            SplitSpec(train=0.5, val=0.1, test=0.1)
-
-    def test_negative_ratio_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            SplitSpec(train=1.2, val=-0.1, test=-0.1)
 
 
 class TestSplit:
@@ -80,12 +69,12 @@ class TestSplit:
 
     def test_seed_changes_partition(self):
         items = [news(f"r{i}") for i in range(30)]
-        a = split(items, SplitSpec(seed=0))
-        b = split(items, SplitSpec(seed=1))
+        a = split(items, seed=0)
+        b = split(items, seed=1)
         assert [i.id for i in a[0]] != [i.id for i in b[0]]
 
     def test_unpaired_fakebr_rejected(self):
-        with pytest.raises(ValueError, match="without pair_id"):
+        with pytest.raises(SchemaError, match="without pair_id"):
             split([news("x", corpus="fakebr")])
 
     @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=24),
@@ -97,7 +86,7 @@ class TestSplit:
             items.append(news(f"fake_{p:02d}", corpus="fakebr", label="fake", pair_id=f"p{p:02d}"))
             items.append(news(f"true_{p:02d}", corpus="fakebr", label="true", pair_id=f"p{p:02d}"))
         items += [news(f"solo_{s:02d}") for s in range(n_solo)]
-        train, val, test = split(items, SplitSpec(seed=seed))
+        train, val, test = split(items, seed=seed)
         assert sorted(i.id for i in train + val + test) == sorted(i.id for i in items)
         placement = {}
         for name, part in (("train", train), ("val", val), ("test", test)):
@@ -215,7 +204,7 @@ class TestSelectShots:
         assert select_shots(train, seed=7) == select_shots(shuffled, seed=7)
 
     def test_too_small_pool_rejected(self):
-        with pytest.raises(ValueError, match="at least 15"):
+        with pytest.raises(SchemaError, match="at least 15"):
             select_shots([inst("a")])
 
 

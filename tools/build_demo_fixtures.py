@@ -26,7 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from evidencia.claims import extract_claim, load_template  # noqa: E402
 from evidencia.clocks import FrozenClock  # noqa: E402
 from evidencia.enrichment import enrich_one  # noqa: E402
-from evidencia.evalkit import EvalInstance, SplitSpec, classification_prompt, select_shots, split  # noqa: E402
+from evidencia.evalkit import EvalInstance, classification_prompt, select_shots, split  # noqa: E402
 from evidencia.langid import TrigramDetector  # noqa: E402
 from evidencia.matching import first_match  # noqa: E402
 from evidencia.providers import (  # noqa: E402
@@ -43,7 +43,7 @@ from evidencia.providers import (  # noqa: E402
 )
 from evidencia.records import FunnelStats, NewsItem, WebResult, read_jsonl, write_news  # noqa: E402
 from evidencia.textprep import build_query, llm_input, strip_emoji, strip_quotes  # noqa: E402
-from evidencia.validation import run_validation  # noqa: E402
+from evidencia.validation import AUTO_REMOVE_CONFIDENCE, run_validation  # noqa: E402
 
 # ------------------------------------------------------------------ corpus
 
@@ -542,7 +542,7 @@ def verify_enrichment(validated: list[NewsItem]) -> FunnelStats:
 
 def build_eval_cassettes(validated: list[NewsItem]) -> int:
     """Classification responses for the test slice of the default split."""
-    train, val, test = split(validated, SplitSpec())
+    train, val, test = split(validated)
     as_instance = lambda item: EvalInstance(id=item.id, text=item.text, label=item.label)
     shots = select_shots([as_instance(i) for i in train], seed=0)
     answers = {"fake": "FAKE NEWS", "true": "Resposta: VERDADEIRO."}
@@ -565,7 +565,7 @@ def main() -> None:
         expected_gone = rec.id in REMOVED
         lang, conf = detector.detect(rec.text)
         if rec.id in ("cv_0006", "cv_0008"):
-            assert lang != "pt" and conf >= 0.95, (rec.id, lang, conf)
+            assert lang != "pt" and conf >= AUTO_REMOVE_CONFIDENCE, (rec.id, lang, conf)
         elif not expected_gone:
             assert lang == "pt", (rec.id, lang, conf)
 

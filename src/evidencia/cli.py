@@ -3,8 +3,10 @@
 Eight subcommands wire the library into a reproducible pipeline:
 validate, dedup, review, enrich, analyze, split, build-config, evaluate.
 argparse reads every option. ``@FILE`` after the subcommand reads further
-arguments from FILE, one per line (``--seed=1``): a later flag wins, and an
-option the subcommand lacks exits 2 as it does on the command line. Each
+arguments from FILE, one UTF-8 line each (``--seed=1``): a later flag wins,
+and an option the subcommand lacks exits 2 as it does on the command line.
+``main`` refuses an option value that is empty, holds a NUL byte or is not
+UTF-8, and an ``--out`` that names no file, before any handler runs. Each
 handler writes its sidecars at fixed names beside ``--out`` (such as
 ``<out>.report.json``) and returns a ``Run`` naming what it wrote; ``main``
 then writes one manifest (resource hashes, input hashes, provider mode,
@@ -14,8 +16,11 @@ as ``review --decisions``, writes no manifest. Every output file, the
 manifest included, goes through ``records.write_text``; only the response
 log is written otherwise, appended to by ``providers._append``.
 
-Exit codes: 0 success, 1 per-record error rate above --max-error-rate,
-2 configuration or usage errors, malformed input lines and unreadable paths.
+Exit codes: 0 success; 1 per-record error rate above --max-error-rate, or
+a bug, which leaves ``main`` as an exception with its traceback; 2 bad
+options (``ConfigError``, or argparse's own exit), malformed input
+(``SchemaError``, naming the file) and paths that cannot be read or written
+(``OSError``).
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__ as VERSION
 from .records import (
@@ -174,6 +180,16 @@ def _provider(conf: dict[str, Any]) -> tuple[Backend | None, Clock]:
     return backend, clock
 
 
+@contextmanager
+def _naming(where: str) -> Iterator[None]:
+    """Prefix ``where``, the file (and record) at fault, to a SchemaError
+    raised inside, for faults found after the file was read."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def _read_id_file(path: str) -> list[str]:
     ids = []
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
@@ -208,15 +224,16 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
     incomplete = _read_id_file(conf["incomplete_ids"]) if conf.get("incomplete_ids") else []
     backend, _ = _provider(conf)
 
-    validated, report = run_validation(
-        records,
-        factcheck_backend=backend,
-        decisions=decisions,
-        incomplete_ids=incomplete,
-        min_content_tokens=conf["min_content_tokens"],
-        sample_size=conf["sample_size"],
-        seed=conf["seed"],
-    )
+    with _naming(conf["in"]):  # a Fake.br record without its pair, or a pair of three
+        validated, report = run_validation(
+            records,
+            factcheck_backend=backend,
+            decisions=decisions,
+            incomplete_ids=incomplete,
+            min_content_tokens=conf["min_content_tokens"],
+            sample_size=conf["sample_size"],
+            seed=conf["seed"],
+        )
 
     out = Path(conf["out"])
     report_out = Path(f"{out}.report.json")
@@ -300,10 +317,8 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     template = load_template(conf["claim_template"])
 
     def enrich(item: NewsItem) -> EnrichedRecord:
-        try:
+        with _naming(f"{conf['in']}: record {item.id}"):  # a text with no words to search for
             return enrich_one(item, backend, clock, template, conf["model"])
-        except ValueError as exc:  # such as a text with no words to search for
-            raise SchemaError(f"{conf['in']}: record {item.id}: {exc}") from None
 
     if workers == 1:
         records = [enrich(item) for item in items]
@@ -391,7 +406,8 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
 
 def _cmd_split(conf: dict[str, Any]) -> Run:
     records = read_news(conf["in"])
-    train, val, test = split(records, seed=conf["seed"])
+    with _naming(conf["in"]):
+        train, val, test = split(records, seed=conf["seed"])
     out_dir = Path(conf["out_dir"])
     outputs = []
     for name, slice_ in (("train", train), ("val", val), ("test", test)):
@@ -432,7 +448,8 @@ def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     backend, _ = _provider(conf)
     instances = _read_instances(conf["in"])
     shot_pool = _read_instances(conf["shots_from"])
-    shots = select_shots(shot_pool, seed=conf["seed"])
+    with _naming(conf["shots_from"]):
+        shots = select_shots(shot_pool, seed=conf["seed"])
     shot_ids = {s.id for s in shots}
     instances = [inst for inst in instances if inst.id not in shot_ids]
     if not instances:
@@ -483,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evidencia",
         description="Corpus validation, evidence enrichment and few-shot evaluation for Portuguese fake-news data.",
-        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
@@ -554,12 +570,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _expand_option_files(parser: argparse.ArgumentParser, args: Sequence[str]) -> list[str]:
+    """``args`` with each ``@FILE`` replaced by FILE's lines, one argument
+    each, and any ``@FILE`` among them expanded in turn, as argparse's
+    ``fromfile_prefix_chars`` would; but FILE is read as UTF-8 whatever the
+    locale, and a FILE that cannot be read or decoded exits 2 naming it."""
+    expanded: list[str] = []
+    for arg in args:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
+        try:
+            data = Path(arg[1:]).read_bytes()
+            lines = data.decode("utf-8").splitlines()
+        except OSError as exc:
+            parser.error(str(exc))
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            parser.error(f"{arg[1:]}:{line}: {exc}")
+        expanded += _expand_option_files(parser, lines)
+    return expanded
+
+
+def _check_options(conf: dict[str, Any]) -> None:
+    """Refuse an option value that is empty, holds a NUL byte (no path can)
+    or cannot be encoded as UTF-8 (no output file or manifest can hold it),
+    and an ``--out`` such as ``/`` or ``.`` that names no file."""
+    for key, value in conf.items():
+        if not isinstance(value, str):
+            continue
+        option = f"--{key.replace('_', '-')}"
+        if not value:
+            raise ConfigError(f"{option} is empty")
+        if "\0" in value:
+            raise ConfigError(f"{option} {value!r} holds a NUL byte")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{option} {value!r} cannot be encoded as UTF-8") from None
+    if conf.get("out") and not Path(conf["out"]).name:
+        raise ConfigError(f"--out {conf['out']!r} names no file")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     from .clocks import SystemClock
 
-    conf = vars(build_parser().parse_args(argv))
+    parser = build_parser()
+    args = _expand_option_files(parser, sys.argv[1:] if argv is None else argv)
+    conf = vars(parser.parse_args(args))
     subcommand = conf.pop("subcommand")
     try:
+        _check_options(conf)
         started_at = SystemClock().utc_instant()
         run = HANDLERS[subcommand](conf)
         manifest = _manifest_path(conf)
@@ -570,8 +631,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error rate {run.error_rate:.2%} above --max-error-rate {limit:.2%}", file=sys.stderr)
             return 1
         return 0
-    except (ConfigError, OSError, ValueError) as exc:
-        # SchemaError, a malformed input line, is a ValueError.
+    except (ConfigError, OSError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,17 @@ from . import resources
 
 
 def host_of(url: str) -> str | None:
-    """Lowercased host of a URL; tolerates scheme-less inputs."""
+    """Lowercased host of a URL; tolerates scheme-less inputs. None when
+    there is no host, or when ``urlsplit`` refuses the URL (``http://[x``)."""
     url = url.strip()
     if not url:
         return None
     if "//" not in url.split("?", 1)[0].split("#", 1)[0]:
         url = "//" + url
-    host = urlsplit(url).hostname
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:
+        return None
     return host.lower().rstrip(".") if host else None
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from .clocks import Clock, SystemClock
-from .records import DEFAULT_MODEL, ClaimReviewResult, ProviderFailure, SchemaError, WebResult, read_jsonl
+from .records import DEFAULT_MODEL, ClaimReviewResult, ProviderFailure, SchemaError, WebResult, loads_line, read_jsonl
 
 KIND_WEB = "web_search"
 KIND_FACTCHECK = "factcheck"
@@ -313,7 +313,7 @@ class CachingBackend:
         # which ensure_ascii=False leaves unescaped inside a line.
         for line in data.split(b"\n"):
             try:
-                digest, body = _entry(json.loads(line))
+                digest, body = _entry(loads_line(line))
             except ValueError:  # SchemaError included
                 continue
             self._entries[digest] = body

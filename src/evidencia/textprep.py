@@ -24,6 +24,7 @@ import re
 import unicodedata
 
 from . import resources
+from .records import SchemaError
 
 _PARAGRAPH_RE = re.compile(r"\n+")
 # Scheme-prefixed URLs plus bare www. hosts; adjacent horizontal whitespace is
@@ -131,12 +132,12 @@ def split_sentences(text: str) -> list[str]:
 def build_query(text: str) -> tuple[str, str]:
     """Derive the search query for a text. Returns (query, kind).
 
-    The input must already be quote- and emoji-stripped; it must contain at
-    least one word.
+    The input must already be quote- and emoji-stripped; a text with no
+    word left raises SchemaError.
     """
     text = text.strip()
     if not text:
-        raise ValueError("no words to search for")
+        raise SchemaError("no words to search for")
     words = word_tokens(text)
     if len(words) <= PASSTHROUGH_MAX_WORDS:
         return text, "full_text"

@@ -283,7 +283,7 @@ def check_external_labels(
     for item in records:
         try:
             query, _ = build_query(strip_emoji(strip_quotes(item.text)))
-        except ValueError:  # no words to search for
+        except SchemaError:  # no words to search for
             report.external_check_failed.append(item.id)
             continue
         try:

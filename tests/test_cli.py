@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import evidencia
-from evidencia import cli, providers, records
+from evidencia import cli, enrichment, langid, providers, records
 from evidencia.cli import main
 from evidencia.providers import LOG_NAME, FixtureBackend
-from evidencia.records import FunnelStats, read_enriched, read_news
+from evidencia.records import FunnelStats, ProviderFailure, read_enriched, read_news
 from evidencia.validation import run_validation
 
 from conftest import CASSETTES, FIXTURES, ROOT
@@ -304,6 +304,12 @@ class TestAnalyzePlain:
         assert set(report) == {"text_stats"}
 
 
+# A Fake.br record line with distinct Portuguese text per ``{id}`` that
+# passes every filter before the Fake.br rules, and ``{pair}`` fields.
+FAKEBR_LINE = ('{{"id": "{id}", "corpus": "fakebr", "label": "fake"{pair}, "text": "O governo anunciou '
+               'hoje um novo programa de vacinação para todas as cidades do interior do estado, com '
+               'postos abertos durante a semana inteira e atendimento prioritário aos idosos {id}."}}\n')
+
 # An enriched record line, complete but for ``{fields}``.
 ENRICHED_LINE = ('{"item": {"id": "x", "corpus": "fakebr", "text": "t", "label": "fake"}, '
                  '"query": "q", "query_kind": "full_text", {fields}}\n')
@@ -394,8 +400,9 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "one of the arguments --out --decisions is required" in capsys.readouterr().err
 
-    # Bad input that only the evaluation kit sees: a Fake.br record with no
-    # pair to keep it with, and a training slice too small for the shots.
+    # Bad input found only after the whole file is read: a Fake.br record
+    # with no pair to keep it with, a pair of three, and a training slice
+    # too small for the shots. The message names the file first.
     @pytest.mark.parametrize("content,argv,message", [
         ('{"id": "x", "corpus": "fakebr", "label": "fake", "text": "t"}\n',
          ["split", "--in", "{bad}", "--out-dir", "{out}"], "record x: fakebr record without pair_id"),
@@ -403,13 +410,18 @@ class TestExitCodes:
          ["evaluate", "--in", "{train}", "--shots-from", "{bad}", "--out", "{out}/r.json",
           "--provider", "fixture", "--fixtures", str(CASSETTES)],
          "need at least 15 training instances, got 1"),
-    ], ids=["split-fakebr-without-pair", "evaluate-too-few-shots"])
+        (FAKEBR_LINE.format(id="f1", pair="") + FAKEBR_LINE.format(id="f2", pair=', "pair_id": "p"'),
+         ["validate", "--in", "{bad}", "--out", "{out}/v.jsonl"], "fakebr record f1 is missing pair_id"),
+        ("".join(FAKEBR_LINE.format(id=f"f{i}", pair=', "pair_id": "p"') for i in (1, 2, 3)),
+         ["validate", "--in", "{bad}", "--out", "{out}/v.jsonl"], "pair p has 3 members"),
+    ], ids=["split-fakebr-without-pair", "evaluate-too-few-shots", "validate-fakebr-without-pair",
+            "validate-pair-of-three"])
     def test_evalkit_input_fault_exits_2(self, pipeline, tmp_path, capsys, content, argv, message):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(content, encoding="utf-8")
         paths = {"bad": bad, "out": tmp_path / "out", "train": pipeline["splits"] / "train.jsonl"}
         assert main([arg.format(**paths) for arg in argv]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -454,12 +466,18 @@ class TestExitCodes:
         (b'{"request_hash": "\xff", "body": {}}\n',
          ["enrich", "--in", CORPUS, "--out", "{out}", "--provider", "fixture", "--fixtures", "{bad.parent}"]),
         (b"fake_0001\nab\xff\n", ["validate", "--in", CORPUS, "--out", "{out}", "--incomplete-ids", "{bad}"]),
+        # A \u escape that leaves a lone surrogate: JSON can say it, UTF-8 cannot.
+        ('{"id": "x", "corpus": "covid19br", "label": "fake", "text": "a\\ud800b"}\n',
+         ["validate", "--in", "{bad}", "--out", "{out}"]),
+        ('{"request_hash": "\\udfff", "body": {}}\n',
+         ["enrich", "--in", CORPUS, "--out", "{out}", "--provider", "fixture", "--fixtures", "{bad.parent}"]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
             "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
             "validate-in-directory", "split-out-dir-file", "clusters-members-int",
             "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing",
             "analyze-rank-string", "analyze-match-score-string", "review-record-ids-string",
-            "analyze-not-utf8", "fixture-log-not-utf8", "incomplete-ids-not-utf8"])
+            "analyze-not-utf8", "fixture-log-not-utf8", "incomplete-ids-not-utf8",
+            "validate-lone-surrogate", "fixture-log-lone-surrogate"])
     def test_malformed_input_exits_2_and_names_the_file(self, pipeline, tmp_path, capsys, content, argv):
         bad = tmp_path / LOG_NAME  # the name a fixture log has, so ``--fixtures {bad.parent}`` reads it
         if content is None:
@@ -471,6 +489,117 @@ class TestExitCodes:
                  "queue": f"{pipeline['validated']}.review.jsonl"}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert str(bad) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == ([] if content is False else [bad])
+
+    def test_result_link_that_urlsplit_refuses_counts_as_invalid(self, tmp_path):
+        enriched = tmp_path / "e.jsonl"
+        enriched.write_text(ENRICHED_LINE.replace("{fields}", '"initial_results": [{"rank": 1, "link": "http://[x"}]'),
+                            encoding="utf-8")
+        out = tmp_path / "a.json"
+        assert main(["analyze", "--in", str(enriched), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["domains"] == {"invalid": 1}
+
+
+class TestRefusedOptions:
+    """An option value no run can use exits 2 naming the option, before any
+    handler runs, so nothing is written: an empty value, a NUL byte (here
+    from a command-line word and from an option-file line), a value that is
+    not UTF-8, and an --out that names no file."""
+
+    @pytest.mark.parametrize("argv,option", [
+        (["dedup", "--in", CORPUS, "--out", "a\0b.jsonl"], "--out"),
+        (["dedup", "--in", CORPUS, "@{args}"], "--out"),
+        (["dedup", "--in", CORPUS, "--out", ""], "--out"),
+        (["dedup", "--in", CORPUS, "--out", "/"], "--out"),
+        (["dedup", "--in", CORPUS, "--out", "."], "--out"),
+        (["dedup", "--in", CORPUS, "--out", "c\udcff.jsonl"], "--out"),
+        (["dedup", "--in", "", "--out", "c.jsonl"], "--in"),
+        (["split", "--in", CORPUS, "--out-dir", ""], "--out-dir"),
+        (["validate", "--in", CORPUS, "--out", "v.jsonl", "--decisions", ""], "--decisions"),
+        (["validate", "--in", CORPUS, "--out", "v.jsonl", "--incomplete-ids", ""], "--incomplete-ids"),
+        (["analyze", "--in", CORPUS, "--out", "a.json", "--clusters", ""], "--clusters"),
+        (["enrich", "--in", CORPUS, "--out", "e.jsonl", "--provider", "fixture", "--fixtures", str(CASSETTES),
+          "--cache", ""], "--cache"),
+        (["enrich", "--in", CORPUS, "--out", "e.jsonl", "--provider", "fixture", "--fixtures", str(CASSETTES),
+          "--model", ""], "--model"),
+        (["review", "--queue", "{queue}", "--decisions", ""], "--decisions"),
+    ], ids=["nul", "nul-from-option-file", "out-empty", "out-root", "out-dot", "out-not-utf8", "in-empty",
+            "out-dir-empty", "decisions-empty", "incomplete-ids-empty", "clusters-empty", "cache-empty",
+            "model-empty", "review-decisions-empty"])
+    def test_refused_value_exits_2_and_names_the_option(self, pipeline, tmp_path, monkeypatch, capsys, argv, option):
+        args = tmp_path / "nul.args"
+        args.write_bytes(b"--out=a\0b.jsonl\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # a relative or empty path lands here
+        queue = f"{pipeline['validated']}.review.jsonl"
+        assert main([arg.format(args=args, queue=queue) for arg in argv]) == 2
+        assert f"error: {option} " in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
+
+def enrich_failures(out):
+    """The injected provider failures an enrich run recorded on its records."""
+    return [e for rec in read_enriched(out) for e in rec.errors if e.kind == "provider_failure" and "injected" in e.detail]
+
+
+def validate_failures(out):
+    """The records a validate run could not cross-check."""
+    return json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8")).get("external_check_failed", [])
+
+
+def evaluate_failures(out):
+    """The injected provider failures an evaluate run recorded."""
+    errors = json.loads(Path(out).read_text(encoding="utf-8"))["provider_errors"]
+    return [e for e in errors if "injected" in e["detail"]]
+
+
+FIXTURE = ["--provider", "fixture", "--fixtures", str(CASSETTES)]
+VALIDATE = ["validate", "--in", CORPUS, "--out", "{out}"]
+ENRICH = ["enrich", "--in", "{validated}", "--out", "{out}"]
+EVALUATE = ["evaluate", "--in", "{test}", "--shots-from", "{train}", "--out", "{out}", *FIXTURE]
+
+# (id, owner, attribute, run, where the run records a ProviderFailure; None
+# when the seam is no provider). Under --provider live the transport raises
+# no OSError, which the backend retries with real sleeps.
+FAULT_SEAMS = [
+    ("detector-validate", langid.TrigramDetector, "detect", VALIDATE, None),
+    ("fixture-fetch-validate", FixtureBackend, "fetch", VALIDATE + FIXTURE, validate_failures),
+    ("fixture-fetch-enrich", FixtureBackend, "fetch", ENRICH + FIXTURE, enrich_failures),
+    ("fixture-fetch-evaluate", FixtureBackend, "fetch", EVALUATE, evaluate_failures),
+    ("transport-enrich", providers, "_requests_transport", ENRICH + ["--provider", "live"], enrich_failures),
+    ("generate-enrich", enrichment, "llm_generate", ENRICH + FIXTURE, enrich_failures),
+    ("generate-evaluate", providers, "llm_generate", EVALUATE, evaluate_failures),
+]
+
+
+class TestFaultInjection:
+    """One seam at a time raises. A ProviderFailure is recorded and the run
+    exits 0; a ValueError or TypeError is a bug, and leaves ``main`` with
+    its traceback rather than exiting 2 as if the input were bad."""
+
+    @pytest.mark.parametrize("owner,attribute,run,recorded,exc", [
+        pytest.param(owner, attribute, run, recorded, exc, id=f"{name}-{exc.__name__}")
+        for name, owner, attribute, run, recorded in FAULT_SEAMS
+        for exc in (ProviderFailure, ValueError, TypeError) if recorded or exc is not ProviderFailure
+    ])
+    def test_seam_fault(self, pipeline, tmp_path, monkeypatch, owner, attribute, run, recorded, exc):
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(owner, attribute, fail)
+        for name in (providers.ENV_SEARCH_KEY, providers.ENV_SEARCH_CX, providers.ENV_FACTCHECK_KEY,
+                     providers.ENV_LLM_KEY):
+            monkeypatch.setenv(name, "dummy")
+        out = tmp_path / "out"
+        argv = [arg.format(out=out, validated=pipeline["validated"], test=pipeline["splits"] / "test.jsonl",
+                           train=pipeline["splits"] / "train.jsonl") for arg in run]
+        if exc is ProviderFailure:
+            assert main(argv) == 0
+            assert recorded(out)
+        else:
+            with pytest.raises(exc, match="injected"):
+                main(argv)
 
 
 class TestValidateInputs:
@@ -862,6 +991,17 @@ class TestConfigFile:
         missing = tmp_path / "run.args"
         assert self.exits_2(["validate", f"@{missing}", "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
         assert str(missing) in capsys.readouterr().err
+
+    # An option file is UTF-8 whatever the locale; one that is not exits 2
+    # naming the file and line, also when another option file names it.
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "named-by-a-file"])
+    def test_option_file_not_utf8_exits_2_and_names_it(self, tmp_path, capsys, nested):
+        bad = tmp_path / "bad.args"
+        bad.write_bytes(b"--out-dir=splits\n--seed=\xff\n")
+        arg = self.option_file(tmp_path, f"@{bad}") if nested else f"@{bad}"
+        assert self.exits_2(["split", arg, "--in", CORPUS])
+        assert f"{bad}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert {path.name for path in tmp_path.iterdir()} == ({"bad.args", "run.args"} if nested else {"bad.args"})
 
     def test_config_flag_exits_2(self, tmp_path):
         conf = tmp_path / "run.conf"

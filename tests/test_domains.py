@@ -16,6 +16,12 @@ class TestHostOf:
     def test_trailing_dot_removed(self):
         assert host_of("https://example.com./x") == "example.com"
 
+    def test_url_that_urlsplit_refuses_has_no_host(self):
+        for url in ("http://[abc", "http://a]b/x", "http://\uff03x.com"):
+            assert host_of(url) is None, url
+            assert registrable_domain(url) is None, url
+            assert aggregate_domain(url) == "invalid", url
+
 
 class TestPublicSuffix:
     def test_longest_rule_wins(self):

@@ -38,7 +38,7 @@ from conftest import CASSETTES, FIXTURES, ROOT
 
 # Entries a reader must not trust: cut short, not an object, no body, no request hash.
 BROKEN_ENTRIES = ('{"body": {"items": [', '[]', '{"kind": "web_search"}', '{"body": "texto"}',
-                  '{"body": {"items": []}}')
+                  '{"body": {"items": []}}', '{"body": {"items": [{"title": "\\ud800"}]}, "request_hash": "x"}')
 
 X_PAYLOAD = {"query": "x"}
 X_DIGEST = request_hash(KIND_WEB, X_PAYLOAD)
@@ -61,6 +61,8 @@ BROKEN_LINES = {
     '{"kind": "web_search"}': json.dumps({"kind": KIND_WEB, "request_hash": X_DIGEST}) + "\n",
     '{"body": "texto"}': json.dumps({"body": "texto", "request_hash": X_DIGEST}) + "\n",
     '{"body": {"items": []}}': '{"body": {"items": []}}\n',
+    # A lone surrogate escape, which no UTF-8 output can hold.
+    BROKEN_ENTRIES[5]: json.dumps({"body": {"items": [{"title": "\ud800"}]}, "request_hash": X_DIGEST}) + "\n",
 }
 
 

@@ -172,6 +172,17 @@ class TestJsonlIO:
         with pytest.raises(SchemaError, match="bad.jsonl:2: 'utf-8' codec can't decode byte 0xff"):
             read_news(path)
 
+    def test_lone_surrogate_escape_names_the_line(self, tmp_path):
+        # A surrogate pair decodes to one character; a lone half cannot be
+        # written back as UTF-8, so it is refused where it is read.
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "corpus": "fakebr", "text": "\\ud83d\\ude00 C:\\\\users", "label": "fake"}\n'
+                        '{"id": "b", "corpus": "fakebr", "text": "t\\ud800", "label": "fake"}\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match="bad.jsonl:2: a \\\\u escape gives a lone surrogate"):
+            read_news(path)
+        path.write_text(path.read_text(encoding="utf-8").splitlines()[0], encoding="utf-8")
+        assert [item.text for item in read_news(path)] == ["\U0001F600 C:\\users"]
+
     @staticmethod
     def failing_after(n):
         for k in range(n):

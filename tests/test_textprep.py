@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidencia.records import SchemaError
 from evidencia.textprep import (
     build_query,
     content_token_count,
@@ -51,7 +52,7 @@ class TestBuildQuery:
         assert len(query.split()) == 20
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="no words to search for"):
             build_query("   ")
 
     def test_differential_against_reference_procedure(self):

@@ -44,7 +44,7 @@ def main():
     print(f"  ... ({len(sample.splitlines())} lines total)")
 
     backend = FixtureBackend(FIXTURES / "cassettes")
-    generate = lambda prompt: llm_generate(LlmRequest(prompt=prompt), backend)
+    generate = lambda head, rest: llm_generate(LlmRequest(prompt=head + rest), backend)
     predictions, errors = few_shot_classify(instances, shots, generate)
 
     print("\nanswers")

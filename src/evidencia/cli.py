@@ -443,7 +443,7 @@ def _cmd_build_config(conf: dict[str, Any]) -> Run:
 
 def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     from .evalkit import score, select_shots
-    from .providers import LlmRequest, llm_generate
+    from .providers import LlmRequest, llm_generate, prompt_hasher
 
     backend, _ = _provider(conf)
     instances = _read_instances(conf["in"])
@@ -455,8 +455,12 @@ def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     if not instances:
         raise ConfigError("no instances left to evaluate after excluding shots")
 
-    def generate(prompt: str) -> str:
-        return llm_generate(LlmRequest(prompt=prompt, model=conf["model"]), backend)
+    hashers: dict[str, Callable[[str], str]] = {}  # one per prompt head
+
+    def generate(head: str, rest: str) -> str:
+        if head not in hashers:
+            hashers[head] = prompt_hasher(conf["model"], head)
+        return llm_generate(LlmRequest(prompt=head + rest, model=conf["model"]), backend, hashers[head](rest))
 
     predictions, errors = few_shot_classify(instances, shots, generate)
     result = score([inst.label for inst in instances], predictions)

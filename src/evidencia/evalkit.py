@@ -4,6 +4,12 @@ The split is pair-preserving: records sharing a ``pair_id`` travel as one
 unit, so a fake/true pair never straddles two slices. Classification uses a
 fixed base prompt, exactly 15 labeled shots and a strict tag protocol; an
 answer that contains neither tag is an abstention and scores as incorrect.
+
+Every prompt of one run starts with one of two heads, the base prompt with
+or without the context clause followed by the 15 shot blocks; only the
+target block after it changes. ``few_shot_classify`` builds each head once
+and hands it to the generator apart from the target, so the generator can
+also do per-head work, such as hashing, once.
 """
 
 from __future__ import annotations
@@ -150,20 +156,31 @@ def select_shots(train: Sequence[EvalInstance], seed: int = 0) -> list[EvalInsta
     return rng.sample(pool, SHOT_COUNT)
 
 
-def classification_prompt(target: EvalInstance, shots: Sequence[EvalInstance]) -> str:
-    """Base prompt (context clause only when the target has context), the
-    shot blocks, then the target with its answer left open."""
+def prompt_head(shots: Sequence[EvalInstance], context: bool) -> str:
+    """The part of a classification prompt that only the header variant
+    changes: the base prompt, with the context clause when ``context`` is
+    true, then the shot blocks."""
     if len(shots) != SHOT_COUNT:
         raise ValueError(f"exactly {SHOT_COUNT} shots are required, got {len(shots)}")
     header = [BASE_PROMPT]
-    if target.context:
+    if context:
         header.append(CONTEXT_CLAUSE)
     header.append(ANSWER_INSTRUCTION)
     blocks = ["\n\n".join(header)]
     for shot in shots:
         blocks.append(_instance_block(shot, answer=TAG_FAKE if shot.label == "fake" else TAG_TRUE))
-    blocks.append(_instance_block(target, answer=None))
     return "\n\n".join(blocks)
+
+
+def classification_prompt(target: EvalInstance, shots: Sequence[EvalInstance]) -> str:
+    """Base prompt (context clause only when the target has context), the
+    shot blocks, then the target with its answer left open."""
+    return prompt_head(shots, bool(target.context)) + _target_rest(target)
+
+
+def _target_rest(target: EvalInstance) -> str:
+    """What follows the head in the target's prompt."""
+    return "\n\n" + _instance_block(target, answer=None)
 
 
 def _instance_block(inst: EvalInstance, answer: str | None) -> str:
@@ -189,10 +206,14 @@ def parse_answer(completion: str) -> str | None:
 def few_shot_classify(
     instances: Sequence[EvalInstance],
     shots: Sequence[EvalInstance],
-    generate: Callable[[str], str],
+    generate: Callable[[str, str], str],
 ) -> tuple[list[str | None], list[ErrorEvent]]:
     """Predicted labels in instance order, plus provider error events.
 
+    Each instance's prompt goes to ``generate(head, rest)`` in two parts:
+    ``head + rest`` is ``classification_prompt(instance, shots)``, and
+    ``head`` is one of two strings built once per call (``prompt_head``
+    with and without the context clause), so a caller can key work on it.
     A provider failure yields an abstention (None) for that instance and
     an error event, never an exception.
     """
@@ -200,11 +221,12 @@ def few_shot_classify(
     overlap = [inst.id for inst in instances if inst.id in shot_ids]
     if overlap:
         raise ValueError(f"shots overlap evaluated instances: {overlap[:5]}")
+    heads = {context: prompt_head(shots, context) for context in (False, True)}
     predictions: list[str | None] = []
     errors: list[ErrorEvent] = []
     for inst in instances:
         try:
-            completion = generate(classification_prompt(inst, shots))
+            completion = generate(heads[bool(inst.context)], _target_rest(inst))
         except ProviderFailure as exc:
             predictions.append(None)
             errors.append(ErrorEvent(stage="classification", kind="provider_failure", detail=f"{inst.id}: {exc}"))

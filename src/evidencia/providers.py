@@ -23,9 +23,17 @@ The fixture reader is strict (a broken line is a broken recording) and the
 cache reader lenient (a cut last line is what a crash leaves). Directories in
 the older one-``<hash>.json``-per-response layout are not read.
 
+A request's hash, ``request_hash``, is the SHA-256 of the canonical JSON of
+its kind and payload (``_canonical``). ``prompt_hasher`` gives the same digest
+for a generation request whose prompt is a fixed head plus a varying rest,
+hashing the head once: JSON escapes each character on its own, so the
+canonical text of ``head + rest`` is that of ``head`` with the escaped rest
+put in after it.
+
 The parsing helpers (``web_search``, ``factcheck_search``, ``llm_generate``)
 sit on top of any backend, so cached, recorded and live responses go through
-identical code.
+identical code. A body of the wrong shape raises ``ProviderFailure``; a null
+text field reads as ``""``.
 """
 
 from __future__ import annotations
@@ -101,9 +109,40 @@ class LlmRequest:
         return {"prompt": self.prompt, "model": self.model, "safety_off": True}
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_MARK = "\x00"  # stands in for the rest of a prompt; JSON escapes it with a backslash
+
+
+def _canonical(kind: str, payload: dict[str, Any]) -> str:
+    """The text ``request_hash`` hashes."""
+    return _ENCODER.encode({"kind": kind, "payload": payload})
+
+
 def request_hash(kind: str, payload: dict[str, Any]) -> str:
-    canonical = json.dumps({"kind": kind, "payload": payload}, ensure_ascii=False, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(kind, payload).encode("utf-8")).hexdigest()
+
+
+def prompt_hasher(model: str, head: str) -> Callable[[str], str]:
+    """``digest(rest)``, equal to ``request_hash(KIND_LLM, LlmRequest(head + rest,
+    model).payload())``, with the canonical text up to the end of ``head``
+    encoded and hashed here, once.
+
+    Nothing after the prompt in the canonical text holds a backslash, so the
+    escape of a marker put after ``head``, the text's last backslash, marks
+    where the rest goes.
+    """
+    prefix, _, suffix = _canonical(KIND_LLM, LlmRequest(head + _MARK, model).payload()).rpartition(
+        _ENCODER.encode(_MARK)[1:-1])
+    state = hashlib.sha256(prefix.encode("utf-8"))
+    tail = suffix.encode("utf-8")
+
+    def digest(rest: str) -> str:
+        sha = state.copy()
+        sha.update(_ENCODER.encode(rest)[1:-1].encode("utf-8"))
+        sha.update(tail)
+        return sha.hexdigest()
+
+    return digest
 
 
 class Backend(Protocol):
@@ -338,50 +377,83 @@ class CachingBackend:
         return body
 
 
+def _object(value: Any, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ProviderFailure(f"{what}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(obj: dict[str, Any], key: str) -> list[Any]:
+    """``obj[key]`` as a list; ``[]`` when missing or null."""
+    value = obj.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ProviderFailure(f"{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _optional(obj: dict[str, Any], key: str) -> str | None:
+    """``obj[key]`` as a string, or None when missing or null."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ProviderFailure(f"{key}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _text(obj: dict[str, Any], key: str) -> str:
+    """``obj[key]`` as a string; ``""`` when missing or null."""
+    return _optional(obj, key) or ""
+
+
 def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:
-    body = backend.fetch(KIND_WEB, request.payload())
+    body = _object(backend.fetch(KIND_WEB, request.payload()), KIND_WEB)
     results = []
-    for i, item in enumerate(body.get("items", [])[:WEB_RESULTS]):
+    for i, item in enumerate(_list(body, "items")[:WEB_RESULTS]):
+        item = _object(item, "items")
         results.append(
             WebResult(
                 rank=i + 1,
-                title=item.get("htmlTitle") or item.get("title", ""),
-                link=item.get("link", ""),
-                snippet=item.get("htmlSnippet") or item.get("snippet", ""),
+                title=_text(item, "htmlTitle") or _text(item, "title"),
+                link=_text(item, "link"),
+                snippet=_text(item, "htmlSnippet") or _text(item, "snippet"),
             )
         )
     return results
 
 
 def factcheck_search(request: FactCheckRequest, backend: Backend) -> list[ClaimReviewResult]:
-    body = backend.fetch(KIND_FACTCHECK, request.payload())
+    body = _object(backend.fetch(KIND_FACTCHECK, request.payload()), KIND_FACTCHECK)
     results = []
-    for claim in body.get("claims", [])[:FACTCHECK_PAGE_SIZE]:
-        reviews = claim.get("claimReview") or []
+    for claim in _list(body, "claims")[:FACTCHECK_PAGE_SIZE]:
+        claim = _object(claim, "claims")
+        reviews = _list(claim, "claimReview")
         if not reviews:
             continue
-        review = reviews[0]  # only the first review of each claim is kept
-        publisher = review.get("publisher") or {}
+        review = _object(reviews[0], "claimReview")  # only the first review of each claim is kept
+        publisher = _object(review.get("publisher") or {}, "publisher")
         results.append(
             ClaimReviewResult(
                 rank=len(results) + 1,
-                claim_text=claim.get("text", ""),
-                claimant=claim.get("claimant"),
-                claim_date=claim.get("claimDate"),
-                publisher_name=publisher.get("name", ""),
-                publisher_site=publisher.get("site", ""),
-                textual_rating=review.get("textualRating", ""),
-                review_date=review.get("reviewDate"),
-                review_url=review.get("url", ""),
+                claim_text=_text(claim, "text"),
+                claimant=_optional(claim, "claimant"),
+                claim_date=_optional(claim, "claimDate"),
+                publisher_name=_text(publisher, "name"),
+                publisher_site=_text(publisher, "site"),
+                textual_rating=_text(review, "textualRating"),
+                review_date=_optional(review, "reviewDate"),
+                review_url=_text(review, "url"),
             )
         )
     return results
 
 
-def llm_generate(request: LlmRequest, backend: Backend) -> str:
-    body = backend.fetch(KIND_LLM, request.payload())
-    candidates = body.get("candidates") or []
+def llm_generate(request: LlmRequest, backend: Backend, digest: str | None = None) -> str:
+    """The first candidate's text; ``digest``, when given, is the request's
+    hash (see ``prompt_hasher``)."""
+    body = _object(backend.fetch(KIND_LLM, request.payload(), digest), KIND_LLM)
+    candidates = _list(body, "candidates")
     if not candidates:
         raise ProviderFailure("generation response carries no candidates")
-    parts = (candidates[0].get("content") or {}).get("parts") or []
-    return "".join(str(p.get("text", "")) for p in parts)
+    content = _object(_object(candidates[0], "candidates").get("content") or {}, "content")
+    return "".join(_text(_object(part, "parts"), "text") for part in _list(content, "parts"))

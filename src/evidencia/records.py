@@ -111,6 +111,15 @@ class NewsItem:
             raise SchemaError(f"missing required field {exc.args[0]!r}") from None
 
 
+def _check_strings(what: str, obj: Any, names: tuple[str, ...], optional: bool = False) -> None:
+    """SchemaError unless each named field of ``obj`` is a string (or None,
+    when ``optional``)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, str) or optional and value is None):
+            raise SchemaError(f"{what} {name} must be a string, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class WebResult:
     """One web search result; rank is 1-based within the response. Title
@@ -120,6 +129,9 @@ class WebResult:
     title: str
     link: str
     snippet: str
+
+    def __post_init__(self) -> None:
+        _check_strings("web result", self, ("title", "link", "snippet"))
 
     def to_dict(self) -> dict[str, Any]:
         return {"rank": self.rank, "title": self.title, "link": self.link, "snippet": self.snippet}
@@ -147,6 +159,11 @@ class ClaimReviewResult:
     claimant: str | None = None
     claim_date: str | None = None
     review_date: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_strings("fact-check result", self, ("claim_text", "publisher_name", "publisher_site",
+                                                   "textual_rating", "review_url"))
+        _check_strings("fact-check result", self, ("claimant", "claim_date", "review_date"), optional=True)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {

@@ -56,8 +56,10 @@ class ReviewItem:
     """One judgment call for a human, plus the eventual decision.
 
     Construction rejects an unknown kind, ``record_ids`` or decision ``ids``
-    that are not a list of strings, and a malformed decision with a
-    SchemaError, so a decisions file is checked line by line as it is read.
+    that are not a list of strings, an ``external_label_conflict`` whose
+    ``context.external_bucket`` is no label, and a malformed decision with a
+    SchemaError, so a queue or decisions file is checked line by line as it
+    is read.
     """
 
     id: str
@@ -74,6 +76,8 @@ class ReviewItem:
             raise SchemaError(f"unknown review kind {self.kind!r}")
         if not _is_str_list(self.record_ids):
             raise SchemaError(f"review {self.id}: record_ids must be a list of strings")
+        if self.kind == "external_label_conflict" and self.context.get("external_bucket") not in LABELS:
+            raise SchemaError(f"review {self.id}: an external_label_conflict needs a label as context.external_bucket")
         decision = self.decision
         if decision is None:
             return

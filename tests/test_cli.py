@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import inspect
 import json
 import os
@@ -491,6 +492,46 @@ class TestExitCodes:
         assert str(bad) in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == ([] if content is False else [bad])
 
+    # A field of the wrong type in an enriched result, or an external label
+    # conflict without a label to relabel to, is bad input: exit 2 naming
+    # the file and the line (the file's last), in every subcommand that reads it.
+    @pytest.mark.parametrize("content,argv", [
+        pytest.param(ENRICHED_LINE.replace("{fields}", f'"{pool}": [{{"rank": 1, {field}}}]'),
+                     [*run, "--in", "{bad}", "--out", "{out}"], id=f"{name}-{run[0]}")
+        for name, pool, field in [
+            ("web-link-int", "initial_results", '"link": 5'),
+            ("web-title-null", "claim_results", '"title": null, "link": "https://g1.globo.com/a"'),
+            ("review-date-int", "factcheck_results", '"review_date": 2020'),
+            ("rating-list", "factcheck_results", '"textual_rating": ["Falso"]'),
+        ]
+        for run in (["analyze"], ["build-config", "--kind", "enriched_filtered"])
+    ] + [
+        pytest.param(json.dumps({"id": "rev-0001", "kind": "random_inspection", "record_ids": ["cv_0001"]}) + "\n"
+                     + json.dumps({"id": "rev-0002", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
+                                   "suggestion": "relabel", "context": context}) + "\n",
+                     ["review", "--queue", "{bad}", "--out", "{out}"], id=f"review-queue-{name}")
+        for name, context in [("no-bucket", {"stored_label": "true"}), ("bucket-not-a-label", {"external_bucket": "x"})]
+    ])
+    def test_bad_field_exits_2_and_names_the_line(self, tmp_path, capsys, content, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content, encoding="utf-8")
+        assert main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv]) == 2
+        assert f"error: {bad}:{content.count(chr(10))}: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+    def test_decisions_with_an_external_conflict_without_a_label_exit_2(self, tmp_path, capsys):
+        item = {"id": "rev-0001", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
+                "suggestion": "relabel", "context": {"stored_label": "true", "external_bucket": "fake"}}
+        queue = tmp_path / "queue.jsonl"
+        queue.write_text(json.dumps(item) + "\n", encoding="utf-8")
+        decisions = tmp_path / "decisions.jsonl"
+        decisions.write_text(json.dumps({**item, "context": {}, "decision": {"action": "keep"}}) + "\n",
+                             encoding="utf-8")
+        for argv in (["review", "--queue", str(queue)], ["validate", "--in", CORPUS, "--out", str(tmp_path / "v")]):
+            assert main([*argv, "--decisions", str(decisions)]) == 2
+            assert f"error: {decisions}:1: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [decisions, queue]
+
     def test_result_link_that_urlsplit_refuses_counts_as_invalid(self, tmp_path):
         enriched = tmp_path / "e.jsonl"
         enriched.write_text(ENRICHED_LINE.replace("{fields}", '"initial_results": [{"rank": 1, "link": "http://[x"}]'),
@@ -793,6 +834,47 @@ class TestTracerSeams:
         monkeypatch.setattr(cli, name, counting)
         assert main(_seam_argv(subcommand, pipeline, tmp_path)) == 0
         assert calls
+
+
+def test_tracer_finds_every_name_it_wraps():
+    """bench/tracer.py wraps names across the library; a renamed or removed
+    one breaks the benchmark, so each must still be there."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = []
+
+    class Checking(tracer.Tracer):
+        def patch(self, owner, attr, name, observe=None):
+            assert hasattr(owner, attr), f"{owner.__name__}.{attr} ({name}) is gone"
+            wrapped.append(name)
+
+    tracer.install(Checking())
+    assert "providers.request_hash" in wrapped and "evalkit.few_shot_classify" in wrapped
+
+
+class TestEvaluateHashing:
+    def test_each_prompt_head_is_encoded_once(self, tmp_path, monkeypatch):
+        def write(path, ids):
+            path.write_text("".join(json.dumps({"id": i, "text": f"Texto {i}.", "label": ("fake", "true")[n % 2],
+                                                "context": "busca" if n % 3 else ""}) + "\n"
+                                    for n, i in enumerate(ids)), encoding="utf-8")
+
+        train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        write(train, [f"t{n:02d}" for n in range(20)])
+        write(test, [f"x{n:02d}" for n in range(12)])
+        encoded, fetched = [], []
+        canonical, fetch = providers._canonical, FixtureBackend.fetch
+        monkeypatch.setattr(providers, "_canonical",
+                            lambda kind, payload: encoded.append(kind) or canonical(kind, payload))
+        monkeypatch.setattr(FixtureBackend, "fetch", lambda self, kind, payload, digest=None:
+                            fetched.append((kind, payload, digest)) or fetch(self, kind, payload, digest))
+        assert main(["evaluate", "--in", str(test), "--shots-from", str(train), "--out", str(tmp_path / "r.json"),
+                     *FIXTURE]) == 0
+        assert encoded == [providers.KIND_LLM] * 2  # one head with the context clause, one without
+        assert len(fetched) == 12
+        monkeypatch.undo()
+        assert all(digest == providers.request_hash(kind, payload) for kind, payload, digest in fetched)
 
 
 VALIDATION_DEFAULTS = {name: p.default for name, p in inspect.signature(run_validation).parameters.items()}

@@ -16,6 +16,7 @@ from evidencia.evalkit import (
     classification_prompt,
     few_shot_classify,
     parse_answer,
+    prompt_head,
     score,
     select_shots,
     split,
@@ -258,9 +259,9 @@ class TestFewShotClassify:
         shots = make_shots()
         answers = {"alvo1": "FAKE NEWS", "alvo2": "acho que VERDADEIRO", "alvo4": "sem opinião"}
 
-        def generate(prompt):
+        def generate(head, rest):
             for id, answer in answers.items():
-                if f"Texto {id}." in prompt:
+                if f"Texto {id}." in rest:
                     return answer
             raise ProviderFailure("backend indisponível")
 
@@ -275,7 +276,19 @@ class TestFewShotClassify:
     def test_shot_overlap_rejected(self):
         shots = make_shots()
         with pytest.raises(ValueError, match="overlap"):
-            few_shot_classify([shots[0]], shots, lambda p: "FAKE NEWS")
+            few_shot_classify([shots[0]], shots, lambda head, rest: "FAKE NEWS")
+
+    def test_generator_gets_one_of_two_heads_and_the_target_rest(self):
+        shots = make_shots()
+        shots[3] = inst("shot03", label="fake", context="contexto do exemplo")
+        instances = [inst(f"alvo{i}", context="busca" if i % 3 else "") for i in range(9)]
+        calls = []
+        few_shot_classify(instances, shots, lambda head, rest: calls.append((head, rest)) or "FAKE NEWS")
+        assert [head + rest for head, rest in calls] == [classification_prompt(i, shots) for i in instances]
+        assert len({id(head) for head, _ in calls}) == 2
+        for (head, rest), target in zip(calls, instances):
+            assert head == prompt_head(shots, bool(target.context))
+            assert rest.startswith("\n\nTexto: Texto alvo")
 
 
 class TestScore:

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evidencia.clocks import FrozenClock, SystemClock
 from evidencia.providers import (
@@ -28,11 +30,12 @@ from evidencia.providers import (
     credentials_from_env,
     factcheck_search,
     llm_generate,
+    prompt_hasher,
     request_hash,
     web_search,
     write_cassette,
 )
-from evidencia.records import SchemaError
+from evidencia.records import ClaimReviewResult, SchemaError, WebResult
 
 from conftest import CASSETTES, FIXTURES, ROOT
 
@@ -522,6 +525,27 @@ class TestClocks:
         assert clock.utc_instant() == "2020-01-01T00:00:00Z"
 
 
+# Text with the characters JSON escapes or that UTF-8 takes several bytes
+# for: quote, backslash, controls, the line separators and non-BMP text.
+PROMPT_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u2029é\U0001f600'),
+                                st.characters(exclude_categories=("Cs",))))
+
+
+class TestPromptHasher:
+    @given(PROMPT_TEXT, PROMPT_TEXT, PROMPT_TEXT, PROMPT_TEXT)
+    def test_digest_is_the_request_hash(self, model, head, rest, other):
+        digest = prompt_hasher(model, head)
+        for tail in (rest, other, ""):
+            assert digest(tail) == request_hash(KIND_LLM, LlmRequest(prompt=head + tail, model=model).payload())
+
+
+SEARCHES = {
+    "web": lambda backend: web_search(WebSearchRequest(query="q"), backend),
+    "factcheck": lambda backend: factcheck_search(FactCheckRequest(query="q"), backend),
+    "llm": lambda backend: llm_generate(LlmRequest(prompt="q"), backend),
+}
+
+
 class TestParsers:
     def test_web_search_prefers_html_fields_and_caps(self, tmp_path):
         payload = WebSearchRequest(query="vacina").payload()
@@ -580,3 +604,33 @@ class TestParsers:
         write_cassette(tmp_path, KIND_LLM, request.payload(), {"candidates": []})
         with pytest.raises(ProviderFailure):
             llm_generate(request, FixtureBackend(tmp_path))
+
+    # A body of the wrong shape is a failed call, not a crash of the caller.
+    @pytest.mark.parametrize("search,body", [
+        ("web", {"items": "x"}), ("web", []), ("web", {"items": ["x"]}), ("web", {"items": [{"link": 5}]}),
+        ("web", {"items": [{"htmlTitle": {"b": 1}}]}),
+        ("factcheck", {"claims": "x"}), ("factcheck", []), ("factcheck", {"claims": ["x"]}),
+        ("factcheck", {"claims": [{"claimReview": "x"}]}), ("factcheck", {"claims": [{"claimReview": ["x"]}]}),
+        ("factcheck", {"claims": [{"claimReview": [{"publisher": "x"}]}]}),
+        ("factcheck", {"claims": [{"claimReview": [{"reviewDate": 2020}]}]}),
+        ("llm", {"candidates": ["x"]}), ("llm", []), ("llm", {"candidates": "x"}),
+        ("llm", {"candidates": [{"content": "x"}]}), ("llm", {"candidates": [{"content": {"parts": "x"}}]}),
+        ("llm", {"candidates": [{"content": {"parts": ["x"]}}]}),
+        ("llm", {"candidates": [{"content": {"parts": [{"text": 5}]}}]}),
+    ], ids=lambda value: json.dumps(value) if not isinstance(value, str) else value)
+    def test_wrong_shape_is_a_provider_failure(self, search, body):
+        with pytest.raises(ProviderFailure, match="expected"):
+            SEARCHES[search](CountingBackend(body))
+
+    def test_null_fields_read_as_empty_and_round_trip(self):
+        web = web_search(WebSearchRequest(query="q"), CountingBackend({"items": [
+            {"title": None, "link": None, "snippet": None, "htmlTitle": None}]}))
+        assert [(r.title, r.link, r.snippet) for r in web] == [("", "", "")]
+        reviews = factcheck_search(FactCheckRequest(query="q"), CountingBackend({"claims": [
+            {"text": None, "claimant": None, "claimReview": [{"publisher": None, "textualRating": None,
+                                                              "url": None, "reviewDate": None}]}]}))
+        assert (reviews[0].claim_text, reviews[0].textual_rating, reviews[0].review_date) == ("", "", None)
+        assert [WebResult.from_dict(r.to_dict()) for r in web] == web
+        assert [ClaimReviewResult.from_dict(r.to_dict()) for r in reviews] == reviews
+        body = {"candidates": [{"content": {"parts": [{"text": None}, {"text": "sim"}]}}]}
+        assert llm_generate(LlmRequest(prompt="q"), CountingBackend(body)) == "sim"

@@ -79,6 +79,26 @@ class TestErrorEvent:
             ErrorEvent("initial_search", "mild_annoyance", "x")
 
 
+class TestResultFieldTypes:
+    @pytest.mark.parametrize("cls,raw,field", [
+        (WebResult, {"rank": 1, "link": 5}, "link"),
+        (WebResult, {"rank": 1, "title": None}, "title"),
+        (WebResult, {"rank": 1, "snippet": ["s"]}, "snippet"),
+        (ClaimReviewResult, {"rank": 1, "review_date": 2020}, "review_date"),
+        (ClaimReviewResult, {"rank": 1, "claimant": {}}, "claimant"),
+        (ClaimReviewResult, {"rank": 1, "textual_rating": None}, "textual_rating"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, cls, raw, field):
+        with pytest.raises(SchemaError, match=f"{field} must be a string"):
+            cls.from_dict(raw)
+
+    def test_optional_review_fields_may_be_null(self):
+        raw = {"rank": 1, "claimant": None, "claim_date": None, "review_date": None}
+        assert ClaimReviewResult.from_dict(raw).to_dict() == {
+            "rank": 1, "claim_text": "", "publisher_name": "", "publisher_site": "", "textual_rating": "",
+            "review_url": ""}
+
+
 def make_enriched(**kwargs):
     item = NewsItem(id="r1", corpus="covid19br", text="um texto", label="fake")
     defaults = dict(item=item, query="um texto", query_kind="full_text")

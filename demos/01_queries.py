@@ -22,8 +22,7 @@ def main():
     kinds = Counter()
     picked = {}
     for item in records:
-        prepared = strip_emoji(strip_quotes(item.text))
-        query, kind = build_query(prepared)
+        query, kind = build_query(item.text)
         kinds[kind] += 1
         if not query.startswith("http"):
             picked.setdefault(kind, (item.id, query))

@@ -43,7 +43,6 @@ def main():
     decided = ReviewItem.from_dict({
         **first.to_dict(),
         "decision": {"action": "remove", "ids": first.record_ids[:1]},
-        "decided_by": "demo",
     })
     _, second = run_validation(records, detector=detector, decisions=[decided])
     print(f"\nafter deciding {first.id} (remove {first.record_ids[0]}):")

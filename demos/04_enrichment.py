@@ -16,7 +16,7 @@ from evidencia.clocks import FrozenClock
 from evidencia.enrichment import enrich_one
 from evidencia.langid import TrigramDetector
 from evidencia.providers import FixtureBackend
-from evidencia.records import FunnelStats, read_news
+from evidencia.records import funnel, read_news
 from evidencia.validation import run_validation
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -46,9 +46,8 @@ def main():
     clock = FrozenClock()
 
     enriched = [enrich_one(item, backend, clock=clock) for item in validated]
-    stats = FunnelStats.from_records(enriched)
     print("funnel over the validated corpus")
-    for key, value in stats.to_dict().items():
+    for key, value in funnel(enriched).items():
         print(f"  {key:<24} {value}")
 
     by_id = {r.item.id: r for r in enriched}

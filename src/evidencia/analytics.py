@@ -7,7 +7,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .domains import aggregate_domain
-from .records import EnrichedRecord, FunnelStats, NewsItem
+from .records import EnrichedRecord, NewsItem
 from .textprep import find_urls, split_sentences, word_tokens
 
 
@@ -76,7 +76,8 @@ def rating_distribution(records: Sequence[EnrichedRecord]) -> dict[str, object]:
 
 
 def match_index_histogram(records: Sequence[EnrichedRecord]) -> dict[int, int]:
-    return dict(sorted(FunnelStats.from_records(records).match_index_histogram.items()))
+    """Direct matches per rank, in rank order."""
+    return dict(sorted(Counter(rec.match_index for rec in records if rec.match_index is not None).items()))
 
 
 def review_year_histogram(records: Sequence[EnrichedRecord]) -> tuple[dict[int, int], int]:

@@ -41,9 +41,9 @@ from .records import (
     DEFAULT_MODEL,
     PROMPT_PATTERNS,
     EnrichedRecord,
-    FunnelStats,
     NewsItem,
     SchemaError,
+    funnel,
     read_enriched,
     read_jsonl,
     read_news,
@@ -230,7 +230,6 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
             factcheck_backend=backend,
             decisions=decisions,
             incomplete_ids=incomplete,
-            min_content_tokens=conf["min_content_tokens"],
             sample_size=conf["sample_size"],
             seed=conf["seed"],
         )
@@ -327,17 +326,17 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(enrich, items))
-    stats = FunnelStats.from_records(records)
+    stats = funnel(records)
 
     out = Path(conf["out"])
     stats_out = Path(f"{out}.stats.json")
     write_enriched(out, records)
-    _write_json(stats_out, stats.to_dict())
+    _write_json(stats_out, stats)
 
     failed = sum(1 for r in records if r.errors)
     rate = failed / len(records) if records else 0.0
-    print(f"enriched {len(records)} record(s): {stats.matched_direct} matched directly, "
-          f"{stats.extraction_needed} via claim extraction, {stats.hard_failed} unmatched")
+    print(f"enriched {len(records)} record(s): {stats['matched_direct']} matched directly, "
+          f"{stats['extraction_needed']} via claim extraction, {stats['hard_failed']} unmatched")
     print(f"records with errors: {failed} ({rate:.2%})")
     return Run([conf["in"]], [str(out), str(stats_out)], error_rate=rate)
 
@@ -366,7 +365,7 @@ def _cmd_analyze(conf: dict[str, Any]) -> Run:
     if _is_enriched_file(conf["in"]):
         enriched = read_enriched(conf["in"])
         items = [rec.item for rec in enriched]
-        report["funnel"] = FunnelStats.from_records(enriched).to_dict()
+        report["funnel"] = funnel(enriched)
         report["text_stats"] = analytics.text_stats(items)
         report["domains"] = analytics.domain_distribution(enriched)
         report["ratings"] = analytics.rating_distribution(enriched)
@@ -521,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--out", required=True, help="validated records output; report to <out>.report.json, queue to <out>.review.jsonl")
     opt("--decisions", help="adjudicated review items to apply")
     opt("--incomplete-ids", help="file of known-truncated record ids, one per line")
-    opt("--min-content-tokens", type=int, default=15, help="short-text removal threshold")
     opt("--sample-size", type=int, default=0, help="random inspection sample size")
     opt("--seed", type=int, default=0, help="inspection sampling seed")
     provider_options(opt, required=False)

@@ -1,7 +1,7 @@
 """The enrichment flow: search first, extract a claim only when needed.
 
-Per record: build a query from the quote- and emoji-stripped text and run a
-web search. When one of the five results matches strongly, store everything
+Per record: build a query from the text (``textprep.build_query``) and run
+a web search. When one of the five results matches strongly, store everything
 and stop; otherwise extract a claim and search again with it. Independently,
 query the fact-check service with the same query, falling back to the claim
 when the original query returns no reviews and a claim exists.
@@ -24,7 +24,7 @@ from .providers import (
     web_search,
 )
 from .records import DEFAULT_MODEL, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure
-from .textprep import build_query, strip_emoji, strip_quotes
+from .textprep import build_query
 
 
 def _search(
@@ -52,8 +52,7 @@ def enrich_one(
     errors: list[ErrorEvent] = []
     timestamps: dict[str, str] = {}
 
-    prepared = strip_emoji(strip_quotes(item.text))
-    query, query_kind = build_query(prepared)
+    query, query_kind = build_query(item.text)
 
     results = _search(web_search, WebSearchRequest(query=query), backend, "initial_search", errors) or []
     timestamps["initial_search"] = clock.utc_instant()

@@ -1,4 +1,4 @@
-"""Record types and line-delimited JSON I/O.
+"""Record types, enrichment funnel counts and line-delimited JSON I/O.
 
 One record per line, UTF-8, keys sorted on output so that identical inputs
 produce byte-identical files. Unknown fields found on disk are preserved in
@@ -120,6 +120,19 @@ def _check_strings(what: str, obj: Any, names: tuple[str, ...], optional: bool =
             raise SchemaError(f"{what} {name} must be a string, got {type(value).__name__}")
 
 
+def _check_int(what: str, value: Any) -> None:
+    """SchemaError unless ``value`` is an int (a bool, float or string is not)."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
+
+
+def _score(value: Any) -> float:
+    """A match score read from a file: an int or a float, as a float."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"a match score must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class WebResult:
     """One web search result; rank is 1-based within the response. Title
@@ -131,6 +144,7 @@ class WebResult:
     snippet: str
 
     def __post_init__(self) -> None:
+        _check_int("web result rank", self.rank)
         _check_strings("web result", self, ("title", "link", "snippet"))
 
     def to_dict(self) -> dict[str, Any]:
@@ -139,7 +153,7 @@ class WebResult:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "WebResult":
         return cls(
-            rank=int(raw["rank"]),
+            rank=raw["rank"],
             title=raw.get("title", ""),
             link=raw.get("link", ""),
             snippet=raw.get("snippet", ""),
@@ -161,6 +175,7 @@ class ClaimReviewResult:
     review_date: str | None = None
 
     def __post_init__(self) -> None:
+        _check_int("fact-check result rank", self.rank)
         _check_strings("fact-check result", self, ("claim_text", "publisher_name", "publisher_site",
                                                    "textual_rating", "review_url"))
         _check_strings("fact-check result", self, ("claimant", "claim_date", "review_date"), optional=True)
@@ -185,7 +200,7 @@ class ClaimReviewResult:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ClaimReviewResult":
         return cls(
-            rank=int(raw["rank"]),
+            rank=raw["rank"],
             claim_text=raw.get("claim_text", ""),
             publisher_name=raw.get("publisher_name", ""),
             publisher_site=raw.get("publisher_site", ""),
@@ -210,6 +225,7 @@ class ErrorEvent:
             raise SchemaError(f"unknown error stage {self.stage!r}")
         if self.kind not in ERROR_KINDS:
             raise SchemaError(f"unknown error kind {self.kind!r}")
+        _check_strings("error", self, ("detail",))
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"stage": self.stage, "kind": self.kind}
@@ -246,14 +262,20 @@ class EnrichedRecord:
     timestamps: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_strings(f"record {self.item.id}", self, ("query",))
+        _check_strings(f"record {self.item.id}", self, ("claim",), optional=True)
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.timestamps.items()):
+            raise SchemaError(f"record {self.item.id} timestamps must map strings to strings")
         if self.query_kind not in QUERY_KINDS:
             raise SchemaError(f"unknown query kind {self.query_kind!r}")
         if self.factcheck_query_used not in FACTCHECK_QUERY_USED:
             raise SchemaError(f"unknown factcheck_query_used {self.factcheck_query_used!r}")
         if self.match_index is not None and self.claim is not None:
             raise SchemaError(f"record {self.item.id} has both match_index and claim")
-        if self.match_index is not None and not (1 <= self.match_index <= len(self.initial_results)):
-            raise SchemaError(f"match_index {self.match_index} out of range for record {self.item.id}")
+        if self.match_index is not None:
+            _check_int(f"record {self.item.id} match_index", self.match_index)
+            if not 1 <= self.match_index <= len(self.initial_results):
+                raise SchemaError(f"match_index {self.match_index} out of range for record {self.item.id}")
         if self.factcheck_query_used == "claim" and self.claim is None:
             raise SchemaError(f"record {self.item.id} used claim query without a claim")
 
@@ -288,7 +310,7 @@ class EnrichedRecord:
             query=raw["query"],
             query_kind=raw["query_kind"],
             initial_results=[WebResult.from_dict(r) for r in raw.get("initial_results", [])],
-            match_scores=[float(s) for s in raw.get("match_scores", [])],
+            match_scores=[_score(s) for s in raw.get("match_scores", [])],
             match_index=raw.get("match_index"),
             claim=raw.get("claim"),
             claim_enforced=bool(raw.get("claim_enforced", False)),
@@ -300,57 +322,34 @@ class EnrichedRecord:
         )
 
 
-@dataclass
-class FunnelStats:
-    """Aggregate outcome counters of an enrichment run, always recomputable
-    from the records.
+def funnel(records: Iterable[EnrichedRecord]) -> dict[str, Any]:
+    """Outcome counts of an enrichment run, recomputed from its records: the
+    dict ``enrich`` writes to ``<out>.stats.json`` and ``analyze`` reports as
+    ``funnel``. ``match_index_histogram`` counts direct matches per rank,
+    keyed by the rank as a string, in rank order.
 
     It lives here rather than in ``enrichment`` so that ``analyze``, which
     recomputes it from a file, loads none of the enrichment stack.
     """
-
-    total: int = 0
-    matched_direct: int = 0
-    extraction_needed: int = 0
-    hard_failed: int = 0
-    claim_search_errors: int = 0
-    factcheck_hits_original: int = 0
-    factcheck_hits_claim: int = 0
-    match_index_histogram: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_records(cls, records: Iterable[EnrichedRecord]) -> "FunnelStats":
-        stats = cls()
-        for rec in records:
-            stats.total += 1
-            if rec.match_index is not None:
-                stats.matched_direct += 1
-                stats.match_index_histogram[rec.match_index] = (
-                    stats.match_index_histogram.get(rec.match_index, 0) + 1
-                )
-            elif rec.claim is not None:
-                stats.extraction_needed += 1
-            else:
-                stats.hard_failed += 1
-            if any(e.stage == "claim_search" and e.kind == "empty_results" for e in rec.errors):
-                stats.claim_search_errors += 1
-            if rec.factcheck_query_used == "original":
-                stats.factcheck_hits_original += 1
-            elif rec.factcheck_query_used == "claim":
-                stats.factcheck_hits_claim += 1
-        return stats
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "matched_direct": self.matched_direct,
-            "extraction_needed": self.extraction_needed,
-            "hard_failed": self.hard_failed,
-            "claim_search_errors": self.claim_search_errors,
-            "factcheck_hits_original": self.factcheck_hits_original,
-            "factcheck_hits_claim": self.factcheck_hits_claim,
-            "match_index_histogram": {str(k): v for k, v in sorted(self.match_index_histogram.items())},
-        }
+    counts = dict.fromkeys(("total", "matched_direct", "extraction_needed", "hard_failed", "claim_search_errors",
+                            "factcheck_hits_original", "factcheck_hits_claim"), 0)
+    ranks: dict[int, int] = {}
+    for rec in records:
+        counts["total"] += 1
+        if rec.match_index is not None:
+            counts["matched_direct"] += 1
+            ranks[rec.match_index] = ranks.get(rec.match_index, 0) + 1
+        elif rec.claim is not None:
+            counts["extraction_needed"] += 1
+        else:
+            counts["hard_failed"] += 1
+        if any(e.stage == "claim_search" and e.kind == "empty_results" for e in rec.errors):
+            counts["claim_search_errors"] += 1
+        if rec.factcheck_query_used == "original":
+            counts["factcheck_hits_original"] += 1
+        elif rec.factcheck_query_used == "claim":
+            counts["factcheck_hits_claim"] += 1
+    return {**counts, "match_index_histogram": {str(k): v for k, v in sorted(ranks.items())}}
 
 
 def dumps_record(payload: dict[str, Any]) -> str:

@@ -1,7 +1,7 @@
 """Text preparation: cleanup primitives, sentence splitting and query building.
 
-The query builder mirrors a fixed decision procedure. Given a text with
-quotation marks already removed:
+The query builder mirrors a fixed decision procedure. It removes
+quotation marks and emoji from the text, then:
 
 * 20 words or fewer: the whole text is the query (``full_text``);
 * otherwise the first sentence, when it has at least 7 words
@@ -132,10 +132,11 @@ def split_sentences(text: str) -> list[str]:
 def build_query(text: str) -> tuple[str, str]:
     """Derive the search query for a text. Returns (query, kind).
 
-    The input must already be quote- and emoji-stripped; a text with no
-    word left raises SchemaError.
+    Quotation marks and emoji are removed first, so a text that is already
+    stripped gets the same query; a text with no word left raises
+    SchemaError.
     """
-    text = text.strip()
+    text = strip_emoji(strip_quotes(text)).strip()
     if not text:
         raise SchemaError("no words to search for")
     words = word_tokens(text)

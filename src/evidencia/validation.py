@@ -2,11 +2,13 @@
 
 Stage order is fixed: initial filter, language filter, contradiction
 flagging, external label check, human decisions, corpus-specific rules for
-the paired corpus, URL stripping. Automated stages remove records outright;
-judgment calls become review items that a human adjudicates in a separate
-pass, after which the decisions file feeds back into the pipeline. Every
-removal is accounted for: input count always equals output count plus the
-sum of per-stage removals.
+the paired corpus, URL stripping. Its thresholds are constants: the
+short-text floor ``MIN_CONTENT_TOKENS`` (15) and the language filter's
+``AUTO_REMOVE_CONFIDENCE`` (0.95). Automated stages remove records
+outright; judgment calls become review items that a human adjudicates in
+a separate pass, after which the decisions file feeds back into the
+pipeline. Every removal is accounted for: input count always equals
+output count plus the sum of per-stage removals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import resources
 from .dedup import DedupCluster, cluster, near_duplicates
 from .langid import LanguageDetector, TrigramDetector
 from .records import LABELS, NewsItem, ProviderFailure, SchemaError, read_jsonl, write_jsonl
-from .textprep import build_query, content_token_count, find_urls, strip_emoji, strip_quotes, strip_urls
+from .textprep import build_query, content_token_count, find_urls, strip_urls
 
 if TYPE_CHECKING:
     from .providers import Backend
@@ -38,6 +40,7 @@ REVIEW_KINDS = ("near_dup_conflict", "shared_url_conflict", "external_label_conf
 DECISION_ACTIONS = ("keep", "remove", "relabel")
 
 AUTO_REMOVE_CONFIDENCE = 0.95  # a non-Portuguese call at or above this is removed, one below it flagged
+MIN_CONTENT_TOKENS = 15  # a text with fewer content tokens is removed as too short
 
 _KIND_STAGE = {
     "near_dup_conflict": "contradiction_resolution",
@@ -59,7 +62,7 @@ class ReviewItem:
     that are not a list of strings, an ``external_label_conflict`` whose
     ``context.external_bucket`` is no label, and a malformed decision with a
     SchemaError, so a queue or decisions file is checked line by line as it
-    is read.
+    is read. ``from_dict`` ignores keys it does not know.
     """
 
     id: str
@@ -68,8 +71,6 @@ class ReviewItem:
     suggestion: str = "keep"
     context: dict[str, Any] = field(default_factory=dict)
     decision: dict[str, Any] | None = None
-    decided_by: str | None = None
-    decided_at: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in REVIEW_KINDS:
@@ -113,10 +114,6 @@ class ReviewItem:
         }
         if self.decision is not None:
             out["decision"] = self.decision
-        if self.decided_by is not None:
-            out["decided_by"] = self.decided_by
-        if self.decided_at is not None:
-            out["decided_at"] = self.decided_at
         return out
 
     @classmethod
@@ -128,8 +125,6 @@ class ReviewItem:
             suggestion=raw.get("suggestion", "keep"),
             context=dict(raw.get("context", {})),
             decision=raw.get("decision"),
-            decided_by=raw.get("decided_by"),
-            decided_at=raw.get("decided_at"),
         )
 
 
@@ -193,11 +188,9 @@ def _remove(report: ValidationReport, stage: str, record_id: str, reason: str) -
     report.removal_reasons[record_id] = reason
 
 
-def filter_initial(
-    records: Sequence[NewsItem], report: ValidationReport, min_content_tokens: int = 15
-) -> list[NewsItem]:
+def filter_initial(records: Sequence[NewsItem], report: ValidationReport) -> list[NewsItem]:
     """Drop exact duplicates (first occurrence kept), URL-only texts and
-    texts with fewer than ``min_content_tokens`` content tokens."""
+    texts with fewer than ``MIN_CONTENT_TOKENS`` content tokens."""
     kept = []
     seen_texts: set[str] = set()
     for item in records:
@@ -208,7 +201,7 @@ def filter_initial(
         if not strip_urls(item.text).strip():
             _remove(report, "initial_filter", item.id, "url_only")
             continue
-        if content_token_count(item.text) < min_content_tokens:
+        if content_token_count(item.text) < MIN_CONTENT_TOKENS:
             _remove(report, "initial_filter", item.id, "too_short")
             continue
         kept.append(item)
@@ -280,13 +273,14 @@ def check_external_labels(
     """Ask the fact-check service about each record; emit a review item when
     a normalized agency rating contradicts the stored label. A record with
     no words to search for, or whose lookup fails, is listed in
-    ``report.external_check_failed``."""
+    ``report.external_check_failed``; in ``run_validation`` the initial
+    filter has already removed every record with no words."""
     from .providers import FactCheckRequest, factcheck_search  # here, so a run without a provider loads none
 
     mapping = resources.rating_map()
     for item in records:
         try:
-            query, _ = build_query(strip_emoji(strip_quotes(item.text)))
+            query, _ = build_query(item.text)
         except SchemaError:  # no words to search for
             report.external_check_failed.append(item.id)
             continue
@@ -438,13 +432,12 @@ def run_validation(
     factcheck_backend: Backend | None = None,
     decisions: Sequence[ReviewItem] = (),
     incomplete_ids: Iterable[str] = (),
-    min_content_tokens: int = 15,
     sample_size: int = 0,
     seed: int = 0,
 ) -> tuple[list[NewsItem], ValidationReport]:
     """Run the full pipeline in its fixed stage order."""
     report = ValidationReport(input_count=len(records))
-    current = filter_initial(records, report, min_content_tokens)
+    current = filter_initial(records, report)
     current = filter_language(current, report, detector)
     clusters = near_duplicates({item.id: item.text for item in current})
     flag_contradictions(current, report, clusters)

@@ -24,8 +24,8 @@ from evidencia.evalkit import score, split
 from evidencia.records import (
     ClaimReviewResult,
     EnrichedRecord,
-    FunnelStats,
     NewsItem,
+    funnel,
     read_enriched,
     read_news,
 )
@@ -281,7 +281,7 @@ def test_c08_fixture_enrichment_is_deterministic(tmp_path):
     stats_one = json.loads(Path(f"{outputs[0]}.stats.json").read_text(encoding="utf-8"))
     stats_two = json.loads(Path(f"{outputs[1]}.stats.json").read_text(encoding="utf-8"))
     assert stats_one == stats_two
-    recomputed = FunnelStats.from_records(read_enriched(outputs[0])).to_dict()
+    recomputed = funnel(read_enriched(outputs[0]))
     assert recomputed == stats_one
 
 

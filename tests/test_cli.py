@@ -3,7 +3,6 @@
 import argparse
 import hashlib
 import importlib.util
-import inspect
 import json
 import os
 import re
@@ -19,8 +18,7 @@ import evidencia
 from evidencia import cli, enrichment, langid, providers, records
 from evidencia.cli import main
 from evidencia.providers import LOG_NAME, FixtureBackend
-from evidencia.records import FunnelStats, ProviderFailure, read_enriched, read_news
-from evidencia.validation import run_validation
+from evidencia.records import ProviderFailure, funnel, read_enriched, read_news
 
 from conftest import CASSETTES, FIXTURES, ROOT
 
@@ -76,7 +74,7 @@ MANIFEST_DIGESTS = {
     "evaluation.json.manifest.json": "1179a4945f01372aad964325d38650b79ef51d99168d0709baead6e74356111f",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
     "splits/manifest.json": "25f78fae1a68478834e9bc25ab30645ec0b6c5fbe84785ebfdff379822939572",
-    "validated.jsonl.manifest.json": "56aa4d435db6dd454c74b685939ef33955a133c7728ddcdf350a669bb6cdc53f",
+    "validated.jsonl.manifest.json": "5ab59816b209f38fc10e6fef2aba20160540c6b5a711e3f968a09edf7d733f54",
 }
 
 
@@ -197,7 +195,7 @@ class TestPipeline:
         records = read_enriched(pipeline["enriched"])
         assert len(records) == 30
         stats = json.loads(Path(f"{pipeline['enriched']}.stats.json").read_text(encoding="utf-8"))
-        assert stats == FunnelStats.from_records(records).to_dict()
+        assert stats == funnel(records)
         assert stats["matched_direct"] == 23
         assert stats["extraction_needed"] == 6
         assert stats["hard_failed"] == 1
@@ -262,7 +260,7 @@ class TestPipeline:
     def test_constant_settings_are_not_in_the_config(self, pipeline):
         validate = load_manifest(f"{pipeline['validated']}.manifest.json")["config"]
         split = load_manifest(pipeline["splits"] / "manifest.json")["config"]
-        assert "auto_remove_confidence" not in validate
+        assert {"auto_remove_confidence", "min_content_tokens"}.isdisjoint(validate)
         assert {"train", "val", "test"}.isdisjoint(split)
 
 
@@ -314,6 +312,7 @@ FAKEBR_LINE = ('{{"id": "{id}", "corpus": "fakebr", "label": "fake"{pair}, "text
 # An enriched record line, complete but for ``{fields}``.
 ENRICHED_LINE = ('{"item": {"id": "x", "corpus": "fakebr", "text": "t", "label": "fake"}, '
                  '"query": "q", "query_kind": "full_text", {fields}}\n')
+ENRICHED = json.loads(ENRICHED_LINE.replace(", {fields}", ""))
 
 
 class TestExitCodes:
@@ -506,6 +505,21 @@ class TestExitCodes:
         ]
         for run in (["analyze"], ["build-config", "--kind", "enriched_filtered"])
     ] + [
+        pytest.param(json.dumps({**ENRICHED, **fields}) + "\n", [*run, "--in", "{bad}", "--out", "{out}"],
+                     id=f"{name}-{run[0]}")
+        for name, fields in [
+            ("query-int", {"query": 5}),
+            ("claim-int", {"claim": 5}),
+            ("error-detail-int", {"errors": [{"stage": "initial_search", "kind": "provider_failure", "detail": 5}]}),
+            ("timestamp-int", {"timestamps": {"initial_search": 5}}),
+            ("web-rank-float", {"initial_results": [{"rank": 1.7}]}),
+            ("match-index-bool", {"initial_results": [{"rank": 1}], "match_index": True}),
+            ("web-rank-bool", {"claim": "c", "claim_results": [{"rank": True}]}),
+            ("review-rank-string", {"factcheck_results": [{"rank": "1"}]}),
+            ("match-score-string", {"match_scores": ["0.5"]}),
+        ]
+        for run in (["analyze"], ["build-config", "--kind", "enriched_filtered"])
+    ] + [
         pytest.param(json.dumps({"id": "rev-0001", "kind": "random_inspection", "record_ids": ["cv_0001"]}) + "\n"
                      + json.dumps({"id": "rev-0002", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
                                    "suggestion": "relabel", "context": context}) + "\n",
@@ -517,6 +531,24 @@ class TestExitCodes:
         bad.write_text(content, encoding="utf-8")
         assert main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv]) == 2
         assert f"error: {bad}:{content.count(chr(10))}: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad]
+
+    # An instance with a label outside the two, or a text or context that
+    # is not a string, exits 2 naming the file and line, as --in or as
+    # --shots-from.
+    @pytest.mark.parametrize("fields", [{"label": "falso"}, {"text": 5}, {"context": ["busca"]}],
+                             ids=["label-falso", "text-int", "context-list"])
+    @pytest.mark.parametrize("option", ["--in", "--shots-from"])
+    def test_bad_instance_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, fields, option):
+        good = {"id": "x", "text": "t", "label": "fake"}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n" + json.dumps({**good, **fields}) + "\n", encoding="utf-8")
+        files = {"--in": pipeline["splits"] / "test.jsonl", "--shots-from": pipeline["splits"] / "train.jsonl",
+                 option: bad}
+        assert main(["evaluate", *(arg for pair in files.items() for arg in map(str, pair)),
+                     "--out", str(tmp_path / "out" / "r.json"), "--provider", "fixture",
+                     "--fixtures", str(CASSETTES)]) == 2
+        assert f"error: {bad}:2: " in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [bad]
 
     def test_decisions_with_an_external_conflict_without_a_label_exit_2(self, tmp_path, capsys):
@@ -683,23 +715,6 @@ class TestValidateInputs:
         kept = {item.id for item in read_news(out)}
         assert len(kept) == 28 and not kept & {"fake_0001", "true_0001"}
         assert str(ids) in load_manifest(f"{out}.manifest.json")["input_hashes"]
-
-    def test_record_with_no_words_is_not_cross_checked(self, tmp_path, monkeypatch):
-        queried = []
-        search = providers.factcheck_search
-
-        def recording(request, backend):
-            queried.append(request.query)
-            return search(request, backend)
-
-        monkeypatch.setattr(providers, "factcheck_search", recording)
-        out = tmp_path / "v.jsonl"
-        assert main(["validate", "--in", str(corpus_with_wordless(tmp_path / "in.jsonl")), "--out", str(out),
-                     "--min-content-tokens", "0", "--provider", "fixture", "--fixtures", str(CASSETTES)]) == 0
-        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
-        assert report["external_check_failed"] == ["cv_9999"]
-        assert [item.id for item in read_news(out)] == ["cv_0001", "cv_9999"]
-        assert len(queried) == 1 and queried[0].startswith("Gente ja tivemos")
 
     def test_external_label_skeleton_relabels_as_written(self, tmp_path):
         queue = tmp_path / "queue.jsonl"
@@ -877,31 +892,6 @@ class TestEvaluateHashing:
         assert all(digest == providers.request_hash(kind, payload) for kind, payload, digest in fetched)
 
 
-VALIDATION_DEFAULTS = {name: p.default for name, p in inspect.signature(run_validation).parameters.items()}
-
-
-class TestDefaults:
-    # Each case runs a subcommand with no settings, captures the call its
-    # handler makes through a cli stand-in, and compares the value ``pick``
-    # takes from that call with the library's default.
-    @pytest.mark.parametrize("subcommand,stand_in,pick,library_default", [
-        ("validate", "run_validation", lambda args, kwargs: kwargs["min_content_tokens"],
-         VALIDATION_DEFAULTS["min_content_tokens"]),
-    ], ids=["min-content-tokens"])
-    def test_cli_default_is_the_library_default(self, pipeline, tmp_path, monkeypatch, subcommand, stand_in,
-                                                pick, library_default):
-        original = getattr(cli, stand_in)
-        calls = []
-
-        def recording(*args, **kwargs):
-            calls.append(pick(args, kwargs))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, stand_in, recording)
-        assert main(_seam_argv(subcommand, pipeline, tmp_path)) == 0
-        assert calls == [library_default]
-
-
 class TestBrokenCassettes:
     def enrich(self, pipeline, out, fixtures, *extra):
         return main(["enrich", "--in", str(pipeline["validated"]), "--out", str(out),
@@ -995,15 +985,19 @@ class TestConfigFile:
         return exc.value.code == 2
 
     def test_file_value_applies_and_flag_wins(self, tmp_path):
-        args = self.option_file(tmp_path, "--min-content-tokens=1000")
-        out_file = tmp_path / "strict.jsonl"
-        assert main(["validate", args, "--in", CORPUS, "--out", str(out_file)]) == 0
-        assert len(read_news(out_file)) < 5
-        assert load_manifest(f"{out_file}.manifest.json")["config"]["min_content_tokens"] == 1000
+        def queue_kinds(out):
+            lines = Path(f"{out}.review.jsonl").read_text(encoding="utf-8").splitlines()
+            return [json.loads(line)["kind"] for line in lines]
 
-        out_flag = tmp_path / "normal.jsonl"
-        assert main(["validate", args, "--in", CORPUS, "--out", str(out_flag), "--min-content-tokens", "15"]) == 0
-        assert len(read_news(out_flag)) == 30
+        args = self.option_file(tmp_path, "--sample-size=3")
+        out_file = tmp_path / "sampled.jsonl"
+        assert main(["validate", args, "--in", CORPUS, "--out", str(out_file)]) == 0
+        assert queue_kinds(out_file).count("random_inspection") == 3
+        assert load_manifest(f"{out_file}.manifest.json")["config"]["sample_size"] == 3
+
+        out_flag = tmp_path / "unsampled.jsonl"
+        assert main(["validate", args, "--in", CORPUS, "--out", str(out_flag), "--sample-size", "0"]) == 0
+        assert "random_inspection" not in queue_kinds(out_flag)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         args = self.option_file(tmp_path, "--bogus-key=1")
@@ -1027,11 +1021,13 @@ class TestConfigFile:
         (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--max-claim-words", "5"]),
         (["split", "--in", CORPUS], ["--no-pair-preserving"]),
-        # The split's shares and the language filter's confidence are constants.
+        # The split's shares, the language filter's confidence and the
+        # short-text floor are constants.
         (["split", "--in", CORPUS], ["--train", "0.7"]),
         (["split", "--in", CORPUS], ["--val", "0.2"]),
         (["split", "--in", CORPUS], ["--test", "0.2"]),
         (["validate", "--in", CORPUS], ["--auto-remove-confidence", "0.9"]),
+        (["validate", "--in", CORPUS], ["--min-content-tokens", "0"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--cache-mode", "read_only"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
@@ -1045,8 +1041,8 @@ class TestConfigFile:
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--predictions-out", "predictions.jsonl"]),
     ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving",
-            "train", "val", "test", "auto-remove-confidence", "cache-mode-read-only", "cache-mode-bypass",
-            "report-out", "review-out", "stats-out", "text-out", "predictions-out"])
+            "train", "val", "test", "auto-remove-confidence", "min-content-tokens", "cache-mode-read-only",
+            "cache-mode-bypass", "report-out", "review-out", "stats-out", "text-out", "predictions-out"])
     def test_removed_setting_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)  # a relative path in ``flag`` lands here
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
@@ -1057,14 +1053,14 @@ class TestConfigFile:
         assert [path.name for path in tmp_path.iterdir()] == ["run.args"]
 
     def test_bad_config_value(self, tmp_path, capsys):
-        args = self.option_file(tmp_path, "--min-content-tokens=muitos")
+        args = self.option_file(tmp_path, "--sample-size=muitos")
         assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
         assert "invalid int value: 'muitos'" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
         # Each line is one argument, so neither the old ``key = value`` form,
         # nor a blank line, nor a comment is read as a setting.
-        for line in ("min-content-tokens = 1000", "", "# comment"):
+        for line in ("sample-size = 3", "", "# comment"):
             args = self.option_file(tmp_path, "--seed=1", line)
             assert self.exits_2(["validate", args, "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")]), line
         assert not (tmp_path / "o.jsonl").exists()
@@ -1087,7 +1083,7 @@ class TestConfigFile:
 
     def test_config_flag_exits_2(self, tmp_path):
         conf = tmp_path / "run.conf"
-        conf.write_text("min-content-tokens = 1000\n", encoding="utf-8")
+        conf.write_text("sample-size = 3\n", encoding="utf-8")
         assert self.exits_2(["--config", str(conf), "validate", "--in", CORPUS, "--out", str(tmp_path / "o.jsonl")])
 
 

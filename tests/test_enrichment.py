@@ -7,7 +7,7 @@ import pytest
 from evidencia.clocks import FrozenClock
 from evidencia.enrichment import enrich_one
 from evidencia.providers import KIND_FACTCHECK, KIND_WEB, ProviderFailure
-from evidencia.records import ErrorEvent, FunnelStats
+from evidencia.records import ErrorEvent, funnel
 from evidencia.validation import run_validation
 
 
@@ -161,28 +161,29 @@ class TestDeterminism:
         assert a.to_dict() == b.to_dict()
 
 
-class TestFunnelStats:
+class TestFunnel:
     def test_matches_the_fixture_design(self, enriched):
-        stats = FunnelStats.from_records(enriched.values())
-        assert stats.total == 30
-        assert stats.matched_direct == 23
-        assert stats.extraction_needed == 6
-        assert stats.hard_failed == 1
-        assert stats.total == stats.matched_direct + stats.extraction_needed + stats.hard_failed
-        assert stats.claim_search_errors == 1
-        assert stats.factcheck_hits_original == 2
-        assert stats.factcheck_hits_claim == 1
-        assert sum(stats.match_index_histogram.values()) == stats.matched_direct
-        assert stats.match_index_histogram[1] == 20
-        assert stats.match_index_histogram[2] == 2
-        assert stats.match_index_histogram[3] == 1
+        stats = funnel(enriched.values())
+        assert stats == {
+            "total": 30,
+            "matched_direct": 23,
+            "extraction_needed": 6,
+            "hard_failed": 1,
+            "claim_search_errors": 1,
+            "factcheck_hits_original": 2,
+            "factcheck_hits_claim": 1,
+            "match_index_histogram": {"1": 20, "2": 2, "3": 1},
+        }
+        assert stats["total"] == stats["matched_direct"] + stats["extraction_needed"] + stats["hard_failed"]
 
-    def test_to_dict_round_trip_values(self, enriched):
-        stats = FunnelStats.from_records(enriched.values()).to_dict()
-        assert stats["total"] == 30
-        assert stats["match_index_histogram"] == {"1": 20, "2": 2, "3": 1}
+    def test_keys_keep_their_written_order(self, enriched):
+        # <out>.stats.json is written unsorted, so the order is part of its bytes.
+        stats = funnel(reversed(list(enriched.values())))
+        assert list(stats) == ["total", "matched_direct", "extraction_needed", "hard_failed", "claim_search_errors",
+                               "factcheck_hits_original", "factcheck_hits_claim", "match_index_histogram"]
+        assert list(stats["match_index_histogram"]) == ["1", "2", "3"]
 
     def test_empty(self):
-        stats = FunnelStats.from_records([])
-        assert stats.total == 0
-        assert stats.to_dict()["match_index_histogram"] == {}
+        stats = funnel([])
+        assert stats["total"] == 0
+        assert stats["match_index_histogram"] == {}

@@ -22,6 +22,16 @@ from evidencia.textprep import (
 
 from oracles import make_query_text, reference_query
 
+# Quotation marks and emoji, which build_query removes.
+NOISE = ["\"", "'", "«", "»", "“", "”", "‘", "’", "😀", "🚨", "✅", "❤", "👍"]
+
+
+def query_or_error(text):
+    try:
+        return build_query(text)
+    except SchemaError as exc:
+        return str(exc)
+
 
 class TestBuildQuery:
     def test_short_text_passes_through(self):
@@ -54,6 +64,17 @@ class TestBuildQuery:
     def test_empty_text_rejected(self):
         with pytest.raises(SchemaError, match="no words to search for"):
             build_query("   ")
+
+    @given(st.lists(st.sampled_from(["vacina", "governo", "Urgente!", "hoje.", " ", "\n", *NOISE]), max_size=80)
+           .map("".join))
+    @settings(max_examples=200)
+    def test_quotes_and_emoji_are_stripped_first(self, text):
+        assert query_or_error(text) == query_or_error(strip_emoji(strip_quotes(text)))
+
+    @given(st.lists(st.sampled_from([" ", "\n", *NOISE]), min_size=1).map("".join))
+    def test_only_quotes_and_emoji_leave_no_words(self, text):
+        with pytest.raises(SchemaError, match="no words to search for"):
+            build_query(text)
 
     def test_differential_against_reference_procedure(self):
         rng = random.Random(20240709)

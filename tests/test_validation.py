@@ -59,11 +59,6 @@ class TestInitialFilter:
         assert kept == []
         assert report.removal_reasons["s"] == "too_short"
 
-    def test_threshold_is_configurable(self):
-        report = ValidationReport(input_count=1)
-        kept = filter_initial([item("s", text="vacina chegou cedo hoje")], report, min_content_tokens=3)
-        assert [i.id for i in kept] == ["s"]
-
 
 class TestLanguageFilter:
     def test_confident_foreign_removed(self):
@@ -203,6 +198,24 @@ class TestExternalLabels:
         assert [r.record_ids for r in report.review_items] == [["a"]]
         assert report.to_dict()["external_check_failed"] == ["b"]
 
+    def test_record_with_no_words_is_not_cross_checked(self, tmp_path):
+        # run_validation's initial filter removes such a record first; a
+        # direct call still lists it instead of querying for nothing.
+        plant_factcheck(tmp_path, build_query(LONG)[0], "Falso")
+        replay = FixtureBackend(tmp_path)
+        queried = []
+
+        class Recording:
+            def fetch(self, kind, payload, digest=None):
+                queried.append(payload["query"])
+                return replay.fetch(kind, payload, digest)
+
+        report = ValidationReport(input_count=2)
+        check_external_labels([item("w", text="“😀” \"🙂\""), item("a", label="fake")], Recording(), report)
+        assert report.external_check_failed == ["w"]
+        assert queried == [build_query(LONG)[0]]
+        assert report.review_items == []
+
 
 class TestRandomInspection:
     def test_zero_sample_is_noop(self):
@@ -301,7 +314,7 @@ class TestReviewFile:
             ReviewItem(id="rev-0001", kind="near_dup_conflict", record_ids=["a", "b"], suggestion="remove",
                        context={"labels": {"a": "fake", "b": "true"}}),
             ReviewItem(id="rev-0002", kind="random_inspection", record_ids=["ç"],
-                       decision={"action": "keep"}, decided_by="qa"),
+                       decision={"action": "keep"}),
         ]
         path = tmp_path / "queue.jsonl"
         write_review_items(path, items)

@@ -41,8 +41,8 @@ from evidencia.providers import (  # noqa: E402
     request_hash,
     write_cassette,
 )
-from evidencia.records import FunnelStats, NewsItem, WebResult, read_jsonl, write_news  # noqa: E402
-from evidencia.textprep import build_query, llm_input, strip_emoji, strip_quotes  # noqa: E402
+from evidencia.records import NewsItem, WebResult, funnel, read_jsonl, write_news  # noqa: E402
+from evidencia.textprep import build_query, llm_input  # noqa: E402
 from evidencia.validation import AUTO_REMOVE_CONFIDENCE, run_validation  # noqa: E402
 
 # ------------------------------------------------------------------ corpus
@@ -454,8 +454,7 @@ def build_record_cassettes(rec: NewsItem, template) -> None:
     scenario = SCENARIOS.get(rec.id)
     if scenario is None or scenario["kind"] == "hard_fail":
         return
-    prepared = strip_emoji(strip_quotes(rec.text))
-    query, _ = build_query(prepared)
+    query, _ = build_query(rec.text)
 
     if scenario["kind"] == "direct":
         rank = scenario["rank"]
@@ -508,7 +507,7 @@ def build_record_cassettes(rec: NewsItem, template) -> None:
         save_factcheck(query, FACTCHECKS[rec.id])
 
 
-def verify_enrichment(validated: list[NewsItem]) -> FunnelStats:
+def verify_enrichment(validated: list[NewsItem]) -> dict:
     backend = FixtureBackend(CASSETTES)
     clock = FrozenClock()
     records = [enrich_one(item, backend, clock=clock) for item in validated]
@@ -537,7 +536,7 @@ def verify_enrichment(validated: list[NewsItem]) -> FunnelStats:
             assert any(e.kind == "provider_failure" for e in rec.errors), rec_id
         if scenario.get("factcheck") == "original":
             assert rec.factcheck_query_used == "original", rec_id
-    return FunnelStats.from_records(records)
+    return funnel(records)
 
 
 def build_eval_cassettes(validated: list[NewsItem]) -> int:
@@ -587,15 +586,15 @@ def main() -> None:
 
     write_log()
     stats = verify_enrichment(validated)
-    assert stats.total == len(validated)
-    assert stats.hard_failed == 1, stats.hard_failed
+    assert stats["total"] == len(validated)
+    assert stats["hard_failed"] == 1, stats["hard_failed"]
     n_eval = build_eval_cassettes(validated)
     write_log()
 
     n_cassettes = sum(1 for _ in read_jsonl(CASSETTES / LOG_NAME, lambda raw: raw))
     print(f"{len(RECORDS)} records -> {len(validated)} validated; "
-          f"{stats.matched_direct} direct / {stats.extraction_needed} via claim / "
-          f"{stats.hard_failed} unmatched; {n_eval} eval instances; {n_cassettes} cassettes")
+          f"{stats['matched_direct']} direct / {stats['extraction_needed']} via claim / "
+          f"{stats['hard_failed']} unmatched; {n_eval} eval instances; {n_cassettes} cassettes")
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
@@ -203,15 +204,7 @@ def _read_id_file(path: str) -> list[str]:
 def _read_instances(path: str) -> list[EvalInstance]:
     from .evalkit import EvalInstance
 
-    def parse(raw: dict[str, Any]) -> EvalInstance:
-        return EvalInstance(
-            id=str(raw["id"]),
-            text=raw["text"],
-            label=raw["label"],
-            context=raw.get("context", ""),
-        )
-
-    return list(read_jsonl(path, parse))
+    return list(read_jsonl(path, EvalInstance.from_dict))
 
 
 # ---------------------------------------------------------------- handlers
@@ -270,7 +263,7 @@ def _cmd_dedup(conf: dict[str, Any]) -> Run:
 
 
 def _cmd_review(conf: dict[str, Any]) -> Run:
-    from .validation import ReviewItem, read_review_items
+    from .validation import read_review_items
 
     queue = read_review_items(conf["queue"])
     if conf["decisions"] is not None:
@@ -295,11 +288,11 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
     out = Path(conf["out"])
     skeleton = []
     for item in queue:
-        copy = ReviewItem.from_dict(item.to_dict())
-        copy.decision = {"action": item.suggestion}
+        decision = {"action": item.suggestion}
         if item.kind == "external_label_conflict":
-            copy.decision["label"] = item.context["external_bucket"]
-        skeleton.append(copy)
+            decision["label"] = item.context["external_bucket"]
+        with _naming(conf["queue"]):  # a relabel suggestion with no label to relabel to
+            skeleton.append(replace(item, decision=decision))
     write_review_items(out, skeleton)
     print(f"decision skeleton with {len(skeleton)} item(s) -> {out}")
     return Run([conf["queue"]], [str(out)])

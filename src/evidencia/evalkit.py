@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from . import resources
 from .domains import registrable_domain
 from .records import (CONFIG_KINDS, LABELS, MARKER_RE, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure,
-                      SchemaError)
+                      SchemaError, record)
 
 SHOT_COUNT = 15
 
@@ -78,13 +78,12 @@ def split(items: Sequence[NewsItem], seed: int = 0) -> tuple[list[NewsItem], lis
     return slices[0], slices[1], slices[2]
 
 
-@dataclass(frozen=True)
+@record("instance")
 class EvalInstance:
     """One classification example: text, optional context, gold label.
 
-    Construction rejects a label outside ``LABELS`` and a text or context
-    that is not a string with a SchemaError, so an instances file is
-    checked line by line as it is read.
+    Construction rejects a label outside ``LABELS`` with a SchemaError, so an
+    instances file is checked line by line as it is read.
     """
 
     id: str
@@ -95,8 +94,6 @@ class EvalInstance:
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise SchemaError(f"unknown label {self.label!r} for instance {self.id}")
-        if not (isinstance(self.text, str) and isinstance(self.context, str)):
-            raise SchemaError(f"instance {self.id}: text and context must be strings")
 
 
 def _clean_field(text: str) -> str:

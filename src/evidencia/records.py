@@ -4,6 +4,15 @@ One record per line, UTF-8, keys sorted on output so that identical inputs
 produce byte-identical files. Unknown fields found on disk are preserved in
 ``extra`` and written back on serialization.
 
+Each record type is a ``@record`` class: its dataclass fields are the one
+table of its on-disk contract, and ``from_dict``/``to_dict`` are derived
+from it. A field's annotation is the JSON type ``from_dict`` checks, its
+default is what an absent key reads as, and an ``optional`` field is left
+out by ``to_dict`` while it holds that default. Types are checked where
+JSON is read, in ``from_dict``; a constructor checks only the value rules
+of ``__post_init__`` (vocabularies, cross-field rules), so code that builds
+a record is trusted to pass the declared types.
+
 ``write_text`` is the one writer of output files: every record file,
 sidecar, report and manifest goes through it, and it replaces a file whole
 or not at all. ``read_jsonl`` is the one reader of record files.
@@ -14,9 +23,9 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 LABELS = ("fake", "true")
 CORPORA = ("fakebr", "covid19br", "mumin_pt")
@@ -38,6 +47,8 @@ MARKER_RE = re.compile(r"</?b>")
 
 T = TypeVar("T")
 
+NoneType = type(None)
+
 
 class SchemaError(ValueError):
     """Raised when a record violates the on-disk contract."""
@@ -47,7 +58,166 @@ class ProviderFailure(RuntimeError):
     """A provider call failed for good after any retries."""
 
 
-@dataclass(frozen=True)
+class _Mistyped(Exception):
+    """A JSON value of a type its field does not take; ``from_dict`` turns it
+    into a SchemaError naming the field."""
+
+
+def _wrong(value: Any) -> Any:
+    raise _Mistyped(value)
+
+
+def optional(default: Any = None) -> Any:
+    """A field that ``to_dict`` leaves out while it holds ``default``, which
+    is empty: None, "", [] or {}. A list or dict default gives each record
+    its own."""
+    if isinstance(default, (list, dict)):
+        return field(default_factory=type(default), metadata={"left_out_at": default})
+    return field(default=default, metadata={"left_out_at": default})
+
+
+def _unwrap(tp: Any) -> Any:
+    """``tp`` without its ``| None``."""
+    args = get_args(tp)
+    return next(a for a in args if a is not NoneType) if NoneType in args else tp
+
+
+def _reader(tp: Any) -> tuple[dict[type, Callable[[Any], Any] | None], str]:
+    """How a field annotated ``tp`` is read from JSON, and what its value
+    must be, for messages. The first maps each JSON type the field takes,
+    exactly (a bool is no int), to the function that converts a value of it
+    or checks inside it, or to None when the value is kept as it is."""
+    if _unwrap(tp) is not tp:
+        accepts, desc = _reader(_unwrap(tp))
+        return {**accepts, NoneType: None}, f"{desc} or null"
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is list:
+        each, desc = _reader(args[0])
+        if None in each.values():
+            def parse_list(values: list) -> list:
+                for value in values:
+                    if type(value) not in each:
+                        _wrong(value)
+                return values
+        elif hasattr(args[0], "from_dict"):  # which itself refuses a value that is no object
+            read = args[0].from_dict
+
+            def parse_list(values: list) -> list:
+                return list(map(read, values))
+        else:
+            def parse_list(values: list) -> list:
+                return [each.get(type(v), _wrong)(v) for v in values]
+        return {list: parse_list}, f"a list of {desc.partition(' ')[2]}s"  # "a string" -> "a list of strings"
+    if origin is dict and args[1] is str:
+        def parse_dict(values: dict) -> dict:
+            for value in values.values():
+                if type(value) is not str:
+                    _wrong(value)
+            return values
+        return {dict: parse_dict}, "an object of strings"
+    if origin is dict:
+        return {dict: None}, "an object"
+    if tp is float:
+        return {int: float, float: float}, "a number"
+    if hasattr(tp, "from_dict"):
+        return {dict: tp.from_dict}, "an object"
+    return {tp: None}, {str: "a string", int: "an integer", bool: "true or false"}[tp]
+
+
+def _writer(tp: Any) -> Callable[[Any], Any] | None:
+    """How ``to_dict`` writes a field annotated ``tp`` when it is not None: a
+    nested record, or a list of them, through their ``to_dict``; None for
+    anything else, which is written as it is."""
+    tp = _unwrap(tp)
+    if hasattr(tp, "to_dict"):
+        return tp.to_dict
+    if get_origin(tp) is list and hasattr(get_args(tp)[0], "to_dict"):
+        write = get_args(tp)[0].to_dict
+        return lambda values: list(map(write, values))
+    return None
+
+
+def record(noun: str) -> Callable[[type[T]], type[T]]:
+    """Make the decorated class a frozen dataclass whose ``from_dict`` and
+    ``to_dict`` follow its fields, and whose ``FIELDS`` maps each field to
+    its ``_reader`` row.
+
+    ``from_dict(raw)`` takes a JSON object: it checks each known key's value
+    against the field's annotation, converts nested records and numbers,
+    ignores unknown keys (or keeps them in an ``extra`` field, when there is
+    one) and raises SchemaError, naming ``noun`` (with the record's ``id``,
+    when it has one) and the field, for a value of the wrong type or a
+    missing required field. ``to_dict()`` writes every field except an
+    ``optional`` one holding its default, and then applies the class's
+    ``_write_rule(self, out)``, if it defines one.
+    """
+
+    def build(cls: type[T]) -> type[T]:
+        cls = dataclass(frozen=True)(cls)
+        hints = get_type_hints(cls)
+        cls.FIELDS = {f.name: _reader(hints[f.name]) for f in fields(cls)}
+        table = {name: accepts for name, (accepts, _) in cls.FIELDS.items()}
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        # (name, the value it is left out at or MISSING, its writer) for each
+        # field that to_dict does not simply copy
+        specials = [(f.name, f.metadata.get("left_out_at", MISSING), _writer(hints[f.name])) for f in fields(cls)]
+        specials = [row for row in specials if row[1:] != (MISSING, None)]
+        write_rule = getattr(cls, "_write_rule", None)
+        keeps_extra = "extra" in table
+
+        def where(raw: dict[str, Any]) -> str:
+            ident = raw.get("id")
+            return f"{noun} {ident}" if type(ident) is str and ident else noun
+
+        def from_dict(raw: dict[str, Any]) -> T:
+            if type(raw) is not dict:
+                raise SchemaError(f"{noun}: expected an object, got {type(raw).__name__}")
+            converted = {}
+            known = 0
+            try:
+                for key, value in raw.items():
+                    accepts = table.get(key)
+                    if accepts is not None:
+                        known += 1
+                        parse = accepts.get(type(value), _wrong)
+                        if parse is not None:
+                            converted[key] = parse(value)
+            except _Mistyped as exc:
+                raise SchemaError(f"{where(raw)}: {key} must be {cls.FIELDS[key][1]}, "
+                                  f"got {type(exc.args[0]).__name__}") from None
+            kwargs = {**raw, **converted} if converted else raw
+            if known < len(raw):  # unknown keys: dropped, or kept in ``extra``
+                kwargs = {k: v for k, v in kwargs.items() if k in table}
+                if keeps_extra:
+                    kwargs["extra"] = {**kwargs.get("extra", {}), **{k: v for k, v in raw.items() if k not in table}}
+            try:
+                return cls(**kwargs)
+            except TypeError:  # the constructor's complaint about a missing argument, unless none is missing
+                missing = [name for name in required if name not in kwargs]
+                if not missing:
+                    raise
+                raise SchemaError(f"{where(raw)}: missing required field {missing[0]!r}") from None
+
+        def to_dict(self: T) -> dict[str, Any]:
+            out = self.__dict__.copy()
+            for name, default, dump in specials:
+                value = out[name]
+                if not value and value == default:  # "not" first spares most compares: defaults are empty
+                    del out[name]
+                elif dump is not None and value is not None:
+                    out[name] = dump(value)
+            if write_rule is not None:
+                write_rule(self, out)
+            return out
+
+        cls.from_dict = staticmethod(from_dict)
+        cls.to_dict = to_dict
+        return cls
+
+    return build
+
+
+@record("record")
 class NewsItem:
     """A single labeled news text from one of the source corpora."""
 
@@ -55,10 +225,10 @@ class NewsItem:
     corpus: str
     text: str
     label: str
-    pair_id: str | None = None
-    source_url: str | None = None
-    published_at: str | None = None
-    extra: dict[str, Any] = field(default_factory=dict)
+    pair_id: str | None = optional()
+    source_url: str | None = optional()
+    published_at: str | None = optional()
+    extra: dict[str, Any] = optional({})
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -67,178 +237,50 @@ class NewsItem:
             raise SchemaError(f"unknown corpus {self.corpus!r} for record {self.id}")
         if self.label not in LABELS:
             raise SchemaError(f"unknown label {self.label!r} for record {self.id}")
-        if not isinstance(self.text, str):
-            raise SchemaError(f"text must be a string for record {self.id}")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "corpus": self.corpus,
-            "text": self.text,
-            "label": self.label,
-        }
-        if self.pair_id is not None:
-            out["pair_id"] = self.pair_id
-        if self.source_url is not None:
-            out["source_url"] = self.source_url
-        if self.published_at is not None:
-            out["published_at"] = self.published_at
-        if self.extra:
-            out["extra"] = self.extra
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "NewsItem":
-        if not isinstance(raw, dict):
-            raise SchemaError(f"expected an object, got {type(raw).__name__}")
-        known = {"id", "corpus", "text", "label", "pair_id", "source_url", "published_at", "extra"}
-        extra = dict(raw.get("extra") or {})
-        for key in raw:
-            if key not in known:
-                extra[key] = raw[key]
-        try:
-            return cls(
-                id=str(raw["id"]),
-                corpus=raw["corpus"],
-                text=raw["text"],
-                label=raw["label"],
-                pair_id=raw.get("pair_id"),
-                source_url=raw.get("source_url"),
-                published_at=raw.get("published_at"),
-                extra=extra,
-            )
-        except KeyError as exc:
-            raise SchemaError(f"missing required field {exc.args[0]!r}") from None
 
 
-def _check_strings(what: str, obj: Any, names: tuple[str, ...], optional: bool = False) -> None:
-    """SchemaError unless each named field of ``obj`` is a string (or None,
-    when ``optional``)."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (isinstance(value, str) or optional and value is None):
-            raise SchemaError(f"{what} {name} must be a string, got {type(value).__name__}")
-
-
-def _check_int(what: str, value: Any) -> None:
-    """SchemaError unless ``value`` is an int (a bool, float or string is not)."""
-    if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, got {type(value).__name__}")
-
-
-def _score(value: Any) -> float:
-    """A match score read from a file: an int or a float, as a float."""
-    if type(value) not in (int, float):
-        raise SchemaError(f"a match score must be a number, got {type(value).__name__}")
-    return float(value)
-
-
-@dataclass(frozen=True)
+@record("web result")
 class WebResult:
     """One web search result; rank is 1-based within the response. Title
     and snippet keep the response's highlight markers (``MARKER_RE``)."""
 
     rank: int
-    title: str
-    link: str
-    snippet: str
-
-    def __post_init__(self) -> None:
-        _check_int("web result rank", self.rank)
-        _check_strings("web result", self, ("title", "link", "snippet"))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rank": self.rank, "title": self.title, "link": self.link, "snippet": self.snippet}
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "WebResult":
-        return cls(
-            rank=raw["rank"],
-            title=raw.get("title", ""),
-            link=raw.get("link", ""),
-            snippet=raw.get("snippet", ""),
-        )
+    title: str = ""
+    link: str = ""
+    snippet: str = ""
 
 
-@dataclass(frozen=True)
+@record("fact-check result")
 class ClaimReviewResult:
     """One fact-check review, the first review attached to a returned claim."""
 
     rank: int
-    claim_text: str
-    publisher_name: str
-    publisher_site: str
-    textual_rating: str
-    review_url: str
-    claimant: str | None = None
-    claim_date: str | None = None
-    review_date: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_int("fact-check result rank", self.rank)
-        _check_strings("fact-check result", self, ("claim_text", "publisher_name", "publisher_site",
-                                                   "textual_rating", "review_url"))
-        _check_strings("fact-check result", self, ("claimant", "claim_date", "review_date"), optional=True)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "rank": self.rank,
-            "claim_text": self.claim_text,
-            "publisher_name": self.publisher_name,
-            "publisher_site": self.publisher_site,
-            "textual_rating": self.textual_rating,
-            "review_url": self.review_url,
-        }
-        if self.claimant is not None:
-            out["claimant"] = self.claimant
-        if self.claim_date is not None:
-            out["claim_date"] = self.claim_date
-        if self.review_date is not None:
-            out["review_date"] = self.review_date
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ClaimReviewResult":
-        return cls(
-            rank=raw["rank"],
-            claim_text=raw.get("claim_text", ""),
-            publisher_name=raw.get("publisher_name", ""),
-            publisher_site=raw.get("publisher_site", ""),
-            textual_rating=raw.get("textual_rating", ""),
-            review_url=raw.get("review_url", ""),
-            claimant=raw.get("claimant"),
-            claim_date=raw.get("claim_date"),
-            review_date=raw.get("review_date"),
-        )
+    claim_text: str = ""
+    publisher_name: str = ""
+    publisher_site: str = ""
+    textual_rating: str = ""
+    review_url: str = ""
+    claimant: str | None = optional()
+    claim_date: str | None = optional()
+    review_date: str | None = optional()
 
 
-@dataclass(frozen=True)
+@record("error")
 class ErrorEvent:
     """A per-record pipeline error, kept on the record rather than raised."""
 
     stage: str
     kind: str
-    detail: str = ""
+    detail: str = optional("")
 
     def __post_init__(self) -> None:
         if self.stage not in ERROR_STAGES:
             raise SchemaError(f"unknown error stage {self.stage!r}")
         if self.kind not in ERROR_KINDS:
             raise SchemaError(f"unknown error kind {self.kind!r}")
-        _check_strings("error", self, ("detail",))
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"stage": self.stage, "kind": self.kind}
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ErrorEvent":
-        return cls(stage=raw["stage"], kind=raw["kind"], detail=raw.get("detail", ""))
 
 
-@dataclass(frozen=True)
+@record("enriched record")
 class EnrichedRecord:
     """A news item plus everything the enrichment flow attached to it.
 
@@ -252,74 +294,32 @@ class EnrichedRecord:
     query_kind: str
     initial_results: list[WebResult] = field(default_factory=list)
     match_scores: list[float] = field(default_factory=list)
-    match_index: int | None = None
-    claim: str | None = None
+    match_index: int | None = optional()
+    claim: str | None = optional()
     claim_enforced: bool = False
-    claim_results: list[WebResult] | None = None
+    claim_results: list[WebResult] | None = optional()
     factcheck_results: list[ClaimReviewResult] = field(default_factory=list)
     factcheck_query_used: str = "none"
-    errors: list[ErrorEvent] = field(default_factory=list)
-    timestamps: dict[str, str] = field(default_factory=dict)
+    errors: list[ErrorEvent] = optional([])
+    timestamps: dict[str, str] = optional({})
 
     def __post_init__(self) -> None:
-        _check_strings(f"record {self.item.id}", self, ("query",))
-        _check_strings(f"record {self.item.id}", self, ("claim",), optional=True)
-        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.timestamps.items()):
-            raise SchemaError(f"record {self.item.id} timestamps must map strings to strings")
         if self.query_kind not in QUERY_KINDS:
             raise SchemaError(f"unknown query kind {self.query_kind!r}")
         if self.factcheck_query_used not in FACTCHECK_QUERY_USED:
             raise SchemaError(f"unknown factcheck_query_used {self.factcheck_query_used!r}")
         if self.match_index is not None and self.claim is not None:
             raise SchemaError(f"record {self.item.id} has both match_index and claim")
-        if self.match_index is not None:
-            _check_int(f"record {self.item.id} match_index", self.match_index)
-            if not 1 <= self.match_index <= len(self.initial_results):
-                raise SchemaError(f"match_index {self.match_index} out of range for record {self.item.id}")
+        if self.match_index is not None and not 1 <= self.match_index <= len(self.initial_results):
+            raise SchemaError(f"match_index {self.match_index} out of range for record {self.item.id}")
         if self.factcheck_query_used == "claim" and self.claim is None:
             raise SchemaError(f"record {self.item.id} used claim query without a claim")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "item": self.item.to_dict(),
-            "query": self.query,
-            "query_kind": self.query_kind,
-            "initial_results": [r.to_dict() for r in self.initial_results],
-            "match_scores": self.match_scores,
-            "factcheck_results": [r.to_dict() for r in self.factcheck_results],
-            "factcheck_query_used": self.factcheck_query_used,
-        }
-        if self.match_index is not None:
-            out["match_index"] = self.match_index
-        if self.claim is not None:
-            out["claim"] = self.claim
-            out["claim_enforced"] = self.claim_enforced
-        if self.claim_results is not None:
-            out["claim_results"] = [r.to_dict() for r in self.claim_results]
-        if self.errors:
-            out["errors"] = [e.to_dict() for e in self.errors]
-        if self.timestamps:
-            out["timestamps"] = self.timestamps
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "EnrichedRecord":
-        claim_results = raw.get("claim_results")
-        return cls(
-            item=NewsItem.from_dict(raw["item"]),
-            query=raw["query"],
-            query_kind=raw["query_kind"],
-            initial_results=[WebResult.from_dict(r) for r in raw.get("initial_results", [])],
-            match_scores=[_score(s) for s in raw.get("match_scores", [])],
-            match_index=raw.get("match_index"),
-            claim=raw.get("claim"),
-            claim_enforced=bool(raw.get("claim_enforced", False)),
-            claim_results=None if claim_results is None else [WebResult.from_dict(r) for r in claim_results],
-            factcheck_results=[ClaimReviewResult.from_dict(r) for r in raw.get("factcheck_results", [])],
-            factcheck_query_used=raw.get("factcheck_query_used", "none"),
-            errors=[ErrorEvent.from_dict(e) for e in raw.get("errors", [])],
-            timestamps=dict(raw.get("timestamps", {})),
-        )
+    def _write_rule(self, out: dict[str, Any]) -> None:
+        """``claim_enforced`` says how the claim was made: it is written
+        beside a claim and left out without one."""
+        if self.claim is None:
+            del out["claim_enforced"]
 
 
 def funnel(records: Iterable[EnrichedRecord]) -> dict[str, Any]:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from . import resources
 from .dedup import DedupCluster, cluster, near_duplicates
 from .langid import LanguageDetector, TrigramDetector
-from .records import LABELS, NewsItem, ProviderFailure, SchemaError, read_jsonl, write_jsonl
+from .records import LABELS, NewsItem, ProviderFailure, SchemaError, optional, read_jsonl, record, write_jsonl
 from .textprep import build_query, content_token_count, find_urls, strip_urls
 
 if TYPE_CHECKING:
@@ -50,19 +50,15 @@ _KIND_STAGE = {
 }
 
 
-def _is_str_list(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-@dataclass
+@record("review")
 class ReviewItem:
     """One judgment call for a human, plus the eventual decision.
 
-    Construction rejects an unknown kind, ``record_ids`` or decision ``ids``
-    that are not a list of strings, an ``external_label_conflict`` whose
-    ``context.external_bucket`` is no label, and a malformed decision with a
-    SchemaError, so a queue or decisions file is checked line by line as it
-    is read. ``from_dict`` ignores keys it does not know.
+    Construction rejects an unknown kind, a suggestion outside
+    ``DECISION_ACTIONS``, an ``external_label_conflict`` whose
+    ``context.external_bucket`` is no label, and a malformed decision with
+    a SchemaError, so a queue or decisions file is checked line by line as
+    it is read. ``from_dict`` ignores keys it does not know.
     """
 
     id: str
@@ -70,24 +66,23 @@ class ReviewItem:
     record_ids: list[str]
     suggestion: str = "keep"
     context: dict[str, Any] = field(default_factory=dict)
-    decision: dict[str, Any] | None = None
+    decision: dict[str, Any] | None = optional()
 
     def __post_init__(self) -> None:
         if self.kind not in REVIEW_KINDS:
             raise SchemaError(f"unknown review kind {self.kind!r}")
-        if not _is_str_list(self.record_ids):
-            raise SchemaError(f"review {self.id}: record_ids must be a list of strings")
+        if self.suggestion not in DECISION_ACTIONS:
+            raise SchemaError(f"review {self.id}: unknown suggestion {self.suggestion!r}")
         if self.kind == "external_label_conflict" and self.context.get("external_bucket") not in LABELS:
             raise SchemaError(f"review {self.id}: an external_label_conflict needs a label as context.external_bucket")
         decision = self.decision
         if decision is None:
             return
-        if not isinstance(decision, dict):
-            raise SchemaError(f"review {self.id}: decision must be an object")
         action = decision.get("action")
         if action not in DECISION_ACTIONS:
             raise SchemaError(f"review {self.id}: unknown action {action!r}")
-        if not _is_str_list(decision.get("ids", [])):
+        ids = decision.get("ids", [])
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise SchemaError(f"review {self.id}: decision ids must be a list of strings")
         unknown = [i for i in self.targets if i not in self.record_ids]
         if unknown:
@@ -103,29 +98,6 @@ class ReviewItem:
     def targets(self) -> list[str]:
         """The records a decision acts on: its ``ids``, else all the item's records."""
         return self.decision.get("ids", self.record_ids) if self.decision is not None else []
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "kind": self.kind,
-            "record_ids": self.record_ids,
-            "suggestion": self.suggestion,
-            "context": self.context,
-        }
-        if self.decision is not None:
-            out["decision"] = self.decision
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict[str, Any]) -> "ReviewItem":
-        return cls(
-            id=raw["id"],
-            kind=raw["kind"],
-            record_ids=raw["record_ids"],
-            suggestion=raw.get("suggestion", "keep"),
-            context=dict(raw.get("context", {})),
-            decision=raw.get("decision"),
-        )
 
 
 def read_review_items(path: str | Path) -> list[ReviewItem]:

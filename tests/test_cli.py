@@ -517,6 +517,7 @@ class TestExitCodes:
             ("web-rank-bool", {"claim": "c", "claim_results": [{"rank": True}]}),
             ("review-rank-string", {"factcheck_results": [{"rank": "1"}]}),
             ("match-score-string", {"match_scores": ["0.5"]}),
+            ("claim-enforced-string", {"claim": "c", "claim_enforced": "no"}),
         ]
         for run in (["analyze"], ["build-config", "--kind", "enriched_filtered"])
     ] + [
@@ -525,6 +526,22 @@ class TestExitCodes:
                                    "suggestion": "relabel", "context": context}) + "\n",
                      ["review", "--queue", "{bad}", "--out", "{out}"], id=f"review-queue-{name}")
         for name, context in [("no-bucket", {"stored_label": "true"}), ("bucket-not-a-label", {"external_bucket": "x"})]
+    ] + [
+        # A queue line that validate never writes: its skeleton would not read back as decisions.
+        pytest.param(json.dumps({"id": "rev-0001", "kind": "random_inspection", "record_ids": ["cv_0001"],
+                                 **fields}) + "\n",
+                     ["review", "--queue", "{bad}", "--out", "{out}"], id=f"review-queue-{name}")
+        for name, fields in [("suggestion-int", {"suggestion": 5}), ("suggestion-unknown", {"suggestion": "ban"}),
+                             ("context-list", {"context": [["a", "b"]]}), ("id-int", {"id": 5})]
+    ] + [
+        # An id read as "None" or "7" would pass for another record's; a pair_id of the wrong type
+        # fails the Fake.br rules with a traceback.
+        pytest.param(json.dumps({"id": "cv_0001", "corpus": "covid19br", "label": "fake", "text": "t"}) + "\n"
+                     + json.dumps({"id": "cv_0002", "corpus": "fakebr", "label": "fake", "text": "t", **fields}) + "\n",
+                     [*run, "--in", "{bad}"], id=f"news-{name}-{run[0]}")
+        for name, fields in [("id-null", {"id": None}), ("id-int", {"id": 7}), ("pair-id-list", {"pair_id": ["p"]}),
+                             ("source-url-int", {"source_url": 5}), ("published-at-int", {"published_at": 20200101})]
+        for run in (["validate", "--out", "{out}"], ["split", "--out-dir", "{out}"])
     ])
     def test_bad_field_exits_2_and_names_the_line(self, tmp_path, capsys, content, argv):
         bad = tmp_path / "bad.jsonl"
@@ -533,11 +550,11 @@ class TestExitCodes:
         assert f"error: {bad}:{content.count(chr(10))}: " in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [bad]
 
-    # An instance with a label outside the two, or a text or context that
-    # is not a string, exits 2 naming the file and line, as --in or as
+    # An instance with a label outside the two, or an id, text or context
+    # that is not a string, exits 2 naming the file and line, as --in or as
     # --shots-from.
-    @pytest.mark.parametrize("fields", [{"label": "falso"}, {"text": 5}, {"context": ["busca"]}],
-                             ids=["label-falso", "text-int", "context-list"])
+    @pytest.mark.parametrize("fields", [{"label": "falso"}, {"text": 5}, {"context": ["busca"]}, {"id": 7}],
+                             ids=["label-falso", "text-int", "context-list", "id-int"])
     @pytest.mark.parametrize("option", ["--in", "--shots-from"])
     def test_bad_instance_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, fields, option):
         good = {"id": "x", "text": "t", "label": "fake"}

@@ -1,22 +1,31 @@
 """Record schema: invariants, serialization round-trips, JSONL IO."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evidencia.evalkit import EvalInstance
 from evidencia.records import (
+    ERROR_KINDS,
+    ERROR_STAGES,
+    LABELS,
+    QUERY_KINDS,
     ClaimReviewResult,
     EnrichedRecord,
     ErrorEvent,
     NewsItem,
     SchemaError,
     WebResult,
+    dumps_record,
     read_enriched,
     read_news,
     write_enriched,
     write_jsonl,
     write_news,
 )
+from evidencia.validation import DECISION_ACTIONS, REVIEW_KINDS, ReviewItem
 
 ids = st.text(alphabet="abcdefghij0123456789_", min_size=1, max_size=12)
 texts = st.text(max_size=120)
@@ -27,19 +36,104 @@ news_items = st.builds(
     id=ids,
     corpus=st.sampled_from(["fakebr", "covid19br", "mumin_pt"]),
     text=texts,
-    label=st.sampled_from(["fake", "true"]),
+    label=st.sampled_from(LABELS),
     pair_id=optional_str,
     source_url=optional_str,
     published_at=optional_str,
     extra=st.dictionaries(st.text(min_size=1, max_size=8), st.integers(), max_size=3),
 )
+web_results = st.builds(WebResult, rank=st.integers(1, 10), title=texts, link=texts, snippet=texts)
+review_results = st.builds(
+    ClaimReviewResult, rank=st.integers(1, 10), claim_text=texts, publisher_name=texts, publisher_site=texts,
+    textual_rating=texts, review_url=texts, claimant=optional_str, claim_date=optional_str, review_date=optional_str)
+error_events = st.builds(ErrorEvent, stage=st.sampled_from(ERROR_STAGES), kind=st.sampled_from(ERROR_KINDS),
+                         detail=texts)
+eval_instances = st.builds(EvalInstance, id=ids, text=texts, label=st.sampled_from(LABELS), context=texts)
+
+
+@st.composite
+def enriched_records(draw):
+    results = draw(st.lists(web_results, max_size=3))
+    outcome = draw(st.sampled_from(["match", "claim", "neither"]))
+    claim = draw(texts) if outcome == "claim" else None
+    return EnrichedRecord(
+        item=draw(news_items),
+        query=draw(texts),
+        query_kind=draw(st.sampled_from(QUERY_KINDS)),
+        initial_results=results,
+        match_scores=draw(st.lists(st.floats(allow_nan=False) | st.integers(-5, 5), max_size=3)),
+        match_index=draw(st.integers(1, len(results))) if outcome == "match" and results else None,
+        claim=claim,
+        claim_enforced=claim is not None and draw(st.booleans()),  # written only beside a claim
+        claim_results=draw(st.none() | st.lists(web_results, max_size=2)),
+        factcheck_results=draw(st.lists(review_results, max_size=2)),
+        factcheck_query_used=draw(st.sampled_from(["original", "none"] + ["claim"] * (claim is not None))),
+        errors=draw(st.lists(error_events, max_size=2)),
+        timestamps=draw(st.dictionaries(st.sampled_from(ERROR_STAGES), texts, max_size=2)),
+    )
+
+
+@st.composite
+def review_items(draw):
+    record_ids = draw(st.lists(ids, min_size=1, max_size=3))
+    kind = draw(st.sampled_from(REVIEW_KINDS))
+    context = draw(st.dictionaries(st.text(max_size=8), st.integers() | texts, max_size=2))
+    if kind == "external_label_conflict":
+        context["external_bucket"] = draw(st.sampled_from(LABELS))
+    decision = draw(st.none() | st.fixed_dictionaries(
+        {"action": st.sampled_from(["keep", "remove"])},
+        optional={"ids": st.lists(st.sampled_from(record_ids), max_size=2)}))
+    return ReviewItem(id=draw(ids), kind=kind, record_ids=record_ids, suggestion=draw(st.sampled_from(DECISION_ACTIONS)),
+                      context=context, decision=decision)
+
+
+RECORDS = {
+    NewsItem: news_items,
+    WebResult: web_results,
+    ClaimReviewResult: review_results,
+    ErrorEvent: error_events,
+    EnrichedRecord: enriched_records(),
+    EvalInstance: eval_instances,
+    ReviewItem: review_items(),
+}
+
+# One JSON value of each type, and a valid object of each record type.
+JSON_VALUES = [None, True, 5, 1.5, "x", ["x"], {"x": "x"}]
+VALID = {
+    NewsItem: {"id": "x", "corpus": "fakebr", "text": "t", "label": "fake"},
+    WebResult: {"rank": 1},
+    ClaimReviewResult: {"rank": 1},
+    ErrorEvent: {"stage": "initial_search", "kind": "provider_failure"},
+    EnrichedRecord: {"item": {"id": "x", "corpus": "fakebr", "text": "t", "label": "fake"}, "query": "q",
+                     "query_kind": "full_text"},
+    EvalInstance: {"id": "x", "text": "t", "label": "fake"},
+    ReviewItem: {"id": "rev-0001", "kind": "random_inspection", "record_ids": ["x"]},
+}
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    @given(data=st.data())
+    def test_round_trip(self, cls, data):
+        record = data.draw(RECORDS[cls])
+        assert cls.from_dict(json.loads(dumps_record(record.to_dict()))) == record
+
+    @pytest.mark.parametrize("cls,name", [
+        pytest.param(cls, name, id=f"{cls.__name__}-{name}") for cls in RECORDS for name in cls.FIELDS
+    ])
+    def test_value_of_the_wrong_json_type_names_the_field(self, cls, name):
+        accepts, _ = cls.FIELDS[name]
+        wrong = [value for value in JSON_VALUES if type(value) not in accepts]
+        assert wrong, f"{cls.__name__}.{name} takes any JSON value"
+        for value in wrong:
+            with pytest.raises(SchemaError, match=rf"\b{name} must be "):
+                cls.from_dict({**VALID[cls], name: value})
+
+    def test_valid_objects_read(self):
+        assert all(cls.from_dict(raw) for cls, raw in VALID.items())
 
 
 class TestNewsItem:
-    @given(news_items)
-    def test_round_trip(self, item):
-        assert NewsItem.from_dict(item.to_dict()) == item
-
     def test_unknown_fields_collect_into_extra(self):
         item = NewsItem.from_dict(
             {"id": "x", "corpus": "fakebr", "text": "t", "label": "fake", "tweet_id": 99}
@@ -50,6 +144,8 @@ class TestNewsItem:
         item = NewsItem(id="x", corpus="fakebr", text="t", label="fake")
         assert set(item.to_dict()) == {"id", "corpus", "text", "label"}
 
+    # Value rules hold on construction; a value's JSON type is checked where
+    # it is read, so a text of 7 is refused by from_dict, not the constructor.
     @pytest.mark.parametrize(
         "patch",
         [{"id": ""}, {"corpus": "reddit"}, {"label": "maybe"}, {"text": 7}],
@@ -58,10 +154,10 @@ class TestNewsItem:
         base = dict(id="x", corpus="fakebr", text="t", label="fake")
         base.update(patch)
         with pytest.raises(SchemaError):
-            NewsItem(**base)
+            NewsItem.from_dict(base)
 
     def test_missing_required_field(self):
-        with pytest.raises(SchemaError, match="missing required field"):
+        with pytest.raises(SchemaError, match="missing required field 'label'"):
             NewsItem.from_dict({"id": "x", "corpus": "fakebr", "text": "t"})
 
 
@@ -150,6 +246,10 @@ class TestEnrichedRecord:
     def test_round_trip_minimal(self):
         record = make_enriched()
         assert EnrichedRecord.from_dict(record.to_dict()) == record
+
+    def test_claim_enforced_written_beside_a_claim_only(self):
+        assert "claim_enforced" not in make_enriched().to_dict()
+        assert make_enriched(claim="c").to_dict()["claim_enforced"] is False
 
 
 class TestJsonlIO:

@@ -291,8 +291,7 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
         decision = {"action": item.suggestion}
         if item.kind == "external_label_conflict":
             decision["label"] = item.context["external_bucket"]
-        with _naming(conf["queue"]):  # a relabel suggestion with no label to relabel to
-            skeleton.append(replace(item, decision=decision))
+        skeleton.append(replace(item, decision=decision))
     write_review_items(out, skeleton)
     print(f"decision skeleton with {len(skeleton)} item(s) -> {out}")
     return Run([conf["queue"]], [str(out)])

@@ -146,50 +146,54 @@ def record(noun: str) -> Callable[[type[T]], type[T]]:
     against the field's annotation, converts nested records and numbers,
     ignores unknown keys (or keeps them in an ``extra`` field, when there is
     one) and raises SchemaError, naming ``noun`` (with the record's ``id``,
-    when it has one) and the field, for a value of the wrong type or a
-    missing required field. ``to_dict()`` writes every field except an
-    ``optional`` one holding its default, and then applies the class's
-    ``_write_rule(self, out)``, if it defines one.
+    or its nested record's, when there is one) and the field, for a value
+    of the wrong type or a missing required field. ``to_dict()`` writes
+    every field except an ``optional`` one holding its default, and then
+    applies the class's ``_write_rule(self, out)``, if it defines one.
     """
 
     def build(cls: type[T]) -> type[T]:
         cls = dataclass(frozen=True)(cls)
         hints = get_type_hints(cls)
         cls.FIELDS = {f.name: _reader(hints[f.name]) for f in fields(cls)}
-        table = {name: accepts for name, (accepts, _) in cls.FIELDS.items()}
+        table = {name: (name, accepts) for name, (accepts, _) in cls.FIELDS.items()}
         required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-        # (name, the value it is left out at or MISSING, its writer) for each
-        # field that to_dict does not simply copy
-        specials = [(f.name, f.metadata.get("left_out_at", MISSING), _writer(hints[f.name])) for f in fields(cls)]
-        specials = [row for row in specials if row[1:] != (MISSING, None)]
+        # What to_dict does beyond copying the fields: write nested records
+        # through their to_dict, then leave out each optional field that holds
+        # its default, which is None or, for the rest, any empty value.
+        nested = [(f.name, dump) for f in fields(cls) if (dump := _writer(hints[f.name]))]
+        left_out_at_none = [f.name for f in fields(cls) if f.metadata.get("left_out_at", MISSING) is None]
+        left_out_empty = [f.name for f in fields(cls) if f.metadata.get("left_out_at") not in (MISSING, None)]
         write_rule = getattr(cls, "_write_rule", None)
         keeps_extra = "extra" in table
+        # A record is named by its own id or, without one, by its nested
+        # record's: an enriched record by its item's.
+        named_by = next((f.name for f in fields(cls) if "id" in getattr(hints[f.name], "FIELDS", ())), None)
 
         def where(raw: dict[str, Any]) -> str:
-            ident = raw.get("id")
+            holder = raw if "id" in table else raw.get(named_by)
+            ident = holder.get("id") if type(holder) is dict else None
             return f"{noun} {ident}" if type(ident) is str and ident else noun
 
         def from_dict(raw: dict[str, Any]) -> T:
             if type(raw) is not dict:
                 raise SchemaError(f"{noun}: expected an object, got {type(raw).__name__}")
-            converted = {}
-            known = 0
+            # Keyed by the field names themselves: the constructor matches a
+            # keyword by identity first, and a key json.loads made is an equal
+            # but different string, which costs a compare with each parameter.
+            kwargs = {}
             try:
                 for key, value in raw.items():
-                    accepts = table.get(key)
-                    if accepts is not None:
-                        known += 1
+                    row = table.get(key)
+                    if row is not None:
+                        name, accepts = row
                         parse = accepts.get(type(value), _wrong)
-                        if parse is not None:
-                            converted[key] = parse(value)
+                        kwargs[name] = value if parse is None else parse(value)
             except _Mistyped as exc:
                 raise SchemaError(f"{where(raw)}: {key} must be {cls.FIELDS[key][1]}, "
                                   f"got {type(exc.args[0]).__name__}") from None
-            kwargs = {**raw, **converted} if converted else raw
-            if known < len(raw):  # unknown keys: dropped, or kept in ``extra``
-                kwargs = {k: v for k, v in kwargs.items() if k in table}
-                if keeps_extra:
-                    kwargs["extra"] = {**kwargs.get("extra", {}), **{k: v for k, v in raw.items() if k not in table}}
+            if keeps_extra and len(kwargs) < len(raw):  # unknown keys go to ``extra``; elsewhere they are dropped
+                kwargs["extra"] = {**kwargs.get("extra", {}), **{k: v for k, v in raw.items() if k not in table}}
             try:
                 return cls(**kwargs)
             except TypeError:  # the constructor's complaint about a missing argument, unless none is missing
@@ -200,12 +204,16 @@ def record(noun: str) -> Callable[[type[T]], type[T]]:
 
         def to_dict(self: T) -> dict[str, Any]:
             out = self.__dict__.copy()
-            for name, default, dump in specials:
+            for name, dump in nested:
                 value = out[name]
-                if not value and value == default:  # "not" first spares most compares: defaults are empty
-                    del out[name]
-                elif dump is not None and value is not None:
+                if value:
                     out[name] = dump(value)
+            for name in left_out_at_none:
+                if out[name] is None:
+                    del out[name]
+            for name in left_out_empty:
+                if not out[name]:
+                    del out[name]
             if write_rule is not None:
                 write_rule(self, out)
             return out

@@ -55,7 +55,8 @@ class ReviewItem:
     """One judgment call for a human, plus the eventual decision.
 
     Construction rejects an unknown kind, a suggestion outside
-    ``DECISION_ACTIONS``, an ``external_label_conflict`` whose
+    ``DECISION_ACTIONS``, a ``relabel`` suggestion on any kind but
+    ``external_label_conflict``, an ``external_label_conflict`` whose
     ``context.external_bucket`` is no label, and a malformed decision with
     a SchemaError, so a queue or decisions file is checked line by line as
     it is read. ``from_dict`` ignores keys it does not know.
@@ -73,6 +74,8 @@ class ReviewItem:
             raise SchemaError(f"unknown review kind {self.kind!r}")
         if self.suggestion not in DECISION_ACTIONS:
             raise SchemaError(f"review {self.id}: unknown suggestion {self.suggestion!r}")
+        if self.suggestion == "relabel" and self.kind != "external_label_conflict":
+            raise SchemaError(f"review {self.id}: only an external_label_conflict can suggest relabel")
         if self.kind == "external_label_conflict" and self.context.get("external_bucket") not in LABELS:
             raise SchemaError(f"review {self.id}: an external_label_conflict needs a label as context.external_bucket")
         decision = self.decision

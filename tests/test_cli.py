@@ -532,7 +532,8 @@ class TestExitCodes:
                                  **fields}) + "\n",
                      ["review", "--queue", "{bad}", "--out", "{out}"], id=f"review-queue-{name}")
         for name, fields in [("suggestion-int", {"suggestion": 5}), ("suggestion-unknown", {"suggestion": "ban"}),
-                             ("context-list", {"context": [["a", "b"]]}), ("id-int", {"id": 5})]
+                             ("context-list", {"context": [["a", "b"]]}), ("id-int", {"id": 5}),
+                             ("relabel-without-conflict", {"suggestion": "relabel"})]
     ] + [
         # An id read as "None" or "7" would pass for another record's; a pair_id of the wrong type
         # fails the Fake.br rules with a traceback.

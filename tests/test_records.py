@@ -78,12 +78,13 @@ def review_items(draw):
     record_ids = draw(st.lists(ids, min_size=1, max_size=3))
     kind = draw(st.sampled_from(REVIEW_KINDS))
     context = draw(st.dictionaries(st.text(max_size=8), st.integers() | texts, max_size=2))
+    suggestions = DECISION_ACTIONS if kind == "external_label_conflict" else ("keep", "remove")
     if kind == "external_label_conflict":
         context["external_bucket"] = draw(st.sampled_from(LABELS))
     decision = draw(st.none() | st.fixed_dictionaries(
         {"action": st.sampled_from(["keep", "remove"])},
         optional={"ids": st.lists(st.sampled_from(record_ids), max_size=2)}))
-    return ReviewItem(id=draw(ids), kind=kind, record_ids=record_ids, suggestion=draw(st.sampled_from(DECISION_ACTIONS)),
+    return ReviewItem(id=draw(ids), kind=kind, record_ids=record_ids, suggestion=draw(st.sampled_from(suggestions)),
                       context=context, decision=decision)
 
 
@@ -214,6 +215,13 @@ class TestEnrichedRecord:
             make_enriched(initial_results=results, match_index=2)
         with pytest.raises(SchemaError, match="out of range"):
             make_enriched(initial_results=results, match_index=0)
+
+    # An enriched record has no id of its own; a type error names its item's.
+    def test_type_error_names_the_item_id(self):
+        raw = {"item": {"id": "cv_0002", "corpus": "covid19br", "text": "t", "label": "fake"},
+               "query": 5, "query_kind": "full_text"}
+        with pytest.raises(SchemaError, match="^enriched record cv_0002: query must be a string, got int$"):
+            EnrichedRecord.from_dict(raw)
 
     def test_claim_query_requires_claim(self):
         with pytest.raises(SchemaError, match="claim query without a claim"):

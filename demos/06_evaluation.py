@@ -19,7 +19,7 @@ from evidencia.evalkit import (
     split,
 )
 from evidencia.langid import TrigramDetector
-from evidencia.providers import FixtureBackend, LlmRequest, llm_generate
+from evidencia.providers import FixtureBackend, llm_generate
 from evidencia.records import read_news
 from evidencia.validation import run_validation
 
@@ -44,7 +44,7 @@ def main():
     print(f"  ... ({len(sample.splitlines())} lines total)")
 
     backend = FixtureBackend(FIXTURES / "cassettes")
-    generate = lambda head, rest: llm_generate(LlmRequest(prompt=head + rest), backend)
+    generate = lambda head, rest: llm_generate(head + rest, backend)
     predictions, errors = few_shot_classify(instances, shots, generate)
 
     print("\nanswers")

@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
+from . import resources
 from .domains import aggregate_domain
 from .records import EnrichedRecord, NewsItem
 from .textprep import find_urls, split_sentences, word_tokens
@@ -57,17 +58,16 @@ def domain_distribution(records: Sequence[EnrichedRecord]) -> dict[str, int]:
 
 def rating_distribution(records: Sequence[EnrichedRecord]) -> dict[str, object]:
     """Counts of (publisher, normalized textual rating) plus the coarse
-    true-versus-everything-else aggregate."""
+    true-versus-everything-else aggregate, whose ``true`` is a rating the
+    rating map buckets as true, as validation's external label check reads it."""
+    buckets = resources.rating_map()
     per_pair: Counter[tuple[str, str]] = Counter()
     aggregate = {"true": 0, "rest": 0}
     for rec in records:
         for review in rec.factcheck_results:
             rating = review.textual_rating.strip().lower()
             per_pair[(review.publisher_name, rating)] += 1
-            if rating == "verdadeiro":
-                aggregate["true"] += 1
-            else:
-                aggregate["rest"] += 1
+            aggregate["true" if buckets.get(rating) == "true" else "rest"] += 1
     table = [
         {"publisher": pub, "rating": rating, "count": count}
         for (pub, rating), count in sorted(per_pair.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -6,15 +6,16 @@ argparse reads every option. ``@FILE`` after the subcommand reads further
 arguments from FILE, one UTF-8 line each (``--seed=1``): a later flag wins,
 and an option the subcommand lacks exits 2 as it does on the command line.
 ``main`` refuses an option value that is empty, holds a NUL byte or is not
-UTF-8, and an ``--out`` that names no file, before any handler runs. Each
-handler writes its sidecars at fixed names beside ``--out`` (such as
-``<out>.report.json``) and returns a ``Run`` naming what it wrote; ``main``
-then writes one manifest (resource hashes, input hashes, provider mode,
-config snapshot) at ``<out>.manifest.json``, or ``<out-dir>/manifest.json``
-for split, and applies the error-rate gate. A run with neither option, such
-as ``review --decisions``, writes no manifest. Every output file, the
-manifest included, goes through ``records.write_text``; only the response
-log is written otherwise, appended to by ``providers._append``.
+UTF-8, an ``--out`` that names no file, and a number out of its option's
+range, before any handler runs. Each handler writes its sidecars at fixed
+names beside ``--out`` (such as ``<out>.report.json``) and returns a ``Run``
+naming what it wrote; ``main`` then writes one manifest (resource hashes,
+input hashes, provider mode, config snapshot) at ``<out>.manifest.json``, or
+``<out-dir>/manifest.json`` for split, and applies the error-rate gate. A
+run with neither option, such as ``review --decisions``, writes no
+manifest. Every output file, the manifest included, goes through
+``records.write_text``; only the response log is written otherwise,
+appended to by ``providers._append``.
 
 Exit codes: 0 success; 1 per-record error rate above --max-error-rate, or
 a bug, which leaves ``main`` as an exception with its traceback; 2 bad
@@ -33,13 +34,13 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from importlib import import_module
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__ as VERSION
 from .records import (
     CONFIG_KINDS,
-    DEFAULT_MODEL,
     PROMPT_PATTERNS,
     EnrichedRecord,
     NewsItem,
@@ -204,7 +205,7 @@ def _read_id_file(path: str) -> list[str]:
 def _read_instances(path: str) -> list[EvalInstance]:
     from .evalkit import EvalInstance
 
-    return list(read_jsonl(path, EvalInstance.from_dict))
+    return list(read_jsonl(path, EvalInstance.from_dict, attrgetter("id")))
 
 
 # ---------------------------------------------------------------- handlers
@@ -301,15 +302,13 @@ def _cmd_enrich(conf: dict[str, Any]) -> Run:
     from .claims import load_template
 
     workers = conf["parallelism"]
-    if workers < 1:
-        raise ConfigError("--parallelism must be at least 1")
     backend, clock = _provider(conf)
     items = read_news(conf["in"])
     template = load_template(conf["claim_template"])
 
     def enrich(item: NewsItem) -> EnrichedRecord:
         with _naming(f"{conf['in']}: record {item.id}"):  # a text with no words to search for
-            return enrich_one(item, backend, clock, template, conf["model"])
+            return enrich_one(item, backend, clock, template)
 
     if workers == 1:
         records = [enrich(item) for item in items]
@@ -434,7 +433,7 @@ def _cmd_build_config(conf: dict[str, Any]) -> Run:
 
 def _cmd_evaluate(conf: dict[str, Any]) -> Run:
     from .evalkit import score, select_shots
-    from .providers import LlmRequest, llm_generate, prompt_hasher
+    from .providers import llm_generate, prompt_hasher
 
     backend, _ = _provider(conf)
     instances = _read_instances(conf["in"])
@@ -450,8 +449,8 @@ def _cmd_evaluate(conf: dict[str, Any]) -> Run:
 
     def generate(head: str, rest: str) -> str:
         if head not in hashers:
-            hashers[head] = prompt_hasher(conf["model"], head)
-        return llm_generate(LlmRequest(prompt=head + rest, model=conf["model"]), backend, hashers[head](rest))
+            hashers[head] = prompt_hasher(head)
+        return llm_generate(head + rest, backend, hashers[head](rest))
 
     predictions, errors = few_shot_classify(instances, shots, generate)
     result = score([inst.label for inst in instances], predictions)
@@ -532,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--out", required=True, help="enriched records output; funnel statistics go to <out>.stats.json")
     opt("--parallelism", type=int, default=1, help="concurrent records")
     opt("--claim-template", default="main", choices=PROMPT_PATTERNS, help="claim extraction prompt pattern")
-    opt("--model", default=DEFAULT_MODEL, help="generation model name")
     opt("--max-error-rate", type=float, default=1.0,
         help="exit 1 when the share of records with errors exceeds this")
     provider_options(opt)
@@ -557,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--shots-from", required=True, help="training instances the 15 shots are drawn from")
     opt("--out", required=True, help="results JSON output; per-instance predictions go to <out>.predictions.jsonl")
     opt("--seed", type=int, default=0, help="shot sampling seed")
-    opt("--model", default=DEFAULT_MODEL, help="generation model name")
     opt("--max-error-rate", type=float, default=1.0,
         help="exit 1 when the share of provider failures exceeds this")
     provider_options(opt)
@@ -589,7 +586,8 @@ def _expand_option_files(parser: argparse.ArgumentParser, args: Sequence[str]) -
 def _check_options(conf: dict[str, Any]) -> None:
     """Refuse an option value that is empty, holds a NUL byte (no path can)
     or cannot be encoded as UTF-8 (no output file or manifest can hold it),
-    and an ``--out`` such as ``/`` or ``.`` that names no file."""
+    an ``--out`` such as ``/`` or ``.`` that names no file, and a number
+    out of its option's range (a NaN ``--max-error-rate`` switches no gate off)."""
     for key, value in conf.items():
         if not isinstance(value, str):
             continue
@@ -604,6 +602,12 @@ def _check_options(conf: dict[str, Any]) -> None:
             raise ConfigError(f"{option} {value!r} cannot be encoded as UTF-8") from None
     if conf.get("out") and not Path(conf["out"]).name:
         raise ConfigError(f"--out {conf['out']!r} names no file")
+    if not 0 <= conf.get("max_error_rate", 0) <= 1:  # NaN fails both comparisons
+        raise ConfigError(f"--max-error-rate {conf['max_error_rate']} is not a share between 0 and 1")
+    if conf.get("sample_size", 0) < 0:
+        raise ConfigError(f"--sample-size {conf['sample_size']} is negative")
+    if conf.get("parallelism", 1) < 1:
+        raise ConfigError("--parallelism must be at least 1")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

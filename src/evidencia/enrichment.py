@@ -14,38 +14,25 @@ from typing import Any, Callable
 from .claims import ClaimPromptTemplate, extract_claim, load_template
 from .clocks import Clock, SystemClock
 from .matching import first_match
-from .providers import (
-    Backend,
-    FactCheckRequest,
-    LlmRequest,
-    WebSearchRequest,
-    factcheck_search,
-    llm_generate,
-    web_search,
-)
-from .records import DEFAULT_MODEL, EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure
+from .providers import Backend, factcheck_search, llm_generate, web_search
+from .records import EnrichedRecord, ErrorEvent, NewsItem, ProviderFailure
 from .textprep import build_query
 
 
 def _search(
-    search: Callable[[Any, Backend], list[Any]], request: Any, backend: Backend, stage: str, errors: list[ErrorEvent]
+    search: Callable[[str, Backend], list[Any]], query: str, backend: Backend, stage: str, errors: list[ErrorEvent]
 ) -> list[Any] | None:
-    """``search(request, backend)``, or None after recording a provider
+    """``search(query, backend)``, or None after recording a provider
     failure under ``stage``."""
     try:
-        return search(request, backend)
+        return search(query, backend)
     except ProviderFailure as exc:
         errors.append(ErrorEvent(stage, "provider_failure", str(exc)))
         return None
 
 
-def enrich_one(
-    item: NewsItem,
-    backend: Backend,
-    clock: Clock | None = None,
-    template: ClaimPromptTemplate | None = None,
-    model: str = DEFAULT_MODEL,
-) -> EnrichedRecord:
+def enrich_one(item: NewsItem, backend: Backend, clock: Clock | None = None,
+               template: ClaimPromptTemplate | None = None) -> EnrichedRecord:
     """Enrich one record; ``template`` defaults to the ``main`` claim prompt."""
     clock = clock or SystemClock()
     template = template or load_template()
@@ -54,7 +41,7 @@ def enrich_one(
 
     query, query_kind = build_query(item.text)
 
-    results = _search(web_search, WebSearchRequest(query=query), backend, "initial_search", errors) or []
+    results = _search(web_search, query, backend, "initial_search", errors) or []
     timestamps["initial_search"] = clock.utc_instant()
 
     scores, match_index = first_match(query, results)
@@ -63,31 +50,25 @@ def enrich_one(
     claim_enforced = False
     claim_results = None
     if match_index is None:
-        outcome = extract_claim(
-            item.text,
-            lambda prompt: llm_generate(LlmRequest(prompt=prompt, model=model), backend),
-            template=template,
-        )
+        outcome = extract_claim(item.text, lambda prompt: llm_generate(prompt, backend), template=template)
         timestamps["claim_extraction"] = clock.utc_instant()
         if outcome.error is not None:
             errors.append(outcome.error)
         claim = outcome.claim
         claim_enforced = outcome.enforced
         if claim is not None:
-            claim_results = _search(web_search, WebSearchRequest(query=claim), backend, "claim_search", errors)
+            claim_results = _search(web_search, claim, backend, "claim_search", errors)
             if claim_results == []:
                 errors.append(ErrorEvent("claim_search", "empty_results", "claim search returned nothing"))
             claim_results = claim_results or []
             timestamps["claim_search"] = clock.utc_instant()
 
     factcheck_query_used = "none"
-    factcheck_results = _search(factcheck_search, FactCheckRequest(query=query), backend, "factcheck_search",
-                                errors) or []
+    factcheck_results = _search(factcheck_search, query, backend, "factcheck_search", errors) or []
     if factcheck_results:
         factcheck_query_used = "original"
     elif claim is not None:
-        factcheck_results = _search(factcheck_search, FactCheckRequest(query=claim), backend, "factcheck_search",
-                                    errors) or []
+        factcheck_results = _search(factcheck_search, claim, backend, "factcheck_search", errors) or []
         if factcheck_results:
             factcheck_query_used = "claim"
     timestamps["factcheck_search"] = clock.utc_instant()

@@ -30,7 +30,9 @@ hashing the head once: JSON escapes each character on its own, so the
 canonical text of ``head + rest`` is that of ``head`` with the escaped rest
 put in after it.
 
-The parsing helpers (``web_search``, ``factcheck_search``, ``llm_generate``)
+The call helpers (``web_search``, ``factcheck_search``, ``llm_generate``)
+take the query or the prompt, which the request types make a payload with
+this module's constant settings (the model ``LLM_MODEL`` among them). They
 sit on top of any backend, so cached, recorded and live responses go through
 identical code. A body of the wrong shape raises ``ProviderFailure``; a null
 text field reads as ``""``.
@@ -47,7 +49,7 @@ from pathlib import Path
 from typing import Any, Callable, Protocol
 
 from .clocks import Clock, SystemClock
-from .records import DEFAULT_MODEL, ClaimReviewResult, ProviderFailure, SchemaError, WebResult, loads_line, read_jsonl
+from .records import ClaimReviewResult, ProviderFailure, SchemaError, WebResult, loads_line, read_jsonl
 
 KIND_WEB = "web_search"
 KIND_FACTCHECK = "factcheck"
@@ -58,10 +60,6 @@ ENV_SEARCH_CX = "EVD_SEARCH_CX"
 ENV_FACTCHECK_KEY = "EVD_FACTCHECK_KEY"
 ENV_LLM_KEY = "EVD_LLM_KEY"
 
-WEB_SEARCH_URL = "https://www.googleapis.com/customsearch/v1"
-FACTCHECK_URL = "https://factchecktools.googleapis.com/v1alpha1/claims:search"
-LLM_URL_TEMPLATE = "https://generativelanguage.googleapis.com/v1beta/models/{model}:generateContent"
-
 LOG_NAME = "responses.jsonl"
 
 MAX_RETRIES = 3
@@ -70,18 +68,24 @@ BACKOFF_MULTIPLIER = 2.0
 
 
 # The paper's fixed request settings: five pt-BR results per web search,
-# five fact-check claims, safety filters off for generation.
+# five fact-check claims, Gemini 1.5 Flash with safety filters off for
+# generation.
 WEB_RESULTS = 5
 WEB_GEO = "pt-BR"
 WEB_LANG_RESTRICT = "lang_pt"
 FACTCHECK_LANGUAGE = "pt-BR"
 FACTCHECK_PAGE_SIZE = 5
+LLM_MODEL = "gemini-1.5-flash"
 SAFETY_CATEGORIES = (
     "HARM_CATEGORY_HARASSMENT",
     "HARM_CATEGORY_HATE_SPEECH",
     "HARM_CATEGORY_SEXUALLY_EXPLICIT",
     "HARM_CATEGORY_DANGEROUS_CONTENT",
 )
+
+WEB_SEARCH_URL = "https://www.googleapis.com/customsearch/v1"
+FACTCHECK_URL = "https://factchecktools.googleapis.com/v1alpha1/claims:search"
+LLM_URL = f"https://generativelanguage.googleapis.com/v1beta/models/{LLM_MODEL}:generateContent"
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,9 @@ class FactCheckRequest:
 @dataclass(frozen=True)
 class LlmRequest:
     prompt: str
-    model: str = DEFAULT_MODEL
 
     def payload(self) -> dict[str, Any]:
-        return {"prompt": self.prompt, "model": self.model, "safety_off": True}
+        return {"prompt": self.prompt, "model": LLM_MODEL, "safety_off": True}
 
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
@@ -122,16 +125,16 @@ def request_hash(kind: str, payload: dict[str, Any]) -> str:
     return hashlib.sha256(_canonical(kind, payload).encode("utf-8")).hexdigest()
 
 
-def prompt_hasher(model: str, head: str) -> Callable[[str], str]:
-    """``digest(rest)``, equal to ``request_hash(KIND_LLM, LlmRequest(head + rest,
-    model).payload())``, with the canonical text up to the end of ``head``
+def prompt_hasher(head: str) -> Callable[[str], str]:
+    """``digest(rest)``, equal to ``request_hash(KIND_LLM, LlmRequest(head +
+    rest).payload())``, with the canonical text up to the end of ``head``
     encoded and hashed here, once.
 
     Nothing after the prompt in the canonical text holds a backslash, so the
     escape of a marker put after ``head``, the text's last backslash, marks
     where the rest goes.
     """
-    prefix, _, suffix = _canonical(KIND_LLM, LlmRequest(head + _MARK, model).payload()).rpartition(
+    prefix, _, suffix = _canonical(KIND_LLM, LlmRequest(head + _MARK).payload()).rpartition(
         _ENCODER.encode(_MARK)[1:-1])
     state = hashlib.sha256(prefix.encode("utf-8"))
     tail = suffix.encode("utf-8")
@@ -228,13 +231,12 @@ class LiveBackend:
             }
             return "GET", FACTCHECK_URL, params, None
         if kind == KIND_LLM:
-            url = LLM_URL_TEMPLATE.format(model=payload["model"])
             params = {"key": self._credential(ENV_LLM_KEY)}
             body = {
                 "contents": [{"parts": [{"text": payload["prompt"]}]}],
                 "safetySettings": [{"category": cat, "threshold": "BLOCK_NONE"} for cat in SAFETY_CATEGORIES],
             }
-            return "POST", url, params, body
+            return "POST", LLM_URL, params, body
         raise ProviderFailure(f"unknown provider kind {kind!r}")
 
     def _credential(self, name: str) -> str:
@@ -406,8 +408,8 @@ def _text(obj: dict[str, Any], key: str) -> str:
     return _optional(obj, key) or ""
 
 
-def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:
-    body = _object(backend.fetch(KIND_WEB, request.payload()), KIND_WEB)
+def web_search(query: str, backend: Backend) -> list[WebResult]:
+    body = _object(backend.fetch(KIND_WEB, WebSearchRequest(query).payload()), KIND_WEB)
     results = []
     for i, item in enumerate(_list(body, "items")[:WEB_RESULTS]):
         item = _object(item, "items")
@@ -422,8 +424,8 @@ def web_search(request: WebSearchRequest, backend: Backend) -> list[WebResult]:
     return results
 
 
-def factcheck_search(request: FactCheckRequest, backend: Backend) -> list[ClaimReviewResult]:
-    body = _object(backend.fetch(KIND_FACTCHECK, request.payload()), KIND_FACTCHECK)
+def factcheck_search(query: str, backend: Backend) -> list[ClaimReviewResult]:
+    body = _object(backend.fetch(KIND_FACTCHECK, FactCheckRequest(query).payload()), KIND_FACTCHECK)
     results = []
     for claim in _list(body, "claims")[:FACTCHECK_PAGE_SIZE]:
         claim = _object(claim, "claims")
@@ -448,10 +450,10 @@ def factcheck_search(request: FactCheckRequest, backend: Backend) -> list[ClaimR
     return results
 
 
-def llm_generate(request: LlmRequest, backend: Backend, digest: str | None = None) -> str:
+def llm_generate(prompt: str, backend: Backend, digest: str | None = None) -> str:
     """The first candidate's text; ``digest``, when given, is the request's
     hash (see ``prompt_hasher``)."""
-    body = _object(backend.fetch(KIND_LLM, request.payload(), digest), KIND_LLM)
+    body = _object(backend.fetch(KIND_LLM, LlmRequest(prompt).payload(), digest), KIND_LLM)
     candidates = _list(body, "candidates")
     if not candidates:
         raise ProviderFailure("generation response carries no candidates")

@@ -15,7 +15,8 @@ a record is trusted to pass the declared types.
 
 ``write_text`` is the one writer of output files: every record file,
 sidecar, report and manifest goes through it, and it replaces a file whole
-or not at all. ``read_jsonl`` is the one reader of record files.
+or not at all. ``read_jsonl`` is the one reader of record files; given a
+``key``, it refuses a repeated record id.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
@@ -36,8 +38,7 @@ FACTCHECK_QUERY_USED = ("original", "claim", "none")
 
 # Option vocabularies the CLI parser offers. They live here, with the other
 # vocabularies, so that building the parser loads no module that acts on
-# them; providers, claims and evalkit re-export the ones they use.
-DEFAULT_MODEL = "gemini-1.5-flash"
+# them; claims and evalkit re-export the ones they use.
 PROMPT_PATTERNS = ("main", "detection", "role_framed", "query_extraction", "few_shot")
 CONFIG_KINDS = ("original", "validated", "enriched_full", "enriched_filtered")
 
@@ -384,14 +385,19 @@ def loads_line(line: bytes) -> Any:
     return value
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
+def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T],
+               key: Callable[[T], str] | None = None) -> Iterator[T]:
     """Yield ``parse(obj)`` for the JSON object on each non-blank line.
 
     A line that ``loads_line`` refuses, that holds no JSON object, or that
     ``parse`` rejects with a ValueError (SchemaError among them), KeyError
     or TypeError (a missing field, or one of the wrong type), raises
-    SchemaError naming the file and line. Lines end with ``\n`` or ``\r\n``.
+    SchemaError naming the file and line. So does a record whose id, read
+    by ``key`` when given, an earlier line's had: records are looked up by
+    id downstream, where one of the two would be lost. Lines end with ``\n``
+    or ``\r\n``.
     """
+    first_line: dict[str, int] = {}
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -402,13 +408,17 @@ def read_jsonl(path: str | Path, parse: Callable[[dict[str, Any]], T]) -> Iterat
                 if not isinstance(raw, dict):
                     raise SchemaError(f"expected an object, got {type(raw).__name__}")
                 parsed = parse(raw)
+                if key is not None:
+                    ident = key(parsed)
+                    if first_line.setdefault(ident, lineno) != lineno:
+                        raise SchemaError(f"id {ident!r} repeats line {first_line[ident]}'s")
             except (ValueError, KeyError, TypeError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             yield parsed
 
 
 def read_news(path: str | Path) -> list[NewsItem]:
-    return list(read_jsonl(path, NewsItem.from_dict))
+    return list(read_jsonl(path, NewsItem.from_dict, attrgetter("id")))
 
 
 def write_news(path: str | Path, items: Iterable[NewsItem]) -> None:
@@ -416,7 +426,7 @@ def write_news(path: str | Path, items: Iterable[NewsItem]) -> None:
 
 
 def read_enriched(path: str | Path) -> list[EnrichedRecord]:
-    return list(read_jsonl(path, EnrichedRecord.from_dict))
+    return list(read_jsonl(path, EnrichedRecord.from_dict, attrgetter("item.id")))
 
 
 def write_enriched(path: str | Path, records: Iterable[EnrichedRecord]) -> None:

@@ -14,6 +14,8 @@ import hashlib
 from functools import lru_cache
 from importlib import resources as _importlib_resources
 
+from .records import LABELS
+
 
 def _root():
     return _importlib_resources.files("evidencia") / "data"
@@ -94,7 +96,7 @@ def rating_map() -> dict[str, str]:
         rating, _, bucket = line.partition("=>")
         rating = rating.strip().lower()
         bucket = bucket.strip().lower()
-        if not rating or bucket not in ("fake", "true"):
+        if not rating or bucket not in LABELS:
             raise ValueError(f"bad rating_map line: {line!r}")
         mapping[rating] = bucket
     return mapping

@@ -250,7 +250,7 @@ def check_external_labels(
     no words to search for, or whose lookup fails, is listed in
     ``report.external_check_failed``; in ``run_validation`` the initial
     filter has already removed every record with no words."""
-    from .providers import FactCheckRequest, factcheck_search  # here, so a run without a provider loads none
+    from .providers import factcheck_search  # here, so a run without a provider loads none
 
     mapping = resources.rating_map()
     for item in records:
@@ -260,7 +260,7 @@ def check_external_labels(
             report.external_check_failed.append(item.id)
             continue
         try:
-            reviews = factcheck_search(FactCheckRequest(query=query), backend)
+            reviews = factcheck_search(query, backend)
         except ProviderFailure:
             report.external_check_failed.append(item.id)
             continue

@@ -2,6 +2,7 @@
 
 import pytest
 
+from evidencia import resources
 from evidencia.analytics import (
     cluster_size_histogram,
     domain_distribution,
@@ -104,6 +105,25 @@ class TestRatingDistribution:
         assert table == {("Lupa", "falso"): 1, ("Aos Fatos", "falso"): 1,
                          ("Lupa", "verdadeiro"): 1}
         assert dist["aggregate"] == {"true": 1, "rest": 2}
+
+    def test_true_follows_the_rating_map(self, monkeypatch):
+        # A wording added to the map counts as true here, as it buckets as
+        # true in validation's external label check.
+        mapping = {**resources.rating_map(), "correto": "true"}
+        monkeypatch.setattr(resources, "rating_map", lambda: mapping)
+        records = [enriched("a", factcheck_results=[review("Lupa", "Correto"), review("Lupa", "Verdadeiro"),
+                                                    review("Lupa", "Falso"), review("Lupa", "Impreciso")])]
+        assert rating_distribution(records)["aggregate"] == {"true": 2, "rest": 2}
+
+    def test_map_refuses_a_bucket_that_is_no_label(self, monkeypatch):
+        monkeypatch.setattr(resources, "resource_lines", lambda name: ["correto => other"])
+        resources.rating_map.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="bad rating_map line"):
+                resources.rating_map()
+        finally:
+            monkeypatch.undo()
+            resources.rating_map.cache_clear()
 
     def test_empty(self):
         dist = rating_distribution([])

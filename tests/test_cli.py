@@ -70,8 +70,8 @@ MANIFEST_DIGESTS = {
     "analysis.json.manifest.json": "803b483ca5a9a2e57ca0dbfde14c0fb3ea8808673c7edf197faaae26faceea2e",
     "clusters.jsonl.manifest.json": "ac1300f3d278587bd9080145d2fd857ca40b9d2eef163fd61e7107636d8745f1",
     "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
-    "enriched.jsonl.manifest.json": "2d0faadba2db81a83b9e69c4608bde9386c56df739ca6fdd794c33c7b067d88d",
-    "evaluation.json.manifest.json": "1179a4945f01372aad964325d38650b79ef51d99168d0709baead6e74356111f",
+    "enriched.jsonl.manifest.json": "69a7a8df0b5e418c4732f3b52a13e3654f655ed681553d0cd160d143c26c1c54",
+    "evaluation.json.manifest.json": "9c6d25e7e7f5ae99a8497965e06ce4efc73d510836cc72fb67e5dd5f214f6890",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
     "splits/manifest.json": "25f78fae1a68478834e9bc25ab30645ec0b6c5fbe84785ebfdff379822939572",
     "validated.jsonl.manifest.json": "5ab59816b209f38fc10e6fef2aba20160540c6b5a711e3f968a09edf7d733f54",
@@ -569,6 +569,44 @@ class TestExitCodes:
         assert f"error: {bad}:2: " in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [bad]
 
+    # Records are looked up by id downstream (validate's decisions, dedup's
+    # clusters, evaluate's shot exclusion), where one of two records with one
+    # id would be lost: a line whose id repeats an earlier line's exits 2
+    # naming the file, the line and the id, in every subcommand that reads it.
+    @pytest.mark.parametrize("content,argv", [
+        pytest.param("".join(json.dumps({"id": "x", "corpus": "covid19br", "label": label, "text": text}) + "\n"
+                             for label, text in (("fake", "um texto"), ("true", "outro texto"))),
+                     argv, id=f"news-{argv[0]}")
+        for argv in (["validate", "--in", "{bad}", "--out", "{out}/v.jsonl"],
+                     ["validate", "--in", "{bad}", "--out", "{out}/v.jsonl", "--decisions", "{keep}"],
+                     ["dedup", "--in", "{bad}", "--out", "{out}/c.jsonl"],
+                     ["split", "--in", "{bad}", "--out-dir", "{out}"],
+                     ["analyze", "--in", "{bad}", "--out", "{out}/a.json"],
+                     ["build-config", "--in", "{bad}", "--out", "{out}/i.jsonl", "--kind", "validated"])
+    ] + [
+        pytest.param(ENRICHED_LINE.replace("{fields}", '"claim": "c"') + ENRICHED_LINE.replace(", {fields}", ""),
+                     argv, id=f"enriched-{argv[0]}")
+        for argv in (["analyze", "--in", "{bad}", "--out", "{out}/a.json"],
+                     ["build-config", "--in", "{bad}", "--out", "{out}/i.jsonl", "--kind", "enriched_full"])
+    ] + [
+        pytest.param('{"id": "x", "text": "um", "label": "fake"}\n{"id": "x", "text": "dois", "label": "true"}\n',
+                     ["evaluate", *files, "--out", "{out}/r.json", "--provider", "fixture", "--fixtures", str(CASSETTES)],
+                     id=f"evaluate-{name}")
+        for name, files in (("in", ["--in", "{bad}", "--shots-from", "{train}"]),
+                            ("shots-from", ["--in", "{test}", "--shots-from", "{bad}"]))
+    ])
+    def test_repeated_id_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, content, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content, encoding="utf-8")
+        keep = tmp_path / "keep.jsonl"
+        keep.write_text(json.dumps({"id": "rev-0001", "kind": "random_inspection", "record_ids": ["x"],
+                                    "decision": {"action": "keep"}}) + "\n", encoding="utf-8")
+        paths = {"bad": bad, "keep": keep, "out": tmp_path / "out", "train": pipeline["splits"] / "train.jsonl",
+                 "test": pipeline["splits"] / "test.jsonl"}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert f"error: {bad}:2: id 'x' repeats line 1's" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad, keep]
+
     def test_decisions_with_an_external_conflict_without_a_label_exit_2(self, tmp_path, capsys):
         item = {"id": "rev-0001", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
                 "suggestion": "relabel", "context": {"stored_label": "true", "external_bucket": "fake"}}
@@ -595,7 +633,7 @@ class TestRefusedOptions:
     """An option value no run can use exits 2 naming the option, before any
     handler runs, so nothing is written: an empty value, a NUL byte (here
     from a command-line word and from an option-file line), a value that is
-    not UTF-8, and an --out that names no file."""
+    not UTF-8, an --out that names no file, and a number out of range."""
 
     @pytest.mark.parametrize("argv,option", [
         (["dedup", "--in", CORPUS, "--out", "a\0b.jsonl"], "--out"),
@@ -611,12 +649,19 @@ class TestRefusedOptions:
         (["analyze", "--in", CORPUS, "--out", "a.json", "--clusters", ""], "--clusters"),
         (["enrich", "--in", CORPUS, "--out", "e.jsonl", "--provider", "fixture", "--fixtures", str(CASSETTES),
           "--cache", ""], "--cache"),
-        (["enrich", "--in", CORPUS, "--out", "e.jsonl", "--provider", "fixture", "--fixtures", str(CASSETTES),
-          "--model", ""], "--model"),
         (["review", "--queue", "{queue}", "--decisions", ""], "--decisions"),
+        # A number out of its option's range: a gate that NaN or infinity
+        # switches off, or that a negative share makes fail every run, and a
+        # sample that would silently draw nothing.
+        *[(["enrich", "--in", CORPUS, "--out", "e.jsonl", "--provider", "fixture", "--fixtures", str(CASSETTES),
+            "--max-error-rate", rate], "--max-error-rate") for rate in ("nan", "inf", "-1", "1.5")],
+        (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--out", "r.json", "--provider", "fixture",
+          "--fixtures", str(CASSETTES), "--max-error-rate", "-0.1"], "--max-error-rate"),
+        (["validate", "--in", CORPUS, "--out", "v.jsonl", "--sample-size", "-3"], "--sample-size"),
     ], ids=["nul", "nul-from-option-file", "out-empty", "out-root", "out-dot", "out-not-utf8", "in-empty",
             "out-dir-empty", "decisions-empty", "incomplete-ids-empty", "clusters-empty", "cache-empty",
-            "model-empty", "review-decisions-empty"])
+            "review-decisions-empty", "enrich-rate-nan", "enrich-rate-inf", "enrich-rate-negative",
+            "enrich-rate-above-1", "evaluate-rate-negative", "sample-size-negative"])
     def test_refused_value_exits_2_and_names_the_option(self, pipeline, tmp_path, monkeypatch, capsys, argv, option):
         args = tmp_path / "nul.args"
         args.write_bytes(b"--out=a\0b.jsonl\n")
@@ -1058,9 +1103,14 @@ class TestConfigFile:
         (["analyze", "--in", CORPUS], ["--text-out", "report.txt"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--predictions-out", "predictions.jsonl"]),
+        # The paper's generation model is a constant.
+        (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)], ["--model", "x"]),
+        (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
+         ["--model", "x"]),
     ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving",
             "train", "val", "test", "auto-remove-confidence", "min-content-tokens", "cache-mode-read-only",
-            "cache-mode-bypass", "report-out", "review-out", "stats-out", "text-out", "predictions-out"])
+            "cache-mode-bypass", "report-out", "review-out", "stats-out", "text-out", "predictions-out",
+            "enrich-model", "evaluate-model"])
     def test_removed_setting_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)  # a relative path in ``flag`` lands here
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]

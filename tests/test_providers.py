@@ -141,6 +141,21 @@ def test_request_payload_and_hash_are_pinned(kind):
     assert request_hash(kind, req.payload()) == digest
 
 
+@pytest.mark.parametrize("kind,helper", [(KIND_WEB, web_search), (KIND_FACTCHECK, factcheck_search),
+                                         (KIND_LLM, llm_generate)], ids=lambda value: getattr(value, "__name__", value))
+def test_helper_sends_the_pinned_payload(kind, helper):
+    # Each helper takes the query or the prompt and fetches its request type's payload for it.
+    sent = []
+
+    class Recording:
+        def fetch(self, kind, payload, digest=None):
+            sent.append((kind, payload))
+            return {"candidates": [{"content": {"parts": [{"text": "sim"}]}}]}
+
+    helper("vacina", Recording())
+    assert sent == [(kind, PINNED_REQUESTS[kind][1])]
+
+
 def empty_log(directory):
     """A fixture directory that recorded nothing."""
     (Path(directory) / LOG_NAME).touch()
@@ -532,17 +547,17 @@ PROMPT_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\u2028\u2029é
 
 
 class TestPromptHasher:
-    @given(PROMPT_TEXT, PROMPT_TEXT, PROMPT_TEXT, PROMPT_TEXT)
-    def test_digest_is_the_request_hash(self, model, head, rest, other):
-        digest = prompt_hasher(model, head)
+    @given(PROMPT_TEXT, PROMPT_TEXT, PROMPT_TEXT)
+    def test_digest_is_the_request_hash(self, head, rest, other):
+        digest = prompt_hasher(head)
         for tail in (rest, other, ""):
-            assert digest(tail) == request_hash(KIND_LLM, LlmRequest(prompt=head + tail, model=model).payload())
+            assert digest(tail) == request_hash(KIND_LLM, LlmRequest(prompt=head + tail).payload())
 
 
 SEARCHES = {
-    "web": lambda backend: web_search(WebSearchRequest(query="q"), backend),
-    "factcheck": lambda backend: factcheck_search(FactCheckRequest(query="q"), backend),
-    "llm": lambda backend: llm_generate(LlmRequest(prompt="q"), backend),
+    "web": lambda backend: web_search("q", backend),
+    "factcheck": lambda backend: factcheck_search("q", backend),
+    "llm": lambda backend: llm_generate("q", backend),
 }
 
 
@@ -555,7 +570,7 @@ class TestParsers:
             {"title": "só plain", "link": "l2", "snippet": "s2"},
         ] + [{"title": f"item {n}", "link": f"l{n}", "snippet": f"s{n}"} for n in range(3, 8)]
         write_cassette(tmp_path, KIND_WEB, payload, {"items": items})
-        results = web_search(WebSearchRequest(query="vacina"), FixtureBackend(tmp_path))
+        results = web_search("vacina", FixtureBackend(tmp_path))
         assert [r.link for r in results] == ["l1", "l2", "l3", "l4", "l5"]  # seven items, capped at five
         assert [r.rank for r in results] == [1, 2, 3, 4, 5]
         assert results[0].title == "<b>rico</b>"
@@ -574,7 +589,7 @@ class TestParsers:
              ]},
         ]}
         write_cassette(tmp_path, KIND_FACTCHECK, payload, body)
-        results = factcheck_search(FactCheckRequest(query="checagem"), FixtureBackend(tmp_path))
+        results = factcheck_search("checagem", FixtureBackend(tmp_path))
         assert len(results) == 1
         assert results[0].publisher_name == "Checagem"
         assert results[0].textual_rating == "Falso"
@@ -583,27 +598,24 @@ class TestParsers:
     def test_factcheck_caps_at_five_claims(self, tmp_path):
         claims = [{"text": f"alegação {n}", "claimReview": [{"textualRating": "Falso"}]} for n in range(7)]
         write_cassette(tmp_path, KIND_FACTCHECK, FactCheckRequest(query="muitas").payload(), {"claims": claims})
-        results = factcheck_search(FactCheckRequest(query="muitas"), FixtureBackend(tmp_path))
+        results = factcheck_search("muitas", FixtureBackend(tmp_path))
         assert [r.claim_text for r in results] == [f"alegação {n}" for n in range(5)]
 
     def test_llm_joins_candidate_parts(self, tmp_path):
-        request = LlmRequest(prompt="pergunta")
         body = {"candidates": [{"content": {"parts": [{"text": "uma "}, {"text": "resposta"}]}}]}
-        write_cassette(tmp_path, KIND_LLM, request.payload(), body)
-        assert llm_generate(request, FixtureBackend(tmp_path)) == "uma resposta"
+        write_cassette(tmp_path, KIND_LLM, LlmRequest(prompt="pergunta").payload(), body)
+        assert llm_generate("pergunta", FixtureBackend(tmp_path)) == "uma resposta"
 
     def test_llm_text_body_fails(self, tmp_path):
         # A bare {"text": ...} body is not a generation response.
-        request = LlmRequest(prompt="pergunta 2")
-        write_cassette(tmp_path, KIND_LLM, request.payload(), {"text": "direto"})
+        write_cassette(tmp_path, KIND_LLM, LlmRequest(prompt="pergunta 2").payload(), {"text": "direto"})
         with pytest.raises(ProviderFailure, match="no candidates"):
-            llm_generate(request, FixtureBackend(tmp_path))
+            llm_generate("pergunta 2", FixtureBackend(tmp_path))
 
     def test_llm_no_candidates_fails(self, tmp_path):
-        request = LlmRequest(prompt="pergunta 3")
-        write_cassette(tmp_path, KIND_LLM, request.payload(), {"candidates": []})
+        write_cassette(tmp_path, KIND_LLM, LlmRequest(prompt="pergunta 3").payload(), {"candidates": []})
         with pytest.raises(ProviderFailure):
-            llm_generate(request, FixtureBackend(tmp_path))
+            llm_generate("pergunta 3", FixtureBackend(tmp_path))
 
     # A body of the wrong shape is a failed call, not a crash of the caller.
     @pytest.mark.parametrize("search,body", [
@@ -623,14 +635,14 @@ class TestParsers:
             SEARCHES[search](CountingBackend(body))
 
     def test_null_fields_read_as_empty_and_round_trip(self):
-        web = web_search(WebSearchRequest(query="q"), CountingBackend({"items": [
+        web = web_search("q", CountingBackend({"items": [
             {"title": None, "link": None, "snippet": None, "htmlTitle": None}]}))
         assert [(r.title, r.link, r.snippet) for r in web] == [("", "", "")]
-        reviews = factcheck_search(FactCheckRequest(query="q"), CountingBackend({"claims": [
+        reviews = factcheck_search("q", CountingBackend({"claims": [
             {"text": None, "claimant": None, "claimReview": [{"publisher": None, "textualRating": None,
                                                               "url": None, "reviewDate": None}]}]}))
         assert (reviews[0].claim_text, reviews[0].textual_rating, reviews[0].review_date) == ("", "", None)
         assert [WebResult.from_dict(r.to_dict()) for r in web] == web
         assert [ClaimReviewResult.from_dict(r.to_dict()) for r in reviews] == reviews
         body = {"candidates": [{"content": {"parts": [{"text": None}, {"text": "sim"}]}}]}
-        assert llm_generate(LlmRequest(prompt="q"), CountingBackend(body)) == "sim"
+        assert llm_generate("q", CountingBackend(body)) == "sim"

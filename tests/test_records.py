@@ -271,7 +271,8 @@ class TestJsonlIO:
         assert read_news(path) == items
 
     def test_enriched_round_trip(self, tmp_path):
-        records = [make_enriched(), make_enriched(match_index=None)]
+        other = NewsItem(id="r2", corpus="covid19br", text="outro texto", label="true")
+        records = [make_enriched(), make_enriched(item=other)]
         path = tmp_path / "enriched.jsonl"
         write_enriched(path, records)
         assert read_enriched(path) == records

@@ -1,21 +1,22 @@
 """Command-line entry point.
 
-Eight subcommands wire the library into a reproducible pipeline:
-validate, dedup, review, enrich, analyze, split, build-config, evaluate.
-argparse reads every option. ``@FILE`` after the subcommand reads further
-arguments from FILE, one UTF-8 line each (``--seed=1``): a later flag wins,
-and an option the subcommand lacks exits 2 as it does on the command line.
-``main`` refuses an option value that is empty, holds a NUL byte or is not
-UTF-8, an ``--out`` that names no file, and a number out of its option's
-range, before any handler runs. Each handler writes its sidecars at fixed
-names beside ``--out`` (such as ``<out>.report.json``) and returns a ``Run``
-naming what it wrote; ``main`` then writes one manifest (resource hashes,
-input hashes, provider mode, config snapshot) at ``<out>.manifest.json``, or
-``<out-dir>/manifest.json`` for split, and applies the error-rate gate. A
-run with neither option, such as ``review --decisions``, writes no
-manifest. Every output file, the manifest included, goes through
-``records.write_text``; only the response log is written otherwise,
-appended to by ``providers._append``.
+Eight subcommands wire the library into a reproducible pipeline: validate,
+dedup, review, enrich, analyze, split, build-config, evaluate. argparse
+reads every option. ``@FILE`` after the subcommand reads further arguments
+from FILE, one UTF-8 line each (``--seed=1``): a later flag wins, an option
+the subcommand lacks exits 2 as it does on the command line, and so does a
+FILE that includes itself. ``main`` refuses an option value that is empty,
+holds a NUL byte or is not UTF-8, an ``--out`` that names no file, and a
+number out of its option's range, before any handler runs. Each handler
+writes its sidecars at fixed names beside ``--out`` (such as
+``<out>.report.json``) and returns a ``Run`` naming what it wrote; ``main``
+then writes one manifest (resource hashes, input hashes, provider mode,
+config snapshot) at ``<out>.manifest.json``, or ``<out-dir>/manifest.json``
+for split, and applies the error-rate gate. ``validate --decisions`` checks
+the decisions file against the queue the run builds and, on any problem,
+lists each one and exits 2 before writing. Every output file, the manifest
+included, goes through ``records.write_text``; only the response log is
+written otherwise, appended to by ``providers._append``.
 
 Exit codes: 0 success; 1 per-record error rate above --max-error-rate, or
 a bug, which leaves ``main`` as an exception with its traceback; 2 bad
@@ -29,8 +30,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from importlib import import_module
@@ -127,14 +128,9 @@ class Run(NamedTuple):
     error_rate: float = 0.0
 
 
-def _manifest_path(conf: dict[str, Any]) -> Path | None:
-    """``<out>.manifest.json``, or ``<out-dir>/manifest.json``; None when the
-    run has neither option."""
-    if conf.get("out"):
-        return Path(f"{Path(conf['out'])}.manifest.json")
-    if conf.get("out_dir"):
-        return Path(conf["out_dir"], "manifest.json")
-    return None
+def _manifest_path(conf: dict[str, Any]) -> Path:
+    """``<out>.manifest.json``, or ``<out-dir>/manifest.json`` for split."""
+    return Path(f"{Path(conf['out'])}.manifest.json") if conf.get("out") else Path(conf["out_dir"], "manifest.json")
 
 
 def _write_manifest(
@@ -165,20 +161,22 @@ def _provider(conf: dict[str, Any]) -> tuple[Backend | None, Clock]:
     unset, with the clock it stamps records with."""
     from .clocks import FrozenClock, SystemClock
 
-    provider = conf.get("provider")
+    provider, cache = conf.get("provider"), conf.get("cache")
     if (provider == "fixture") != bool(conf.get("fixtures")):
         raise ConfigError("--fixtures <dir> goes with --provider fixture, and only with it")
     # Frozen under fixtures so replayed runs are byte-identical.
     clock: Clock = FrozenClock() if provider == "fixture" else SystemClock()
     if provider is None:
-        if conf.get("cache"):
+        if cache:
             raise ConfigError("--cache needs --provider")
         return None, clock
+    if provider == "fixture" and cache and os.path.realpath(cache) == os.path.realpath(conf["fixtures"]):
+        raise ConfigError("--cache names the --fixtures directory, whose recorded responses it would append to")
     from .providers import CachingBackend, FixtureBackend, LiveBackend
 
     backend: Backend = FixtureBackend(conf["fixtures"]) if provider == "fixture" else LiveBackend(clock=clock)
-    if conf.get("cache"):
-        backend = CachingBackend(backend, conf["cache"], clock)
+    if cache:
+        backend = CachingBackend(backend, cache, clock)
     return backend, clock
 
 
@@ -211,7 +209,7 @@ def _read_instances(path: str) -> list[EvalInstance]:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_validate(conf: dict[str, Any]) -> Run:
-    from .validation import STAGES, read_review_items
+    from .validation import STAGES, check_decisions, read_review_items
 
     records = read_news(conf["in"])
     decisions = read_review_items(conf["decisions"]) if conf.get("decisions") else []
@@ -227,6 +225,12 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
             sample_size=conf["sample_size"],
             seed=conf["seed"],
         )
+    if conf.get("decisions"):
+        problems = check_decisions(report.review_items, decisions)
+        for line in problems:
+            print(line, file=sys.stderr)
+        if problems:
+            raise ConfigError(f"{conf['decisions']}: {len(problems)} problem(s), listed above")
 
     out = Path(conf["out"])
     report_out = Path(f"{out}.report.json")
@@ -246,9 +250,6 @@ def _cmd_validate(conf: dict[str, Any]) -> Run:
     if report.external_check_failed:
         print(f"{'fact-check failed':<{width}}{len(report.external_check_failed)} record(s) not cross-checked, "
               "see report")
-    if report.unmatched_decisions:
-        print(f"{'unmatched decisions':<{width}}{len(report.unmatched_decisions)} decision(s) matched no input "
-              "record, see report")
     return Run([conf["in"], conf.get("decisions"), conf.get("incomplete_ids")],
                [str(out), str(report_out), str(review_out)])
 
@@ -267,25 +268,6 @@ def _cmd_review(conf: dict[str, Any]) -> Run:
     from .validation import read_review_items
 
     queue = read_review_items(conf["queue"])
-    if conf["decisions"] is not None:
-        decided = read_review_items(conf["decisions"])
-        decisions = {item.id: item for item in decided}
-        queued = {item.id for item in queue}
-        problems = [f"no decision for queue item {item.id}" for item in queue if item.id not in decisions]
-        problems += [f"no queue item for decision {i}" for i in decisions if i not in queued]
-        problems += [f"decision {i} given {n} times" for i, n in Counter(item.id for item in decided).items() if n > 1]
-        for item in queue:
-            got = decisions.get(item.id)
-            if got is not None and (got.kind, got.record_ids) != (item.kind, item.record_ids):
-                problems.append(f"decision {item.id} is a {got.kind} on {got.record_ids}, but queue item {item.id} "
-                                f"is a {item.kind} on {item.record_ids}")
-        problems += [f"decision field still empty on {i}" for i, item in decisions.items() if item.decision is None]
-        for line in problems:
-            print(line, file=sys.stderr)
-        if problems:
-            raise ConfigError(f"{conf['decisions']}: {len(problems)} problem(s), listed above")
-        print(f"{len(queue)} decision(s) check out")
-        return Run([], [])
     out = Path(conf["out"])
     skeleton = []
     for item in queue:
@@ -509,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt = subcommand("validate", "filter and adjudicate a corpus; emits validated records, a review queue and a report")
     opt("--in", required=True, help="input records, one JSON object per line")
     opt("--out", required=True, help="validated records output; report to <out>.report.json, queue to <out>.review.jsonl")
-    opt("--decisions", help="adjudicated review items to apply")
+    opt("--decisions", help="adjudicated review items to check against the review queue and apply")
     opt("--incomplete-ids", help="file of known-truncated record ids, one per line")
     opt("--sample-size", type=int, default=0, help="random inspection sample size")
     opt("--seed", type=int, default=0, help="inspection sampling seed")
@@ -519,12 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--in", required=True, help="input records")
     opt("--out", required=True, help="cluster report output, one cluster per line")
 
-    review = subparsers.add_parser(
-        "review", help="turn a review queue into a decision skeleton, or check an edited decisions file")
-    review.add_argument("--queue", required=True, help="review queue produced by validate")
-    mode = review.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--out", help="write a decision-skeleton file to edit")
-    mode.add_argument("--decisions", help="check an edited decisions file against the queue")
+    opt = subcommand("review", "turn a review queue into a decision skeleton to edit")
+    opt("--queue", required=True, help="review queue produced by validate")
+    opt("--out", required=True, help="decision-skeleton output, to edit and pass to validate --decisions")
 
     opt = subcommand("enrich", "attach search results, claims and fact-check reviews to each record")
     opt("--in", required=True, help="validated records")
@@ -561,16 +540,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_option_files(parser: argparse.ArgumentParser, args: Sequence[str]) -> list[str]:
+def _expand_option_files(parser: argparse.ArgumentParser, args: Sequence[str], chain: Sequence[str] = ()) -> list[str]:
     """``args`` with each ``@FILE`` replaced by FILE's lines, one argument
     each, and any ``@FILE`` among them expanded in turn, as argparse's
     ``fromfile_prefix_chars`` would; but FILE is read as UTF-8 whatever the
-    locale, and a FILE that cannot be read or decoded exits 2 naming it."""
+    locale, and a FILE that cannot be read or decoded, or that ``chain``,
+    the files being expanded, already holds, exits 2 naming it."""
     expanded: list[str] = []
     for arg in args:
         if not arg.startswith("@"):
             expanded.append(arg)
             continue
+        path = os.path.realpath(arg[1:])
+        if path in chain:
+            parser.error(f"{arg[1:]} includes itself")
         try:
             data = Path(arg[1:]).read_bytes()
             lines = data.decode("utf-8").splitlines()
@@ -579,7 +562,7 @@ def _expand_option_files(parser: argparse.ArgumentParser, args: Sequence[str]) -
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             parser.error(f"{arg[1:]}:{line}: {exc}")
-        expanded += _expand_option_files(parser, lines)
+        expanded += _expand_option_files(parser, lines, (*chain, path))
     return expanded
 
 
@@ -621,9 +604,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _check_options(conf)
         started_at = SystemClock().utc_instant()
         run = HANDLERS[subcommand](conf)
-        manifest = _manifest_path(conf)
-        if manifest is not None:
-            _write_manifest(manifest, subcommand, conf, run, started_at, SystemClock().utc_instant())
+        _write_manifest(_manifest_path(conf), subcommand, conf, run, started_at, SystemClock().utc_instant())
         limit = conf.get("max_error_rate")
         if limit is not None and run.error_rate > limit:
             print(f"error rate {run.error_rate:.2%} above --max-error-rate {limit:.2%}", file=sys.stderr)

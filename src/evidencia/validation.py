@@ -7,14 +7,16 @@ short-text floor ``MIN_CONTENT_TOKENS`` (15) and the language filter's
 ``AUTO_REMOVE_CONFIDENCE`` (0.95). Automated stages remove records
 outright; judgment calls become review items that a human adjudicates in
 a separate pass, after which the decisions file feeds back into the
-pipeline. Every removal is accounted for: input count always equals
-output count plus the sum of per-stage removals.
+pipeline; ``check_decisions`` lists where a decisions file does not answer
+a run's queue item for item. Every removal is accounted for: input count
+always equals output count plus the sum of per-stage removals.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -57,9 +59,10 @@ class ReviewItem:
     Construction rejects an unknown kind, a suggestion outside
     ``DECISION_ACTIONS``, a ``relabel`` suggestion on any kind but
     ``external_label_conflict``, an ``external_label_conflict`` whose
-    ``context.external_bucket`` is no label, and a malformed decision with
-    a SchemaError, so a queue or decisions file is checked line by line as
-    it is read. ``from_dict`` ignores keys it does not know.
+    ``context.external_bucket`` is no label, and a malformed decision (one
+    whose ``ids`` is empty acts on no record) with a SchemaError, so a
+    queue or decisions file is checked line by line as it is read.
+    ``from_dict`` ignores keys it does not know.
     """
 
     id: str
@@ -87,6 +90,8 @@ class ReviewItem:
         ids = decision.get("ids", [])
         if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise SchemaError(f"review {self.id}: decision ids must be a list of strings")
+        if "ids" in decision and not ids:
+            raise SchemaError(f"review {self.id}: decision ids name no record")
         unknown = [i for i in self.targets if i not in self.record_ids]
         if unknown:
             raise SchemaError(f"review {self.id}: decision targets unknown records {unknown}")
@@ -104,11 +109,29 @@ class ReviewItem:
 
 
 def read_review_items(path: str | Path) -> list[ReviewItem]:
-    return list(read_jsonl(path, ReviewItem.from_dict))
+    return list(read_jsonl(path, ReviewItem.from_dict, attrgetter("id")))
 
 
 def write_review_items(path: str | Path, items: Iterable[ReviewItem]) -> None:
     write_jsonl(path, (item.to_dict() for item in items))
+
+
+def check_decisions(queue: Sequence[ReviewItem], decisions: Sequence[ReviewItem]) -> list[str]:
+    """Each way ``decisions``, of distinct ids, fails to answer ``queue`` item
+    for item, one line each: a queue item with no decision, a decision with
+    no queue item or with another kind or other records than its queue
+    item's, and an empty decision field."""
+    decided = {item.id: item for item in decisions}
+    queued = {item.id for item in queue}
+    problems = [f"no decision for queue item {item.id}" for item in queue if item.id not in decided]
+    problems += [f"no queue item for decision {i}" for i in decided if i not in queued]
+    for item in queue:
+        got = decided.get(item.id)
+        if got is not None and (got.kind, got.record_ids) != (item.kind, item.record_ids):
+            problems.append(f"decision {item.id} is a {got.kind} on {got.record_ids}, but queue item {item.id} "
+                            f"is a {item.kind} on {item.record_ids}")
+    problems += [f"decision field still empty on {i}" for i, item in decided.items() if item.decision is None]
+    return problems
 
 
 @dataclass
@@ -120,7 +143,6 @@ class ValidationReport:
     corrected: dict[str, list[dict[str, Any]]] = field(default_factory=lambda: {s: [] for s in STAGES})
     flagged_language: list[str] = field(default_factory=list)
     external_check_failed: list[str] = field(default_factory=list)
-    unmatched_decisions: list[str] = field(default_factory=list)
     review_items: list[ReviewItem] = field(default_factory=list)
     urls_stripped: int = 0
 
@@ -153,8 +175,6 @@ class ValidationReport:
         }
         if self.external_check_failed:
             out["external_check_failed"] = self.external_check_failed
-        if self.unmatched_decisions:
-            out["unmatched_decisions"] = self.unmatched_decisions
         return out
 
 
@@ -419,12 +439,7 @@ def run_validation(
     if factcheck_backend is not None:
         check_external_labels(current, factcheck_backend, report)
     random_inspection(current, report, sample_size, seed)
-    if decisions:
-        present = {item.id for item in records}
-        report.unmatched_decisions = [
-            item.id for item in decisions if item.decision is not None and present.isdisjoint(item.targets)
-        ]
-        current = apply_decisions(current, decisions, report)
+    current = apply_decisions(current, decisions, report)
     current = fakebr_rules(current, report, clusters, incomplete_ids)
     current = strip_record_urls(current, report)
     report.output_count = len(current)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import evidencia
-from evidencia import cli, enrichment, langid, providers, records
+from evidencia import cli, enrichment, langid, providers, records, resources, textprep
 from evidencia.cli import main
 from evidencia.providers import LOG_NAME, FixtureBackend
 from evidencia.records import ProviderFailure, funnel, read_enriched, read_news
@@ -69,7 +69,7 @@ PIPELINE_DIGESTS = {
 MANIFEST_DIGESTS = {
     "analysis.json.manifest.json": "803b483ca5a9a2e57ca0dbfde14c0fb3ea8808673c7edf197faaae26faceea2e",
     "clusters.jsonl.manifest.json": "ac1300f3d278587bd9080145d2fd857ca40b9d2eef163fd61e7107636d8745f1",
-    "decisions.jsonl.manifest.json": "a7379ff85d628a26d5d0d6f6372de93a8a1bb7e293cf12e21e8e07678f91cf0a",
+    "decisions.jsonl.manifest.json": "e8ddad484dd4b7af8b83c5949ca76c469d6cafb8d743515a682f6a65e2c32039",
     "enriched.jsonl.manifest.json": "69a7a8df0b5e418c4732f3b52a13e3654f655ed681553d0cd160d143c26c1c54",
     "evaluation.json.manifest.json": "9c6d25e7e7f5ae99a8497965e06ce4efc73d510836cc72fb67e5dd5f214f6890",
     "instances.jsonl.manifest.json": "e387c66306b026dab09e958363139cbe0d3ad5aa9178810691e127d6921bb50a",
@@ -168,28 +168,19 @@ class TestPipeline:
             item = json.loads(line)
             assert item["decision"] == {"action": item["suggestion"]}
 
-    def test_review_check_mode_accepts_complete_file(self, pipeline, capsys):
-        before = manifest_times(pipeline["validated"].parent)
-        code = main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
-                     "--decisions", str(pipeline["skeleton"])])
-        assert code == 0
-        assert "check out" in capsys.readouterr().out
-        assert manifest_times(pipeline["validated"].parent) == before
-
-    def test_review_check_mode_flags_missing_decision(self, pipeline, tmp_path, capsys):
+    def test_decisions_missing_a_queue_item_exit_2(self, pipeline, tmp_path, capsys):
         lines = Path(pipeline["skeleton"]).read_text(encoding="utf-8").strip().splitlines()
         partial = tmp_path / "partial.jsonl"
         partial.write_text(lines[0] + "\n", encoding="utf-8")
         before = manifest_times(pipeline["validated"].parent)
-        code = main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
-                     "--decisions", str(partial)])
+        code = main(["validate", "--in", CORPUS, "--out", str(tmp_path / "v.jsonl"), "--decisions", str(partial)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
             "no decision for queue item rev-0002",
             f"error: {partial}: 1 problem(s), listed above",
         ]
         assert manifest_times(pipeline["validated"].parent) == before
-        assert manifest_times(tmp_path) == {}
+        assert sorted(tmp_path.iterdir()) == [partial]
 
     def test_enrich_outputs(self, pipeline):
         records = read_enriched(pipeline["enriched"])
@@ -355,6 +346,24 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == []
 
+    # A cache in the fixtures directory would append each request the
+    # fixtures lack to them as a recorded answer.
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--in", CORPUS], ["enrich", "--in", CORPUS], ["evaluate", "--in", CORPUS, "--shots-from", CORPUS],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("spelling", ["{dir}", "{dir}/../cassettes/."], ids=["same-path", "other-path"])
+    def test_cache_in_the_fixtures_directory_exits_2(self, tmp_path, capsys, argv, spelling):
+        fixtures = tmp_path / "cassettes"
+        shutil.copytree(CASSETTES, fixtures)
+        log = (fixtures / LOG_NAME).read_bytes()
+        out = tmp_path / "out" / "o.jsonl"
+        assert main([*argv, "--out", str(out), "--provider", "fixture", "--fixtures", str(fixtures),
+                     "--cache", spelling.format(dir=fixtures)]) == 2
+        assert "--cache names the --fixtures directory" in capsys.readouterr().err
+        assert [path.name for path in fixtures.iterdir()] == [LOG_NAME]
+        assert (fixtures / LOG_NAME).read_bytes() == log
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_parallelism_below_1_exits_2(self, tmp_path, capsys, workers):
         out = tmp_path / "e.jsonl"
@@ -385,20 +394,11 @@ class TestExitCodes:
         assert code == 1
         load_manifest(tmp_path / "r.json.manifest.json")
 
-    def test_review_takes_out_or_decisions_not_both(self, pipeline, tmp_path, capsys):
-        other = tmp_path / "other.jsonl"
-        with pytest.raises(SystemExit) as exc:
-            main(["review", "--queue", f"{pipeline['validated']}.review.jsonl",
-                  "--out", str(other), "--decisions", str(pipeline["skeleton"])])
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-        assert not other.exists()
-
-    def test_review_needs_out_or_decisions(self, pipeline, capsys):
+    def test_review_needs_out(self, pipeline, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["review", "--queue", f"{pipeline['validated']}.review.jsonl"])
         assert exc.value.code == 2
-        assert "one of the arguments --out --decisions is required" in capsys.readouterr().err
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
     # Bad input found only after the whole file is read: a Fake.br record
     # with no pair to keep it with, a pair of three, and a training slice
@@ -444,7 +444,6 @@ class TestExitCodes:
         ("[1, 2]\n", ["evaluate", "--in", "{bad}", "--shots-from", "{train}", "--out", "{out}",
                       "--provider", "fixture", "--fixtures", str(CASSETTES)]),
         ("[1]\n", ["build-config", "--in", "{bad}", "--out", "{out}", "--kind", "enriched_full"]),
-        ("[1]\n", ["review", "--queue", "{queue}", "--decisions", "{bad}"]),
         ("[1]\n", ["validate", "--in", CORPUS, "--out", "{out}", "--decisions", "{bad}"]),
         (None, ["validate", "--in", "{bad}", "--out", "{out}"]),
         ("", ["split", "--in", CORPUS, "--out-dir", "{bad}"]),
@@ -472,7 +471,7 @@ class TestExitCodes:
         ('{"request_hash": "\\udfff", "body": {}}\n',
          ["enrich", "--in", CORPUS, "--out", "{out}", "--provider", "fixture", "--fixtures", "{bad.parent}"]),
     ], ids=["clusters-no-members", "clusters-not-json", "analyze-not-json", "analyze-string",
-            "evaluate-list", "build-config-list", "review-decisions-list", "validate-decisions-list",
+            "evaluate-list", "build-config-list", "validate-decisions-list",
             "validate-in-directory", "split-out-dir-file", "clusters-members-int",
             "clusters-members-string", "validate-extra-int", "review-record-ids-int", "evaluate-shots-from-missing",
             "analyze-rank-string", "analyze-match-score-string", "review-record-ids-string",
@@ -485,8 +484,7 @@ class TestExitCodes:
         elif content is not False:
             bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         paths = {"bad": bad, "out": tmp_path / "out.json", "enriched": pipeline["enriched"],
-                 "train": pipeline["splits"] / "train.jsonl",
-                 "queue": f"{pipeline['validated']}.review.jsonl"}
+                 "train": pipeline["splits"] / "train.jsonl"}
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert str(bad) in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == ([] if content is False else [bad])
@@ -608,17 +606,14 @@ class TestExitCodes:
         assert sorted(tmp_path.iterdir()) == [bad, keep]
 
     def test_decisions_with_an_external_conflict_without_a_label_exit_2(self, tmp_path, capsys):
-        item = {"id": "rev-0001", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
-                "suggestion": "relabel", "context": {"stored_label": "true", "external_bucket": "fake"}}
-        queue = tmp_path / "queue.jsonl"
-        queue.write_text(json.dumps(item) + "\n", encoding="utf-8")
         decisions = tmp_path / "decisions.jsonl"
-        decisions.write_text(json.dumps({**item, "context": {}, "decision": {"action": "keep"}}) + "\n",
-                             encoding="utf-8")
-        for argv in (["review", "--queue", str(queue)], ["validate", "--in", CORPUS, "--out", str(tmp_path / "v")]):
-            assert main([*argv, "--decisions", str(decisions)]) == 2
-            assert f"error: {decisions}:1: " in capsys.readouterr().err
-        assert sorted(tmp_path.iterdir()) == [decisions, queue]
+        decisions.write_text(json.dumps({
+            "id": "rev-0001", "kind": "external_label_conflict", "record_ids": ["cv_0007"], "suggestion": "relabel",
+            "context": {}, "decision": {"action": "keep"},
+        }) + "\n", encoding="utf-8")
+        assert main(["validate", "--in", CORPUS, "--out", str(tmp_path / "v"), "--decisions", str(decisions)]) == 2
+        assert f"error: {decisions}:1: " in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [decisions]
 
     def test_result_link_that_urlsplit_refuses_counts_as_invalid(self, tmp_path):
         enriched = tmp_path / "e.jsonl"
@@ -649,7 +644,6 @@ class TestRefusedOptions:
         (["analyze", "--in", CORPUS, "--out", "a.json", "--clusters", ""], "--clusters"),
         (["enrich", "--in", CORPUS, "--out", "e.jsonl", "--provider", "fixture", "--fixtures", str(CASSETTES),
           "--cache", ""], "--cache"),
-        (["review", "--queue", "{queue}", "--decisions", ""], "--decisions"),
         # A number out of its option's range: a gate that NaN or infinity
         # switches off, or that a negative share makes fail every run, and a
         # sample that would silently draw nothing.
@@ -660,16 +654,15 @@ class TestRefusedOptions:
         (["validate", "--in", CORPUS, "--out", "v.jsonl", "--sample-size", "-3"], "--sample-size"),
     ], ids=["nul", "nul-from-option-file", "out-empty", "out-root", "out-dot", "out-not-utf8", "in-empty",
             "out-dir-empty", "decisions-empty", "incomplete-ids-empty", "clusters-empty", "cache-empty",
-            "review-decisions-empty", "enrich-rate-nan", "enrich-rate-inf", "enrich-rate-negative",
+            "enrich-rate-nan", "enrich-rate-inf", "enrich-rate-negative",
             "enrich-rate-above-1", "evaluate-rate-negative", "sample-size-negative"])
-    def test_refused_value_exits_2_and_names_the_option(self, pipeline, tmp_path, monkeypatch, capsys, argv, option):
+    def test_refused_value_exits_2_and_names_the_option(self, tmp_path, monkeypatch, capsys, argv, option):
         args = tmp_path / "nul.args"
         args.write_bytes(b"--out=a\0b.jsonl\n")
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)  # a relative or empty path lands here
-        queue = f"{pipeline['validated']}.review.jsonl"
-        assert main([arg.format(args=args, queue=queue) for arg in argv]) == 2
+        assert main([arg.format(args=args) for arg in argv]) == 2
         assert f"error: {option} " in capsys.readouterr().err
         assert list(work.iterdir()) == []
 
@@ -749,23 +742,24 @@ class TestValidateInputs:
         assert report["output_count"] == len(read_news(out)) == 26
         assert str(pipeline["skeleton"]) in load_manifest(f"{out}.manifest.json")["input_hashes"]
 
-    @pytest.mark.parametrize("decision,message", [
-        ({"action": "ban"}, "unknown action 'ban'"),
-        ("remove", "decision must be an object"),
-        ({"action": "remove", "ids": "cv_0011"}, "decision ids must be a list of strings"),
-        ({"action": "remove", "ids": ""}, "decision ids must be a list of strings"),
-    ], ids=["unknown-action", "not-an-object", "ids-string", "ids-empty-string"])
-    def test_bad_decision_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, decision, message):
+    # The skeleton's second line with ``fields`` changed, and what follows
+    # ``<file>:2: `` in the error.
+    @pytest.mark.parametrize("fields,message", [
+        ({"decision": {"action": "ban"}}, "review rev-0002: unknown action 'ban'"),
+        ({"decision": "remove"}, "review rev-0002: decision must be an object"),
+        ({"decision": {"action": "remove", "ids": "cv_0011"}},
+         "review rev-0002: decision ids must be a list of strings"),
+        ({"decision": {"action": "remove", "ids": ""}}, "review rev-0002: decision ids must be a list of strings"),
+        ({"decision": {"action": "remove", "ids": []}}, "review rev-0002: decision ids name no record"),
+        ({"id": "rev-0001"}, "id 'rev-0001' repeats line 1's"),
+    ], ids=["unknown-action", "not-an-object", "ids-string", "ids-empty-string", "ids-empty-list", "repeated-id"])
+    def test_bad_decision_exits_2_and_names_the_line(self, pipeline, tmp_path, capsys, fields, message):
         first, second = Path(pipeline["skeleton"]).read_text(encoding="utf-8").splitlines()
         bad = tmp_path / "decisions.jsonl"
-        bad.write_text(first + "\n" + json.dumps({**json.loads(second), "decision": decision}) + "\n",
-                       encoding="utf-8")
-        out = tmp_path / "v.jsonl"
-        for argv in (["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(bad)],
-                     ["review", "--queue", f"{pipeline['validated']}.review.jsonl", "--decisions", str(bad)]):
-            assert main(argv) == 2
-            assert f"{bad}:2: review rev-0002: {message}" in capsys.readouterr().err
-        assert not out.exists()
+        bad.write_text(first + "\n" + json.dumps({**json.loads(second), **fields}) + "\n", encoding="utf-8")
+        assert main(["validate", "--in", CORPUS, "--out", str(tmp_path / "v.jsonl"), "--decisions", str(bad)]) == 2
+        assert f"error: {bad}:2: {message}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad]
 
     def test_incomplete_ids_remove_the_record_and_its_pair(self, tmp_path):
         ids = tmp_path / "incomplete.txt"
@@ -780,72 +774,58 @@ class TestValidateInputs:
         assert str(ids) in load_manifest(f"{out}.manifest.json")["input_hashes"]
 
     def test_external_label_skeleton_relabels_as_written(self, tmp_path):
-        queue = tmp_path / "queue.jsonl"
-        queue.write_text(json.dumps({
-            "id": "rev-0001", "kind": "external_label_conflict", "record_ids": ["cv_0007"],
-            "suggestion": "relabel", "context": {"stored_label": "true", "external_bucket": "fake"},
-        }) + "\n", encoding="utf-8")
+        # cv_0007 is stored as true; the one fact-check recorded for its query rates it false.
+        corpus = tmp_path / "corpus.jsonl"
+        line = next(line for line in Path(CORPUS).read_text(encoding="utf-8").splitlines() if '"cv_0007"' in line)
+        corpus.write_text(line + "\n", encoding="utf-8")
+        query, _ = textprep.build_query(json.loads(line)["text"])
+        fixtures = tmp_path / "fixtures"
+        providers.write_cassette(fixtures, providers.KIND_FACTCHECK, providers.FactCheckRequest(query).payload(), {
+            "claims": [{"text": query, "claimReview": [{"publisher": {"name": "Agência", "site": "agencia.br"},
+                                                        "textualRating": "Falso", "url": "https://agencia.br/1"}]}],
+        })
+        fixture = ["--provider", "fixture", "--fixtures", str(fixtures)]
+        first, out = tmp_path / "first.jsonl", tmp_path / "v.jsonl"
         skeleton = tmp_path / "decisions.jsonl"
-        assert main(["review", "--queue", str(queue), "--out", str(skeleton)]) == 0
-        assert main(["review", "--queue", str(queue), "--decisions", str(skeleton)]) == 0
-        out = tmp_path / "v.jsonl"
-        assert main(["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(skeleton)]) == 0
+        assert main(["validate", "--in", str(corpus), "--out", str(first), *fixture]) == 0
+        assert main(["review", "--queue", f"{first}.review.jsonl", "--out", str(skeleton)]) == 0
+        assert [item["kind"] for item in map(json.loads, skeleton.read_text(encoding="utf-8").splitlines())] == [
+            "external_label_conflict"]
+        assert main(["validate", "--in", str(corpus), "--out", str(out), "--decisions", str(skeleton), *fixture]) == 0
         report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
         assert report["corrected"]["external_label_check"] == [
             {"id": "cv_0007", "field": "label", "old": "true", "new": "fake", "reason": "external_label_conflict"},
         ]
         assert {item.id: item.label for item in read_news(out)}["cv_0007"] == "fake"
 
-    def test_decision_about_other_records_exits_2_and_names_the_item(self, tmp_path, capsys):
-        queue = tmp_path / "queue.jsonl"
-        queue.write_text(json.dumps({
-            "id": "rev-0001", "kind": "near_dup_conflict", "record_ids": ["a1", "a2"], "suggestion": "remove",
-        }) + "\n", encoding="utf-8")
+    # The fixture corpus's queue, and a decision for each of its items.
+    UNDECIDED = [{"id": "rev-0001", "kind": "near_dup_conflict", "record_ids": ["cv_0009", "cv_0010"]},
+                 {"id": "rev-0002", "kind": "shared_url_conflict", "record_ids": ["cv_0011", "cv_0012"]}]
+    DECIDED = [{**item, "decision": {"action": "remove"}} for item in UNDECIDED]
+    FAKE_0001 = {"id": "rev-9999", "kind": "random_inspection", "record_ids": ["fake_0001"],
+                 "decision": {"action": "remove"}}
+
+    # A decisions file that does not answer the run's own queue item for
+    # item exits 2, lists each problem on stderr and writes nothing.
+    @pytest.mark.parametrize("decided,problems", [
+        ([{**FAKE_0001, "id": "rev-0001"}, DECIDED[1]],
+         ["decision rev-0001 is a random_inspection on ['fake_0001'], "
+          "but queue item rev-0001 is a near_dup_conflict on ['cv_0009', 'cv_0010']"]),
+        ([UNDECIDED[0], DECIDED[1]], ["decision field still empty on rev-0001"]),
+        ([DECIDED[1]], ["no decision for queue item rev-0001"]),
+        ([*DECIDED, {**FAKE_0001, "id": "rev-0003"}], ["no queue item for decision rev-0003"]),
+        # Applied unchecked, it would remove fake_0001, and the orphan sweep its pair partner.
+        ([FAKE_0001], ["no decision for queue item rev-0001", "no decision for queue item rev-0002",
+                       "no queue item for decision rev-9999"]),
+    ], ids=["other-records", "empty-decision", "missing-item", "not-in-queue", "only-off-the-queue"])
+    def test_decision_off_the_queue_exits_2_and_names_it(self, tmp_path, capsys, decided, problems):
         decisions = tmp_path / "decisions.jsonl"
-        decisions.write_text(json.dumps({
-            "id": "rev-0001", "kind": "random_inspection", "record_ids": ["zz9"],
-            "decision": {"action": "remove"},
-        }) + "\n", encoding="utf-8")
-        assert main(["review", "--queue", str(queue), "--decisions", str(decisions)]) == 2
+        decisions.write_text("".join(json.dumps(item) + "\n" for item in decided), encoding="utf-8")
+        assert main(["validate", "--in", CORPUS, "--out", str(tmp_path / "v"), "--decisions", str(decisions)]) == 2
         captured = capsys.readouterr()
-        assert "check out" not in captured.out
-        assert captured.err.splitlines() == [
-            "decision rev-0001 is a random_inspection on ['zz9'], "
-            "but queue item rev-0001 is a near_dup_conflict on ['a1', 'a2']",
-            f"error: {decisions}: 1 problem(s), listed above",
-        ]
-
-    QUEUED = {"id": "rev-0001", "kind": "near_dup_conflict", "record_ids": ["a", "b"], "suggestion": "remove"}
-
-    @pytest.mark.parametrize("extra,message", [
-        ({**QUEUED, "id": "rev-0002", "decision": {"action": "remove", "ids": ["b"]}},
-         "no queue item for decision rev-0002"),
-        ({**QUEUED, "decision": {"action": "keep"}}, "decision rev-0001 given 2 times"),
-    ], ids=["not-in-queue", "given-twice"])
-    def test_decision_beyond_the_queue_exits_2_and_names_it(self, tmp_path, capsys, extra, message):
-        queue = tmp_path / "queue.jsonl"
-        queue.write_text(json.dumps(self.QUEUED) + "\n", encoding="utf-8")
-        decisions = tmp_path / "decisions.jsonl"
-        decided = {**self.QUEUED, "decision": {"action": "remove", "ids": ["a"]}}
-        decisions.write_text(json.dumps(decided) + "\n" + json.dumps(extra) + "\n", encoding="utf-8")
-        assert main(["review", "--queue", str(queue), "--decisions", str(decisions)]) == 2
-        captured = capsys.readouterr()
-        assert "check out" not in captured.out
-        assert captured.err.splitlines() == [message, f"error: {decisions}: 1 problem(s), listed above"]
-
-    def test_decision_matching_no_input_record_is_reported(self, tmp_path, capsys):
-        decisions = tmp_path / "decisions.jsonl"
-        decisions.write_text("".join(json.dumps({
-            "id": rid, "kind": "random_inspection", "record_ids": [record_id], "decision": {"action": "remove"},
-        }) + "\n" for rid, record_id in [("rev-0001", "no_such_record"), ("rev-0002", "cv_0003")]),
-            encoding="utf-8")
-        out = tmp_path / "v.jsonl"
-        assert main(["validate", "--in", CORPUS, "--out", str(out), "--decisions", str(decisions)]) == 0
-        report = json.loads(Path(f"{out}.report.json").read_text(encoding="utf-8"))
-        # cv_0003 is in the input; the initial filter removed it before the decision applied.
-        assert report["removal_reasons"]["cv_0003"] != "decision:random_inspection"
-        assert report["unmatched_decisions"] == ["rev-0001"]
-        assert "unmatched decisions" in capsys.readouterr().out
+        assert captured.out == ""
+        assert captured.err.splitlines() == [*problems, f"error: {decisions}: {len(problems)} problem(s), listed above"]
+        assert sorted(tmp_path.iterdir()) == [decisions]
 
     def test_stage_table_is_aligned(self, tmp_path, capsys):
         from evidencia.validation import STAGES
@@ -1107,10 +1087,12 @@ class TestConfigFile:
         (["enrich", "--in", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)], ["--model", "x"]),
         (["evaluate", "--in", CORPUS, "--shots-from", CORPUS, "--provider", "fixture", "--fixtures", str(CASSETTES)],
          ["--model", "x"]),
+        # validate --decisions checks a decisions file against the queue it builds.
+        (["review", "--queue", CORPUS], ["--decisions", "decisions.jsonl"]),
     ], ids=["threshold", "shingle-size", "permutations", "bands", "max-claim-words", "pair-preserving",
             "train", "val", "test", "auto-remove-confidence", "min-content-tokens", "cache-mode-read-only",
             "cache-mode-bypass", "report-out", "review-out", "stats-out", "text-out", "predictions-out",
-            "enrich-model", "evaluate-model"])
+            "enrich-model", "evaluate-model", "review-decisions"])
     def test_removed_setting_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)  # a relative path in ``flag`` lands here
         out = ["--out-dir" if argv[0] == "split" else "--out", str(tmp_path / "out")]
@@ -1148,6 +1130,24 @@ class TestConfigFile:
         assert self.exits_2(["split", arg, "--in", CORPUS])
         assert f"{bad}:2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert {path.name for path in tmp_path.iterdir()} == ({"bad.args", "run.args"} if nested else {"bad.args"})
+
+    # An option file that includes itself, directly or through another,
+    # would be expanded without end.
+    @pytest.mark.parametrize("includes", [{"a": "a"}, {"a": "b", "b": "a"}], ids=["itself", "two-file-cycle"])
+    def test_option_file_that_includes_itself_exits_2(self, tmp_path, capsys, includes):
+        for name, other in includes.items():
+            (tmp_path / f"{name}.args").write_text(f"--seed=1\n@{tmp_path / other}.args\n", encoding="utf-8")
+        assert self.exits_2(["split", f"@{tmp_path / 'a.args'}", "--in", CORPUS, "--out-dir", str(tmp_path / "s")])
+        assert f"{tmp_path / 'a.args'} includes itself" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_option_file_read_twice_in_a_row(self, tmp_path):
+        inner = self.option_file(tmp_path, "--seed=1")
+        outer = tmp_path / "outer.args"
+        outer.write_text(f"{inner}\n{inner}\n", encoding="utf-8")
+        out = tmp_path / "s"
+        assert main(["split", f"@{outer}", inner, "--in", CORPUS, "--out-dir", str(out)]) == 0
+        assert load_manifest(out / "manifest.json")["config"]["seed"] == 1
 
     def test_config_flag_exits_2(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -1282,6 +1282,28 @@ class TestEntryPoint:
         assert "evidencia" in proc.stdout
 
     @staticmethod
+    def project():
+        tomllib = pytest.importorskip("tomllib")
+        return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+
+    def test_console_script_target_prints_the_version(self, monkeypatch, capsys):
+        # What the installed ``evidencia`` script runs, without an install.
+        module, _, name = self.project()["project"]["scripts"]["evidencia"].partition(":")
+        monkeypatch.setattr(sys, "argv", ["evidencia", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            getattr(importlib.import_module(module), name)()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"evidencia {evidencia.__version__}\n"
+
+    def test_every_resource_is_package_data(self):
+        # A resource no package-data glob matches is read from src but left out of a wheel.
+        package = ROOT / "src" / "evidencia"
+        declared = {path.relative_to(package).as_posix()
+                    for glob in self.project()["tool"]["setuptools"]["package-data"]["evidencia"]
+                    for path in package.glob(glob)}
+        assert {f"data/{name}" for name in resources.resource_names()} <= declared
+
+    @staticmethod
     def run_fresh(*args, **env):
         env = {**os.environ, "PYTHONPATH": "src", **env}
         return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT, env=env)
@@ -1305,8 +1327,7 @@ class TestEntryPoint:
     def test_version_is_the_package_version(self):
         proc = self.run_fresh("-m", "evidencia.cli", "--version")
         assert proc.stdout.strip() == f"evidencia {evidencia.__version__}"
-        tomllib = pytest.importorskip("tomllib")
-        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        project = self.project()
         assert "version" in project["project"]["dynamic"]
         assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "evidencia.__version__"}
 

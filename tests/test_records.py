@@ -83,7 +83,7 @@ def review_items(draw):
         context["external_bucket"] = draw(st.sampled_from(LABELS))
     decision = draw(st.none() | st.fixed_dictionaries(
         {"action": st.sampled_from(["keep", "remove"])},
-        optional={"ids": st.lists(st.sampled_from(record_ids), max_size=2)}))
+        optional={"ids": st.lists(st.sampled_from(record_ids), min_size=1, max_size=2)}))
     return ReviewItem(id=draw(ids), kind=kind, record_ids=record_ids, suggestion=draw(st.sampled_from(suggestions)),
                       context=context, decision=decision)
 
